@@ -166,24 +166,20 @@ func BenchmarkVillageFrame(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep engine benchmarks: the full 13-spec cache sweep of the Village at
-// bench scale, serial reference fan-out vs the render-once/replay-many
-// worker pool. The parallel engine's gain comes from replaying the
-// in-memory trace through all hierarchies concurrently instead of pushing
-// every texel through 13 hierarchies in one goroutine.
+// Sweep benchmarks: the full 13-spec cache sweep of the Village at bench
+// scale, on the exact engine (every texel fanned out to 13 hierarchies in
+// one goroutine) and on the analytic -fast engine.
 // ---------------------------------------------------------------------------
 
-func benchSweep(b *testing.B, parallelism, renderWorkers int, fast bool) {
+func benchSweep(b *testing.B, fast bool) {
 	b.Helper()
 	scale := experiments.Bench()
 	render := core.Config{
-		Width:         scale.Width,
-		Height:        scale.Height,
-		Frames:        scale.VillageFrames,
-		Mode:          raster.Trilinear,
-		Parallelism:   parallelism,
-		RenderWorkers: renderWorkers,
-		FastSweep:     fast,
+		Width:     scale.Width,
+		Height:    scale.Height,
+		Frames:    scale.VillageFrames,
+		Mode:      raster.Trilinear,
+		FastSweep: fast,
 	}
 	specs := experiments.SweepSpecs()
 	b.ReportAllocs()
@@ -194,40 +190,19 @@ func benchSweep(b *testing.B, parallelism, renderWorkers int, fast bool) {
 	}
 }
 
-// BenchmarkSweepSerial is the legacy single-goroutine engine.
-func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1, 1, false) }
-
-// BenchmarkSweepParallel4 bounds the pool at four replay workers, with the
-// render farm at its GOMAXPROCS default.
-func BenchmarkSweepParallel4(b *testing.B) { benchSweep(b, 4, 0, false) }
-
-// BenchmarkSweepParallel uses the default pool (GOMAXPROCS replay workers
-// and render farm) — the fully parallel engine.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0, 0, false) }
-
-// BenchmarkSweepParallelRenderSerial isolates the render farm's
-// contribution: parallel replay as in BenchmarkSweepParallel, but with the
-// serial render pass (RenderWorkers 1, the farm's oracle).
-func BenchmarkSweepParallelRenderSerial(b *testing.B) { benchSweep(b, 0, 1, false) }
+// BenchmarkSweepSerial is the exact single-goroutine engine.
+func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepFast is the analytic engine: one instrumented render
 // feeds the reuse model, which predicts every model-reachable spec's
 // counters — for the canonical sweep the replay set is empty, so no
 // trace is recorded or replayed at all.
-func BenchmarkSweepFast(b *testing.B) { benchSweep(b, 0, 0, true) }
+func BenchmarkSweepFast(b *testing.B) { benchSweep(b, true) }
 
-// ---------------------------------------------------------------------------
-// Intra-spec replay benchmarks: one recorded Village stream replayed
-// through a single 2 MB L2 hierarchy, whole-stream vs four
-// checkpoint-chained frame ranges (rangereplay.go). The trace is recorded
-// once outside the timer, so the measured work is purely the replay
-// engine; serial and ranged produce DeepEqual Results by construction, and
-// the ranged engine's gain is decode/translate overlap across ranges
-// (visible only with more than one CPU).
-// ---------------------------------------------------------------------------
-
-func benchReplaySingleSpec(b *testing.B, replayWorkers int) {
-	b.Helper()
+// BenchmarkReplaySingleSpecSerial replays one recorded Village stream
+// through a single 2 MB L2 hierarchy. The trace is recorded once outside
+// the timer, so the measured work is purely decode, translate and cache.
+func BenchmarkReplaySingleSpecSerial(b *testing.B) {
 	scale := experiments.Bench()
 	cfg := core.Config{
 		Width: scale.Width, Height: scale.Height,
@@ -239,8 +214,7 @@ func benchReplaySingleSpec(b *testing.B, replayWorkers int) {
 			Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
 			Policy:    cache.Clock,
 		},
-		TLBEntries:    16,
-		ReplayWorkers: replayWorkers,
+		TLBEntries: 16,
 	}
 	w := workload.Village()
 	var buf bytes.Buffer
@@ -257,13 +231,6 @@ func benchReplaySingleSpec(b *testing.B, replayWorkers int) {
 		}
 	}
 }
-
-// BenchmarkReplaySingleSpecSerial is the whole-stream reference replay.
-func BenchmarkReplaySingleSpecSerial(b *testing.B) { benchReplaySingleSpec(b, 1) }
-
-// BenchmarkReplaySingleSpecRanged4 shards the same stream into four
-// checkpoint-chained frame ranges.
-func BenchmarkReplaySingleSpecRanged4(b *testing.B) { benchReplaySingleSpec(b, 4) }
 
 // BenchmarkTraceRecordReplay measures the trace encode+decode round trip.
 func BenchmarkTraceRecordReplay(b *testing.B) {

@@ -1,4 +1,4 @@
-// Command benchjson runs the sweep-engine benchmarks exactly once each
+// Command benchjson runs the sweep benchmarks exactly once each
 // and writes a machine-readable BENCH_sweep.json: per-benchmark wall time
 // and allocation counts plus a run manifest, so CI can archive comparable
 // performance artifacts per commit without parsing `go test -bench`
@@ -18,8 +18,7 @@
 // the run (exit status 1), which is how CI gates performance — wall time
 // catches slowdowns, allocation count catches hot-path allocations that
 // a noisy timer would hide, and allocated bytes catch buffer-growth
-// blowups (the parallel sweep once allocated 90x the serial engine's
-// bytes at an almost identical allocation count). Benchmarks present on
+// blowups that keep the allocation count flat. Benchmarks present on
 // only one side are reported but never fail the gate.
 package main
 
@@ -47,15 +46,12 @@ const regressionLimit = 1.25
 
 // benchResult is one benchmark's single-iteration sample.
 type benchResult struct {
-	Name          string `json:"name"`
-	Parallelism   int    `json:"parallelism"`
-	RenderWorkers int    `json:"render_workers"`
-	ReplayWorkers int    `json:"replay_workers,omitempty"`
-	NsPerOp       int64  `json:"ns_per_op"`
-	AllocsPerOp   int64  `json:"allocs_per_op"`
-	BytesPerOp    int64  `json:"bytes_per_op"`
-	Frames        int    `json:"frames"`
-	Specs         int    `json:"specs"`
+	Name        string `json:"name"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
+	Frames      int    `json:"frames"`
+	Specs       int    `json:"specs"`
 }
 
 // report is the artifact document.
@@ -82,25 +78,14 @@ func run() int {
 	}
 	specs := experiments.SweepSpecs()
 
-	// Mirror bench_test.go's sweep benchmarks: the serial reference
-	// engine, a bounded 4-worker pool, the GOMAXPROCS default (replay pool
-	// and render farm both parallel), the farm-isolating variant that
-	// keeps the render pass serial, the intra-spec frame-range engine
-	// (four checkpoint-chained ranges per spec group), and the analytic
-	// -fast engine (one instrumented render, no replay).
+	// Mirror bench_test.go's sweep benchmarks: the exact engine and the
+	// analytic -fast engine (one instrumented render, no replay).
 	cases := []struct {
-		name          string
-		parallelism   int
-		renderWorkers int
-		replayWorkers int
-		fast          bool
+		name string
+		fast bool
 	}{
-		{"SweepSerial", 1, 1, 0, false},
-		{"SweepParallel4", 4, 0, 0, false},
-		{"SweepParallel", 0, 0, 0, false},
-		{"SweepParallelRenderSerial", 0, 1, 0, false},
-		{"SweepRanged4", 1, 0, 4, false},
-		{"SweepFast", 0, 0, 0, true},
+		{"SweepSerial", false},
+		{"SweepFast", true},
 	}
 
 	clock := telemetry.NewWallClock()
@@ -120,9 +105,6 @@ func run() int {
 
 	for _, bc := range cases {
 		cfg := render
-		cfg.Parallelism = bc.parallelism
-		cfg.RenderWorkers = bc.renderWorkers
-		cfg.ReplayWorkers = bc.replayWorkers
 		cfg.FastSweep = bc.fast
 
 		// Quiesce the heap so alloc deltas attribute to the run alone.
@@ -138,15 +120,12 @@ func run() int {
 			return 1
 		}
 		rep.Benchmarks = append(rep.Benchmarks, benchResult{
-			Name:          bc.name,
-			Parallelism:   bc.parallelism,
-			RenderWorkers: bc.renderWorkers,
-			ReplayWorkers: bc.replayWorkers,
-			NsPerOp:       elapsed,
-			AllocsPerOp:   int64(after.Mallocs - before.Mallocs),
-			BytesPerOp:    int64(after.TotalAlloc - before.TotalAlloc),
-			Frames:        len(cmp.FramePixels),
-			Specs:         len(cmp.Results),
+			Name:        bc.name,
+			NsPerOp:     elapsed,
+			AllocsPerOp: int64(after.Mallocs - before.Mallocs),
+			BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
+			Frames:      len(cmp.FramePixels),
+			Specs:       len(cmp.Results),
 		})
 		fmt.Fprintf(os.Stderr, "benchjson: %-25s %12d ns/op %12d allocs/op\n",
 			bc.name, elapsed, after.Mallocs-before.Mallocs)

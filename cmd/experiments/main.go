@@ -38,11 +38,7 @@ func run() int {
 	scaleName := flag.String("scale", "reduced", "bench | reduced | full")
 	out := flag.String("o", "", "write output to file instead of stdout")
 	parallel := flag.Int("parallel", 0,
-		"worker pool size for prefetch and cache sweeps (0 = GOMAXPROCS, -1 = serial)")
-	renderWorkers := flag.Int("renderworkers", 0,
-		"render farm size for cache sweeps (0 = GOMAXPROCS, -1 or 1 = serial render pass)")
-	replayWorkers := flag.Int("replayworkers", 0,
-		"frame-range shards per sweep spec group (0 or 1 = whole-stream replay)")
+		"with -exp all: simulation runs to prefetch concurrently (0 = GOMAXPROCS, -1 = no prefetch)")
 	fast := flag.Bool("fast", false,
 		"analytic cache sweeps: predict model-reachable specs from one reuse-profile pass; per-frame figures then report totals only")
 	csvDir := flag.String("csv", "", "also export per-frame figure series as CSV into this directory")
@@ -111,17 +107,6 @@ func run() int {
 	}
 
 	ctx := experiments.NewContext(scale, w)
-	if *parallel < 0 {
-		ctx.Parallelism = 1 // serial reference engine
-	} else {
-		ctx.Parallelism = *parallel
-	}
-	if *renderWorkers < 0 {
-		ctx.RenderWorkers = 1 // serial render pass
-	} else {
-		ctx.RenderWorkers = *renderWorkers
-	}
-	ctx.ReplayWorkers = *replayWorkers
 	ctx.FastSweep = *fast
 
 	var totals telemetry.Totals

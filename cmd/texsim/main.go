@@ -8,16 +8,11 @@
 //	texsim -workload city -mode bilinear -l2mb 0          # pull architecture
 //	texsim -workload village -l2mb 4 -l2tile 32 -policy lru -zfirst
 //
-// With -sweep the workload is rendered once and the reference stream is
-// replayed through the canonical cache sweep (the same 13 specs the
-// experiment suite uses; -specs selects a comma-separated subset) on the
-// parallel sweep engine; -parallel bounds the replay worker pool,
-// -renderworkers the frame-parallel render farm (for both, 0 = GOMAXPROCS,
-// 1 = the serial reference path), and -replayworkers shards each spec
-// group's replay into that many checkpoint-chained frame ranges
-// (0 or 1 = whole-stream replay per group):
+// With -sweep the workload is rendered once and every texel reference is
+// fanned out to the canonical cache sweep (the same 13 specs the
+// experiment suite uses; -specs selects a comma-separated subset):
 //
-//	texsim -workload city -sweep -parallel 4 -renderworkers 4 -replayworkers 4 -specs pull-2k,l2-2m
+//	texsim -workload city -sweep -specs pull-2k,l2-2m
 //
 // With -sweep -fast the replay collapses to one instrumented render: the
 // analytic reuse model (internal/model/reusemodel) predicts every
@@ -34,9 +29,9 @@
 //	-metrics run.jsonl   stream per-frame counters (JSONL, or CSV via .csv)
 //	-manifest run.json   record config hash, environment, totals and spans
 //	-reuse hist.json     reuse-distance histogram over L2 block addresses
-//	-trace out.json      worker-attributed Chrome trace_event file — open it
-//	                     in Perfetto (ui.perfetto.dev) or chrome://tracing;
-//	                     also prints the aggregated phase/straggler report
+//	-trace out.json      Chrome trace_event file — open it in Perfetto
+//	                     (ui.perfetto.dev) or chrome://tracing; also prints
+//	                     the aggregated phase report
 //	-monitor addr        serve live JSON run snapshots over HTTP while the
 //	                     run is in flight (GET /snapshot, GET /trace)
 //	-spans out.jsonl     write the texscope phase-span log (read it back with
@@ -44,7 +39,7 @@
 //	-cpuprofile cpu.pb   CPU profile; -memprofile heap.pb heap profile
 //
 //	texsim -workload village -sweep -metrics run.jsonl -manifest run.json
-//	texsim -workload city -sweep -parallel 4 -trace sweep.json
+//	texsim -workload city -sweep -trace sweep.json
 //	texsim -workload city -sweep -monitor localhost:8844
 package main
 
@@ -53,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -70,43 +66,48 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	wl := flag.String("workload", "village", "village | city | mall")
-	width := flag.Int("width", 512, "screen width")
-	height := flag.Int("height", 384, "screen height")
-	frames := flag.Int("frames", 60, "frames to simulate (0 = paper scale)")
-	mode := flag.String("mode", "trilinear", "point | bilinear | trilinear")
-	l1 := flag.Int("l1", 2048, "L1 cache bytes")
-	l2mb := flag.Int("l2mb", 2, "L2 cache MB (0 = pull architecture)")
-	l2tile := flag.Int("l2tile", 16, "L2 tile edge texels (8 | 16 | 32)")
-	policy := flag.String("policy", "clock", "clock | lru | random")
-	tlb := flag.Int("tlb", 16, "TLB entries")
-	zfirst := flag.Bool("zfirst", false, "depth test before texture access")
-	nosector := flag.Bool("nosector", false, "disable sector mapping")
-	stats := flag.Bool("stats", false, "collect working-set statistics")
-	sweep := flag.Bool("sweep", false, "replay the rendered stream through the canonical cache sweep")
-	fast := flag.Bool("fast", false,
+// run is the whole command: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the exit status — 2 for a usage
+// error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("texsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "village", "village | city | mall")
+	width := fs.Int("width", 512, "screen width")
+	height := fs.Int("height", 384, "screen height")
+	frames := fs.Int("frames", 60, "frames to simulate (0 = paper scale)")
+	mode := fs.String("mode", "trilinear", "point | bilinear | trilinear")
+	l1 := fs.Int("l1", 2048, "L1 cache bytes")
+	l2mb := fs.Int("l2mb", 2, "L2 cache MB (0 = pull architecture)")
+	l2tile := fs.Int("l2tile", 16, "L2 tile edge texels (8 | 16 | 32)")
+	policy := fs.String("policy", "clock", "clock | lru | random")
+	tlb := fs.Int("tlb", 16, "TLB entries")
+	zfirst := fs.Bool("zfirst", false, "depth test before texture access")
+	nosector := fs.Bool("nosector", false, "disable sector mapping")
+	stats := fs.Bool("stats", false, "collect working-set statistics")
+	sweep := fs.Bool("sweep", false, "simulate the canonical cache sweep against one render of the workload")
+	fast := fs.Bool("fast", false,
 		"with -sweep: predict model-reachable specs analytically from one instrumented render")
-	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	replayWorkers := flag.Int("replayworkers", 0,
-		"frame-range shards per sweep spec group (0 or 1 = whole-stream replay)")
-	renderWorkers := flag.Int("renderworkers", 0,
-		"render farm size for -sweep (0 = GOMAXPROCS, 1 = serial render pass)")
-	specsArg := flag.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
-	metricsPath := flag.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
-	manifestPath := flag.String("manifest", "", "write a run manifest (config hash, environment, totals, spans) here")
-	reusePath := flag.String("reuse", "", "write a reuse-distance histogram over L2 block addresses here")
-	tracePath := flag.String("trace", "",
-		"write a worker-attributed Chrome trace_event file (Perfetto) here and print the phase report")
-	monitorAddr := flag.String("monitor", "",
+	specsArg := fs.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
+	metricsPath := fs.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
+	manifestPath := fs.String("manifest", "", "write a run manifest (config hash, environment, totals, spans) here")
+	reusePath := fs.String("reuse", "", "write a reuse-distance histogram over L2 block addresses here")
+	tracePath := fs.String("trace", "",
+		"write a Chrome trace_event file (Perfetto) here and print the phase report")
+	monitorAddr := fs.String("monitor", "",
 		"serve live run snapshots as JSON over HTTP on this address while running")
-	spansPath := flag.String("spans", "", "write the texscope phase-span log (JSONL, for tracetool spans) here")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
-	memprofile := flag.String("memprofile", "", "write a heap profile here")
-	flag.Parse()
+	spansPath := fs.String("spans", "", "write the texscope phase-span log (JSONL, for tracetool spans) here")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile here")
+	memprofile := fs.String("memprofile", "", "write a heap profile here")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var w *workload.Workload
 	switch *wl {
@@ -117,7 +118,7 @@ func run() int {
 	case "mall":
 		w = workload.Mall()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
 		return 2
 	}
 
@@ -135,7 +136,7 @@ func run() int {
 	case "trilinear":
 		cfg.Mode = raster.Trilinear
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+		fmt.Fprintf(stderr, "unknown mode %q\n", *mode)
 		return 2
 	}
 	if *l2mb > 0 {
@@ -148,7 +149,7 @@ func run() int {
 		case "random":
 			pol = cache.Random
 		default:
-			fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
+			fmt.Fprintf(stderr, "unknown policy %q\n", *policy)
 			return 2
 		}
 		cfg.L2 = &cache.L2Config{
@@ -164,7 +165,7 @@ func run() int {
 	cfg.CollectReuse = *reusePath != ""
 
 	if *fast && !*sweep {
-		fmt.Fprintln(os.Stderr, "texsim: -fast only applies to -sweep runs")
+		fmt.Fprintln(stderr, "texsim: -fast only applies to -sweep runs")
 		return 2
 	}
 
@@ -172,7 +173,7 @@ func run() int {
 	if *sweep {
 		var err error
 		if specs, err = selectSpecs(*specsArg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	}
@@ -186,7 +187,7 @@ func run() int {
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		bw := bufio.NewWriter(f)
@@ -224,9 +225,9 @@ func run() int {
 		if monFrames <= 0 {
 			monFrames = w.Frames
 		}
-		stop, err := startMonitor(*monitorAddr, cfg.Trace, monFrames)
+		stop, err := startMonitor(*monitorAddr, cfg.Trace, monFrames, stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: monitor:", err)
+			fmt.Fprintln(stderr, "texsim: monitor:", err)
 			return 1
 		}
 		defer stop()
@@ -235,11 +236,11 @@ func run() int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -248,12 +249,12 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 			_ = f.Close()
 		}()
@@ -263,57 +264,54 @@ func run() int {
 	var modelErrs []telemetry.SpecModelError
 	simFrames := 0
 	if *sweep {
-		cfg.Parallelism = *parallel
-		cfg.RenderWorkers = *renderWorkers
-		cfg.ReplayWorkers = *replayWorkers
 		cfg.FastSweep = *fast
 		cmp, err := core.RunComparison(w, cfg, specs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		reportSweep(w, cfg, specs, cmp)
+		reportSweep(stdout, w, cfg, specs, cmp)
 		reuse = cmp.Reuse
 		modelErrs = cmp.ModelErrors()
 		simFrames = len(cmp.FramePixels)
 	} else {
 		res, err := core.Run(w, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		report(w, cfg, res)
+		report(stdout, w, cfg, res)
 		reuse = res.Reuse
 		simFrames = len(res.Frames)
 	}
 
 	if flushMetrics != nil {
 		if err := flushMetrics(); err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: writing metrics:", err)
+			fmt.Fprintln(stderr, "texsim: writing metrics:", err)
 			return 1
 		}
 	}
 	if *reusePath != "" {
 		if err := writeReuse(*reusePath, reuse); err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: writing reuse histogram:", err)
+			fmt.Fprintln(stderr, "texsim: writing reuse histogram:", err)
 			return 1
 		}
 	}
 	if *manifestPath != "" {
 		if err := writeManifest(*manifestPath, w, cfg, specs, *sweep, simFrames, totals.T, modelErrs); err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: writing manifest:", err)
+			fmt.Fprintln(stderr, "texsim: writing manifest:", err)
 			return 1
 		}
 	}
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, cfg.Trace); err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: writing trace:", err)
+		if err := writeTrace(*tracePath, cfg.Trace, stdout); err != nil {
+			fmt.Fprintln(stderr, "texsim: writing trace:", err)
 			return 1
 		}
 	}
 	if *spansPath != "" {
 		if err := writeSpans(*spansPath, cfg.Tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: writing spans:", err)
+			fmt.Fprintln(stderr, "texsim: writing spans:", err)
 			return 1
 		}
 	}
@@ -324,7 +322,7 @@ func run() int {
 // stop function is called. Listening before returning means a caller
 // that polls immediately after texsim prints the address never races
 // the socket.
-func startMonitor(addr string, tr *telemetry.Trace, frames int) (stop func(), err error) {
+func startMonitor(addr string, tr *telemetry.Trace, frames int, stderr io.Writer) (stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -332,16 +330,16 @@ func startMonitor(addr string, tr *telemetry.Trace, frames int) (stop func(), er
 	srv := &http.Server{Handler: telemetry.NewMonitor(tr, frames)}
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "texsim: monitor:", err)
+			fmt.Fprintln(stderr, "texsim: monitor:", err)
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "texsim: monitor listening on http://%s/\n", ln.Addr())
+	fmt.Fprintf(stderr, "texsim: monitor listening on http://%s/\n", ln.Addr())
 	return func() { _ = srv.Close() }, nil
 }
 
 // writeTrace exports the run's Chrome trace_event file and prints the
-// aggregated phase report to stdout.
-func writeTrace(path string, tr *telemetry.Trace) error {
+// aggregated phase report to out.
+func writeTrace(path string, tr *telemetry.Trace, out io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -353,8 +351,8 @@ func writeTrace(path string, tr *telemetry.Trace) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("\ntrace written to %s (open in Perfetto or chrome://tracing)\n", path)
-	return tr.Report().WriteText(os.Stdout)
+	fmt.Fprintf(out, "\ntrace written to %s (open in Perfetto or chrome://tracing)\n", path)
+	return tr.Report().WriteText(out)
 }
 
 // writeSpans writes the texscope phase-span log as JSONL, the shape
@@ -472,16 +470,16 @@ func writeManifest(path string, w *workload.Workload, cfg core.Config,
 // profile was collected, a trailing model column distinguishes modeled
 // rows from exact replays and reports the per-spec model error where
 // both sides exist.
-func reportSweep(w *workload.Workload, cfg core.Config, specs []core.CacheSpec, cmp *core.Comparison) {
-	fmt.Printf("workload %s: %d frames at %dx%d (%v)\n",
+func reportSweep(out io.Writer, w *workload.Workload, cfg core.Config, specs []core.CacheSpec, cmp *core.Comparison) {
+	fmt.Fprintf(out, "workload %s: %d frames at %dx%d (%v)\n",
 		w.Name, len(cmp.FramePixels), cfg.Width, cfg.Height, cfg.Mode)
 	hasModel := len(cmp.Model) > 0
-	fmt.Printf("%-10s %10s %10s %10s %14s",
+	fmt.Fprintf(out, "%-10s %10s %10s %10s %14s",
 		"spec", "L1 hit", "L2 full", "TLB hit", "host MB/frame")
 	if hasModel {
-		fmt.Printf("  %s", "model")
+		fmt.Fprintf(out, "  %s", "model")
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	for i, spec := range specs {
 		res := cmp.Results[i]
 		t := res.Totals
@@ -493,12 +491,12 @@ func reportSweep(w *workload.Workload, cfg core.Config, specs []core.CacheSpec, 
 				tlb = fmt.Sprintf("%.2f%%", 100*t.TLB.HitRate())
 			}
 		}
-		fmt.Printf("%-10s %9.2f%% %10s %10s %14.3f",
+		fmt.Fprintf(out, "%-10s %9.2f%% %10s %10s %14.3f",
 			spec.Name, 100*t.L1.HitRate(), l2, tlb, res.AvgHostMBPerFrame())
 		if hasModel {
-			fmt.Printf("  %s", modelNote(cmp.Model[i]))
+			fmt.Fprintf(out, "  %s", modelNote(cmp.Model[i]))
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 }
 
@@ -515,63 +513,63 @@ func modelNote(m core.SpecModel) string {
 	}
 }
 
-func report(w *workload.Workload, cfg core.Config, res *core.Results) {
+func report(out io.Writer, w *workload.Workload, cfg core.Config, res *core.Results) {
 	n := float64(len(res.Frames))
 	t := res.Totals
-	fmt.Printf("workload %s: %d textures (%.1f MB host), %d triangles, %d frames at %dx%d (%v)\n",
+	fmt.Fprintf(out, "workload %s: %d textures (%.1f MB host), %d triangles, %d frames at %dx%d (%v)\n",
 		w.Name, w.Scene.Textures.Len(),
 		float64(w.Scene.Textures.HostBytes())/(1<<20),
 		w.Scene.TriangleCount(), len(res.Frames), cfg.Width, cfg.Height, cfg.Mode)
 
-	fmt.Printf("\nL1 cache (%d KB, 2-way, 64B lines):\n", cfg.L1Bytes/1024)
-	fmt.Printf("  accesses   %14d\n", t.L1.Accesses)
-	fmt.Printf("  hit rate   %14.2f%%\n", 100*t.L1.HitRate())
+	fmt.Fprintf(out, "\nL1 cache (%d KB, 2-way, 64B lines):\n", cfg.L1Bytes/1024)
+	fmt.Fprintf(out, "  accesses   %14d\n", t.L1.Accesses)
+	fmt.Fprintf(out, "  hit rate   %14.2f%%\n", 100*t.L1.HitRate())
 
 	if cfg.L2 != nil {
-		fmt.Printf("\nL2 cache (%d MB, %dx%d tiles, %s):\n",
+		fmt.Fprintf(out, "\nL2 cache (%d MB, %dx%d tiles, %s):\n",
 			cfg.L2.SizeBytes>>20, cfg.L2.Layout.L2Size, cfg.L2.Layout.L2Size,
 			cfg.L2.Policy)
-		fmt.Printf("  full hits  %14d (%.2f%%)\n", t.L2.FullHits, 100*t.L2.FullHitRate())
-		fmt.Printf("  partial    %14d (%.2f%%)\n", t.L2.PartialHits, 100*t.L2.PartialHitRate())
-		fmt.Printf("  misses     %14d\n", t.L2.FullMisses)
-		fmt.Printf("  evictions  %14d (max victim search %d)\n", t.L2.Evictions, t.L2.MaxSearch)
+		fmt.Fprintf(out, "  full hits  %14d (%.2f%%)\n", t.L2.FullHits, 100*t.L2.FullHitRate())
+		fmt.Fprintf(out, "  partial    %14d (%.2f%%)\n", t.L2.PartialHits, 100*t.L2.PartialHitRate())
+		fmt.Fprintf(out, "  misses     %14d\n", t.L2.FullMisses)
+		fmt.Fprintf(out, "  evictions  %14d (max victim search %d)\n", t.L2.Evictions, t.L2.MaxSearch)
 		if cfg.TLBEntries > 0 {
-			fmt.Printf("  TLB        %14.2f%% hit (%d entries)\n",
+			fmt.Fprintf(out, "  TLB        %14.2f%% hit (%d entries)\n",
 				100*t.TLB.HitRate(), cfg.TLBEntries)
 		}
 	} else {
-		fmt.Printf("\npull architecture (no L2)\n")
+		fmt.Fprintf(out, "\npull architecture (no L2)\n")
 	}
 
-	fmt.Printf("\ntraffic per frame:\n")
-	fmt.Printf("  host (AGP)      %10.3f MB\n", float64(t.HostBytes)/n/(1<<20))
-	fmt.Printf("  L2 -> L1 fills  %10.3f MB\n", float64(t.L2ReadBytes)/n/(1<<20))
-	fmt.Printf("  host -> L2      %10.3f MB\n", float64(t.L2WriteBytes)/n/(1<<20))
-	fmt.Printf("  at 30 Hz, host bandwidth = %.1f MB/s\n",
+	fmt.Fprintf(out, "\ntraffic per frame:\n")
+	fmt.Fprintf(out, "  host (AGP)      %10.3f MB\n", float64(t.HostBytes)/n/(1<<20))
+	fmt.Fprintf(out, "  L2 -> L1 fills  %10.3f MB\n", float64(t.L2ReadBytes)/n/(1<<20))
+	fmt.Fprintf(out, "  host -> L2      %10.3f MB\n", float64(t.L2WriteBytes)/n/(1<<20))
+	fmt.Fprintf(out, "  at 30 Hz, host bandwidth = %.1f MB/s\n",
 		float64(t.HostBytes)/n*30/(1<<20))
 
 	if res.Summary != nil {
 		s := res.Summary
-		fmt.Printf("\nworking set (point of view of §4):\n")
-		fmt.Printf("  depth complexity  %6.2f\n", s.DepthComplexity)
+		fmt.Fprintf(out, "\nworking set (point of view of §4):\n")
+		fmt.Fprintf(out, "  depth complexity  %6.2f\n", s.DepthComplexity)
 		ls, ok := s.Layout(texture.TileLayout{L2Size: 16, L1Size: 4})
 		if ok {
-			fmt.Printf("  16x16 blocks/frame %8.0f (%.2f MB), %.0f new (%.0f KB)\n",
+			fmt.Fprintf(out, "  16x16 blocks/frame %8.0f (%.2f MB), %.0f new (%.0f KB)\n",
 				ls.AvgBlocks, ls.AvgBytes/(1<<20),
 				ls.AvgNewBlocks, ls.AvgNewBytes/1024)
-			fmt.Printf("  block utilization  %8.2f\n", ls.Utilization)
+			fmt.Fprintf(out, "  block utilization  %8.2f\n", ls.Utilization)
 		}
-		fmt.Printf("  min push memory    %8.2f MB avg, %.2f MB peak\n",
+		fmt.Fprintf(out, "  min push memory    %8.2f MB avg, %.2f MB peak\n",
 			s.AvgPushBytes/(1<<20), float64(s.MaxPushBytes)/(1<<20))
 		var total int64
 		for _, n := range s.LevelRefs {
 			total += n
 		}
 		if total > 0 {
-			fmt.Printf("  MIP level histogram:\n")
+			fmt.Fprintf(out, "  MIP level histogram:\n")
 			for m, refs := range s.LevelRefs {
 				if refs > 0 {
-					fmt.Printf("    level %2d %6.1f%%\n",
+					fmt.Fprintf(out, "    level %2d %6.1f%%\n",
 						m, 100*float64(refs)/float64(total))
 				}
 			}

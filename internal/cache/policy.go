@@ -15,10 +15,6 @@ type Policy interface {
 	// Reset clears recency state for the given block (the block was
 	// deallocated by the host driver).
 	Reset(block int)
-	// Clone returns an independent deep copy of the policy's replacement
-	// state (clock hand and active bits, LRU order, PRNG state), so a
-	// checkpointed cache can be restored without aliasing the original.
-	Clone() Policy
 	// Name identifies the policy in reports.
 	Name() string
 }
@@ -92,10 +88,6 @@ func (p *clockPolicy) Victim() (int, int) {
 
 func (p *clockPolicy) Reset(block int) { p.active[block] = false }
 
-func (p *clockPolicy) Clone() Policy {
-	return &clockPolicy{active: append([]bool(nil), p.active...), hand: p.hand}
-}
-
 func (p *clockPolicy) Name() string { return "clock" }
 
 // lruPolicy is exact LRU via a doubly-linked list over block indices; the
@@ -166,15 +158,6 @@ func (p *lruPolicy) Reset(block int) {
 	p.tail = b
 }
 
-func (p *lruPolicy) Clone() Policy {
-	return &lruPolicy{
-		prev: append([]int32(nil), p.prev...),
-		next: append([]int32(nil), p.next...),
-		head: p.head,
-		tail: p.tail,
-	}
-}
-
 func (p *lruPolicy) Name() string { return "lru" }
 
 // randomPolicy selects victims with an xorshift PRNG; deterministic across
@@ -198,9 +181,5 @@ func (p *randomPolicy) Victim() (int, int) {
 }
 
 func (p *randomPolicy) Reset(int) {}
-
-func (p *randomPolicy) Clone() Policy {
-	return &randomPolicy{n: p.n, state: p.state}
-}
 
 func (p *randomPolicy) Name() string { return "random" }

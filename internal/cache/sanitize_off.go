@@ -22,9 +22,3 @@ type l2San struct{}
 
 // noteEvict records a block eviction or deallocation; a no-op when disabled.
 func (s *l2San) noteEvict(pt uint32) {}
-
-// clone copies the (empty) sanitizer state for checkpointing.
-func (s sanState) clone() sanState { return sanState{} }
-
-// clone copies the (empty) pending-eviction set for checkpointing.
-func (s l2San) clone() l2San { return l2San{} }

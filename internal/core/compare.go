@@ -53,7 +53,6 @@ type Comparison struct {
 
 // layoutXlate caches per-texture address translation for one L2 layout.
 type layoutXlate struct {
-	layout  texture.TileLayout
 	tilings []*texture.Tiling
 	starts  []uint32
 	// per-texel scratch, refreshed by multiSink.Texel.
@@ -77,25 +76,12 @@ type multiSink struct {
 	reuse   *reuseProbe
 }
 
-func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
-	l1 := s.xlate(tid, u, v, m)
-	s.access(l1)
-	if s.collect != nil {
-		s.collect.Texel(tid, u, v, m)
-	}
-	if s.reuse != nil {
-		s.reuse.Texel(tid, u, v, m)
-	}
-}
-
-// xlate translates one texel to its canonical L1 reference and refreshes
-// every distinct layout's page-table scratch (lx.pt / lx.sub). Split from
-// Texel so the range-replay engine can translate references it cannot yet
-// present to the hierarchies (its checkpoint has not arrived) and buffer
-// the results instead.
+// Texel translates one texel reference — the canonical L1 address once,
+// and each distinct L2 layout's page-table index once — and presents it
+// to every hierarchy in the fan-out.
 //
 // texlint:hotpath
-func (s *multiSink) xlate(tid texture.ID, u, v, m int) cache.L1Ref {
+func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 	a := s.canon[tid].Addr(u, v, m)
 	l1 := cache.L1Ref{
 		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
@@ -106,14 +92,6 @@ func (s *multiSink) xlate(tid texture.ID, u, v, m int) cache.L1Ref {
 		lx.pt = lx.starts[tid] + b.L2
 		lx.sub = uint8(b.L1)
 	}
-	return l1
-}
-
-// access presents the translated reference (l1 plus the layout scratch
-// xlate left behind) to every hierarchy in the fan-out.
-//
-// texlint:hotpath
-func (s *multiSink) access(l1 cache.L1Ref) {
 	for i := range s.specs {
 		sp := &s.specs[i]
 		ref := cache.Ref{L1: l1}
@@ -123,6 +101,12 @@ func (s *multiSink) access(l1 cache.L1Ref) {
 			ref.Sub = lx.sub
 		}
 		sp.hier.Access(ref)
+	}
+	if s.collect != nil {
+		s.collect.Texel(tid, u, v, m)
+	}
+	if s.reuse != nil {
+		s.reuse.Texel(tid, u, v, m)
 	}
 }
 
@@ -143,11 +127,9 @@ func specConfig(render Config, spec CacheSpec) Config {
 // render.StatLayouts is non-empty, working-set statistics are gathered once
 // and attached to the first spec's results.
 //
-// render.Parallelism selects the engine: 1 runs the serial reference
-// fan-out (every texel pushed through all hierarchies in one goroutine),
-// anything else renders once into a sharded in-memory trace and replays
-// it through the specs on a bounded worker pool (see sweep.go). The two
-// paths produce byte-identical Comparisons.
+// The exact engine is one goroutine: every texel is pushed through all
+// hierarchies as it is rendered (runComparisonSerial). render.FastSweep
+// selects the analytic engine instead (fast.go).
 func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Comparison, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no cache specs")
@@ -164,20 +146,14 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if render.FastSweep {
 		return runComparisonFast(w, render, specs)
 	}
-	par := sweepWorkers(render.Parallelism, len(specs))
-	if par > 1 || replayRangeCount(render.ReplayWorkers, render.Frames) > 1 {
-		// Intra-spec range parallelism runs on the trace engine even when
-		// the spec count alone would take the serial path.
-		return runComparisonParallel(w, render, specs, par, nil)
-	}
 	return runComparisonSerial(w, render, specs, nil)
 }
 
-// buildMultiSink builds the shared-translation fan-out sink both engines
-// drive: one hierarchy per spec (readable through sink.specs, parallel
-// to specs), with address translation shared across all specs that use
-// the same L2 layout — each distinct layout is translated once per
-// texel, however many specs consume it.
+// buildMultiSink builds the shared-translation fan-out sink the exact
+// engine drives: one hierarchy per spec (readable through sink.specs,
+// parallel to specs), with address translation shared across all specs
+// that use the same L2 layout — each distinct layout is translated once
+// per texel, however many specs consume it.
 func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 	sink := &multiSink{canon: set.Tilings(texture.CanonicalL1())}
 	sink.specs = make([]specState, 0, len(specs))
@@ -209,7 +185,6 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 				}
 				idx = len(sink.layouts)
 				sink.layouts = append(sink.layouts, &layoutXlate{
-					layout:  l2cfg.Layout,
 					tilings: set.Tilings(l2cfg.Layout),
 					starts:  starts,
 				})
@@ -230,8 +205,9 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 	return sink, nil
 }
 
-// runComparisonSerial is the legacy single-goroutine engine, kept as the
-// reference implementation the parallel path is tested against. A
+// runComparisonSerial is the exact sweep engine: one goroutine renders
+// each frame and fans every texel out to all the specs' hierarchies, so
+// the stream is rendered once and never stored (PAPER.md §3.3). A
 // non-nil probe (the -fast engine injects one carrying TLB filters)
 // overrides the CollectReuse-built probe and taps the render stream.
 func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
@@ -280,10 +256,8 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 	rast.SetSink(sink)
 	pipeline := scene.NewPipeline(rast)
 
-	// The serial engine emits the same logical textrace events as the
-	// parallel engines — "render" frame spans and per-spec "replayed/"
-	// samples — so a canonical-regime export is identical whichever
-	// engine ran. Its single physical track is the render pass.
+	// textrace: "render" frame spans on the engine's one track, and
+	// per-spec "replayed/" progress samples for the live monitor.
 	tk := render.Trace.Track("render")
 	replayed := make([]*telemetry.Counter, len(specs))
 	for i, spec := range specs {
@@ -292,6 +266,7 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 
 	aspect := float64(render.Width) / float64(render.Height)
 	prev := make([]cache.Counters, len(specs))
+	sp := render.Tracer.Start("render")
 	for f := 0; f < render.Frames; f++ {
 		fspan := tk.Begin("render", "frame", int64(f))
 		if sink.collect != nil {
@@ -317,8 +292,8 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 				fr.Stats = sf
 			}
 			prev[i] = cur
-			// Streamed spec-minor within the frame: this loop defines the
-			// canonical metric order every other engine must reproduce.
+			// Streamed frame-major, spec-minor: the canonical metric order
+			// EmitComparisonMetrics reproduces for memoized comparisons.
 			if render.Metrics != nil {
 				render.Metrics.Frame(metricsFrame(w.Name, cmp.Specs[i], f, &fr))
 			}
@@ -326,6 +301,7 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 			cmp.Results[i].Frames = append(cmp.Results[i].Frames, fr)
 		}
 	}
+	sp.End()
 	for i := range sink.specs {
 		cmp.Results[i].Totals = sink.specs[i].hier.Counters()
 	}

@@ -47,62 +47,31 @@ type Config struct {
 	StatLayouts []texture.TileLayout
 	// Framebuffer renders colour output (snapshots); costs time.
 	Framebuffer bool
-	// Parallelism bounds the worker pool of comparison sweeps
-	// (RunComparison): 0 means runtime.GOMAXPROCS(0), 1 selects the
-	// serial reference fan-out, and higher values render the workload
-	// once into a sharded trace and replay it through that many cache
-	// hierarchies concurrently. Results are byte-identical at every
-	// setting; the knob trades memory (the in-memory trace, roughly 2-3
-	// bytes per texel reference) for wall-clock. Negative is invalid.
-	Parallelism int
-	// RenderWorkers sizes the frame-parallel render farm of comparison
-	// sweeps: 0 means runtime.GOMAXPROCS(0), 1 keeps the serial render
-	// pass (the oracle the farm is tested against), and higher values
-	// render frames out of order on that many per-worker render contexts.
-	// The knob only applies when the render-once/replay-many engine runs
-	// (Parallelism != 1 with at least two specs); the serial reference
-	// fan-out always renders serially. Shards and the assembled
-	// Comparison are byte-identical at every setting. Negative is
-	// invalid.
-	RenderWorkers int
-	// ReplayWorkers enables frame-range-parallel replay of each cache
-	// spec: the frame sequence is partitioned into that many contiguous
-	// ranges and each range replays on its own clone of the spec's
-	// hierarchy, stitched together by checkpoints — range k restores the
-	// complete cache state (L1, L2, TLB, replacement policy) range k−1
-	// published at their shared boundary, so counters, per-frame deltas
-	// and TLB statistics are bit-identical to a serial replay. Until its
-	// checkpoint arrives a range worker decodes and translates ahead into
-	// bounded reference buffers, overlapping the predecessor's cache
-	// work. 0 and 1 both mean off (one range, the serial replay order);
-	// values above the frame count are clamped to it. The knob applies to
-	// the sweep engine's replay groups (RunComparison with Parallelism
-	// != 1, including the -fast engine's exact fallback) and to
-	// ReplayTrace; a ReplayWorkers above 1 forces the trace engine even
-	// when Parallelism is 1. Negative is invalid.
-	ReplayWorkers int
+	// Parallelism, RenderWorkers and ReplayWorkers selected the retired
+	// parallel sweep engines.
+	//
+	// Deprecated: ignored. Every exact sweep runs on the one serial
+	// engine; the fields stay only so existing callers keep compiling.
+	Parallelism, RenderWorkers, ReplayWorkers int
 	// Metrics, when non-nil, receives one telemetry record per simulated
 	// frame (and per cache spec in comparison runs) in a deterministic
-	// frame-major, spec-minor order that is identical at every
-	// Parallelism setting. Emission happens outside the per-texel hot
-	// path; a nil Metrics costs nothing.
+	// frame-major, spec-minor order. Emission happens outside the
+	// per-texel hot path; a nil Metrics costs nothing.
 	Metrics telemetry.Emitter
-	// Tracer, when non-nil, records phase spans (render, encode,
-	// shard-publish, replay-per-spec, assemble) of the parallel sweep
-	// engine. Span timings are observational sidecar data and never feed
-	// back into simulation output.
+	// Tracer, when non-nil, records the comparison engines' phase spans:
+	// "render" around the exact engine's frame loop, plus the -fast
+	// engine's "exact-fallback", "model" and "tlb-patch". Span timings
+	// are observational sidecar data and never feed back into simulation
+	// output.
 	Tracer *telemetry.Tracer
-	// Trace, when non-nil, is the textrace registry: worker-attributed
-	// span tracks (render worker N, replay group G, fast-probe), counter
-	// tracks (chunk-pool bytes in flight, frames rendered, per-spec
-	// replay progress, replay queue depth) and instant events for
-	// protocol edges (shard publish, chunk abort, model refusal), across
-	// all three engines. Export it with WriteChromeTrace for
+	// Trace, when non-nil, is the textrace registry of comparison runs:
+	// span tracks ("render" frames of the exact engine, "fast-probe"
+	// frames and "model" evaluations of the -fast engine), per-spec
+	// "replayed/<spec>" progress counters, and instant events for model
+	// refusals. Export it with WriteChromeTrace for
 	// Perfetto/chrome://tracing, or serve it live through
-	// telemetry.NewMonitor. Under a deterministic clock (FakeClock) the
-	// export is byte-identical at every Parallelism / RenderWorkers
-	// setting; a nil Trace costs one predictable branch per event site
-	// and allocates nothing.
+	// telemetry.NewMonitor. A nil Trace costs one predictable branch per
+	// event site and allocates nothing.
 	Trace *telemetry.Trace
 	// CollectReuse enables the reuse-distance probe: an LRU stack
 	// distance histogram over L2 block addresses of the rendered
@@ -116,8 +85,8 @@ type Config struct {
 	// counters predicted from the profile instead of replayed — TLB
 	// statistics come from exact in-probe filters. Specs outside the
 	// model's reach (direct-mapped L1s, random replacement, disabled
-	// sector mapping, off-granularity tile sizes) are replayed exactly as
-	// before. Modeled Results carry Totals but no per-frame breakdown.
+	// sector mapping, off-granularity tile sizes) run on the exact engine.
+	// Modeled Results carry Totals but no per-frame breakdown.
 	// Implies CollectReuse for the comparison; incompatible with
 	// StatLayouts.
 	FastSweep bool
@@ -130,15 +99,6 @@ func (c Config) Validate() error {
 	}
 	if c.L1Bytes <= 0 {
 		return fmt.Errorf("core: L1 size %d", c.L1Bytes)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
-	}
-	if c.RenderWorkers < 0 {
-		return fmt.Errorf("core: negative render workers %d", c.RenderWorkers)
-	}
-	if c.ReplayWorkers < 0 {
-		return fmt.Errorf("core: negative replay workers %d", c.ReplayWorkers)
 	}
 	if c.L2 != nil {
 		if err := c.L2.Layout.Validate(); err != nil {

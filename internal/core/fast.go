@@ -5,11 +5,11 @@
 // stream's locality profile once, and every model-reachable spec's
 // counters are predicted from it by arithmetic. Only specs outside the
 // model's reach — direct-mapped L1s, random replacement, disabled
-// sector mapping, off-granularity tile sizes — fall back to exact
-// replay, through the unchanged serial or parallel engines with the
-// probe riding their render pass. TLB statistics are never modeled:
-// each modeled TLB spec gets a real cache.TLB behind a real L1 filter
-// inside the probe, so its stats are exact by construction.
+// sector mapping, off-granularity tile sizes — fall back to the exact
+// engine, with the probe riding its render pass. TLB statistics are
+// never modeled: each modeled TLB spec gets a real cache.TLB behind a
+// real L1 filter inside the probe, so its stats are exact by
+// construction.
 package core
 
 import (
@@ -76,24 +76,16 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		f.tlbs = append(f.tlbs, probeTLB{specIdx: i, tlb: cache.NewTLB(spec.TLBEntries)})
 	}
 
-	// One pass over the stream: either the exact engines replay the
-	// unreachable specs with the probe tapping their render, or — when
-	// the model covers everything — a bare render drives the probe alone,
-	// with no trace encoding or replay machinery at all.
+	// One pass over the stream: either the exact engine simulates the
+	// unreachable specs with the probe tapping its render, or — when the
+	// model covers everything — a bare render drives the probe alone.
 	var framePixels []int64
 	results := make([]*Results, len(specs))
 	if len(replaySpecs) > 0 {
 		fb := render.Tracer.Start("exact-fallback")
 		sub := render
 		sub.FastSweep = false
-		var cmp *Comparison
-		var err error
-		par := sweepWorkers(sub.Parallelism, len(replaySpecs))
-		if par > 1 || replayRangeCount(sub.ReplayWorkers, sub.Frames) > 1 {
-			cmp, err = runComparisonParallel(w, sub, replaySpecs, par, probe)
-		} else {
-			cmp, err = runComparisonSerial(w, sub, replaySpecs, probe)
-		}
+		cmp, err := runComparisonSerial(w, sub, replaySpecs, probe)
 		fb.End()
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,6 +109,18 @@ func TestFastSweepStructure(t *testing.T) {
 	}
 	if res := cmp.Results[1]; len(res.Frames) != 4 {
 		t.Errorf("replayed spec frames = %d, want 4", len(res.Frames))
+	}
+	// The fallback is the exact engine with the probe riding its render
+	// pass, so it matches an exact sweep of the refused spec alone.
+	exactRender := render
+	exactRender.FastSweep = false
+	exact, err := RunComparison(workload.Village(), exactRender, []CacheSpec{random})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cmp.Results[1], exact.Results[0]; got.Totals != want.Totals ||
+		!reflect.DeepEqual(got.Frames, want.Frames) {
+		t.Errorf("fallback results differ from the exact sweep:\nfast  %+v\nexact %+v", got.Totals, want.Totals)
 	}
 	// All specs saw the same stream, whether modeled or replayed.
 	if cmp.Results[0].Totals.L1.Accesses != cmp.Results[1].Totals.L1.Accesses {

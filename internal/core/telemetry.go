@@ -49,9 +49,9 @@ func EmitMetrics(e telemetry.Emitter, res *Results, spec string) {
 }
 
 // EmitComparisonMetrics replays a completed comparison into e in the
-// canonical stream order: frame-major, spec-minor — the order the serial
-// engine streams records in while running, which makes emitted output
-// byte-identical no matter which engine produced the comparison.
+// canonical stream order: frame-major, spec-minor — the order the exact
+// engine streams records in while running, so a memoized comparison
+// replays byte-identically to the live stream.
 func EmitComparisonMetrics(e telemetry.Emitter, cmp *Comparison) {
 	if e == nil || cmp == nil {
 		return

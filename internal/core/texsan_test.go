@@ -65,32 +65,3 @@ func TestTexsanVillagePullArchitecture(t *testing.T) {
 		t.Fatalf("pull bandwidth identity violated: %+v", res.Totals)
 	}
 }
-
-// TestTexsanIntraSpecRangedReplay drives the frame-range-parallel sweep
-// engine with the sanitizer compiled in: every checkpoint Snapshot /
-// Restore pair must hand the successor shadow state that keeps replaying
-// the counter identities and periodic structural cross-checks for the
-// rest of the stream. The ranged totals must also agree with the serial
-// engine's under the same sanitized build.
-func TestTexsanIntraSpecRangedReplay(t *testing.T) {
-	cfg := sanConfig(8)
-	specs := []CacheSpec{{
-		Name: "l2-2m", L1Bytes: cfg.L1Bytes,
-		L2: cfg.L2, TLBEntries: cfg.TLBEntries,
-	}}
-	w := workload.Village()
-	serial, err := RunComparison(w, cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranged := cfg
-	ranged.ReplayWorkers = 4
-	got, err := RunComparison(w, ranged, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Results[0].Totals != serial.Results[0].Totals {
-		t.Fatalf("sanitized ranged totals diverged:\nranged %+v\nserial %+v",
-			got.Results[0].Totals, serial.Results[0].Totals)
-	}
-}

@@ -3,32 +3,21 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"texcache/internal/telemetry"
 	"texcache/internal/workload"
 )
 
-// sweepTrace runs the canonical sweep at the given engine settings with
-// the given clock and returns the Chrome trace_event export.
-func sweepTrace(t *testing.T, clock telemetry.Clock, par, rw int, fast bool) []byte {
-	t.Helper()
-	return sweepTraceRanged(t, clock, par, rw, 0, fast)
-}
-
-// sweepTraceRanged adds the intra-spec frame-range dimension.
-func sweepTraceRanged(t *testing.T, clock telemetry.Clock, par, rw, replay int, fast bool) []byte {
+// sweepTrace runs the canonical sweep with the given clock and returns
+// the Chrome trace_event export.
+func sweepTrace(t *testing.T, clock telemetry.Clock) []byte {
 	t.Helper()
 	cfg := testCfg()
 	cfg.Frames = 4
-	cfg.Parallelism = par
-	cfg.RenderWorkers = rw
-	cfg.ReplayWorkers = replay
-	cfg.FastSweep = fast
 	cfg.Trace = telemetry.NewTrace(clock)
 	if _, err := RunComparison(workload.Village(), cfg, telemetrySpecs()); err != nil {
-		t.Fatalf("par=%d rw=%d replay=%d fast=%v: %v", par, rw, replay, fast, err)
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
@@ -37,12 +26,12 @@ func sweepTraceRanged(t *testing.T, clock telemetry.Clock, par, rw, replay int, 
 	return buf.Bytes()
 }
 
-// TestTraceCanonicalDeterminism pins the tentpole acceptance criterion:
-// under FakeClock the exported trace bytes are identical at every
-// Parallelism / RenderWorkers setting — including the serial reference
-// engine, which shares no code with the worker pool.
+// TestTraceCanonicalDeterminism: under FakeClock the export is a pure
+// function of the logical work — the "render" frame spans and per-spec
+// "replayed/" samples — so two runs of the same sweep export identical
+// bytes.
 func TestTraceCanonicalDeterminism(t *testing.T) {
-	base := sweepTrace(t, &telemetry.FakeClock{Step: 7}, 1, 1, false)
+	base := sweepTrace(t, &telemetry.FakeClock{Step: 7})
 	for _, want := range []string{
 		`"name":"frame"`, `"name":"render"`, `"replayed/pull-2k"`, `"replayed/l2-4m"`,
 	} {
@@ -50,43 +39,26 @@ func TestTraceCanonicalDeterminism(t *testing.T) {
 			t.Fatalf("canonical export missing %s:\n%s", want, base)
 		}
 	}
-	// Scheduling-dependent events must not leak into the canonical
-	// regime: physical track names, protocol instants, gauges — including
-	// the intra-spec range engine's tracks and hand-off events.
-	for _, reject := range []string{
-		"replay group", "render worker", "shard-publish", "chunk-bytes-inflight",
-		"replay range", "buffer", "drain", "checkpoint-publish",
-	} {
-		if bytes.Contains(base, []byte(reject)) {
-			t.Fatalf("canonical export leaks wall-only data %q:\n%s", reject, base)
-		}
-	}
-	for _, eng := range [][3]int{{4, 1, 0}, {4, 2, 0}, {2, 4, 0}, {0, 0, 0},
-		{1, 1, 2}, {1, 1, 4}, {2, 2, 3}, {0, 0, 4}} {
-		got := sweepTraceRanged(t, &telemetry.FakeClock{Step: 7}, eng[0], eng[1], eng[2], false)
-		if !bytes.Equal(got, base) {
-			t.Errorf("canonical trace at par=%d rw=%d replay=%d differs from serial (%d vs %d bytes)",
-				eng[0], eng[1], eng[2], len(got), len(base))
-		}
+	if got := sweepTrace(t, &telemetry.FakeClock{Step: 7}); !bytes.Equal(got, base) {
+		t.Errorf("canonical trace differs between identical runs (%d vs %d bytes)", len(got), len(base))
 	}
 }
 
 // TestTraceFastSweepCanonicalDeterminism extends the byte-identity
-// contract to the analytic engine: the exact-fallback sub-engine may run
-// serial or parallel, the logical record must not move.
+// contract to the analytic engine with an exact fallback beside the
+// modeled specs.
 func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 	// pull-16k with 1-way L1 is outside the model's reach, forcing the
-	// exact-fallback replay path next to the modeled specs.
+	// exact-fallback path next to the modeled specs.
 	specs := telemetrySpecs()
 	specs[3].L1Ways = 1
-	run := func(par int) []byte {
+	run := func() []byte {
 		cfg := testCfg()
 		cfg.Frames = 3
-		cfg.Parallelism = par
 		cfg.FastSweep = true
 		cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 7})
 		if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
@@ -94,7 +66,7 @@ func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := run(1)
+	base := run()
 	for _, want := range []string{
 		`"name":"exact-fallback"`, `"name":"eval"`, `"name":"tlb-patch"`, `"name":"model"`,
 	} {
@@ -102,10 +74,8 @@ func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 			t.Fatalf("fast canonical export missing %s:\n%s", want, base)
 		}
 	}
-	for _, par := range []int{4, 0} {
-		if got := run(par); !bytes.Equal(got, base) {
-			t.Errorf("fast canonical trace at par=%d differs from serial", par)
-		}
+	if got := run(); !bytes.Equal(got, base) {
+		t.Error("fast canonical trace differs between identical runs")
 	}
 }
 
@@ -140,12 +110,11 @@ func TestTraceFastProbePhase(t *testing.T) {
 	}
 }
 
-// TestTraceWallExportShape pins the other half of the acceptance
-// criterion against a wall-regime clock: the parallel engine's export
-// carries at least 3 distinct worker tracks and at least 2 counter
-// tracks, in valid trace_event shape.
+// TestTraceWallExportShape pins the wall-regime export against a
+// stepping clock: valid trace_event JSON with the engine's "render"
+// track and one "replayed/" counter track per spec.
 func TestTraceWallExportShape(t *testing.T) {
-	data := sweepTrace(t, &stepTestClock{step: 1000}, 4, 2, false)
+	data := sweepTrace(t, &stepTestClock{step: 1000})
 	var doc struct {
 		TraceEvents []struct {
 			Ph   string `json:"ph"`
@@ -158,32 +127,32 @@ func TestTraceWallExportShape(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("export not valid JSON: %v", err)
 	}
-	workerTracks := map[string]bool{}
+	tracks := map[string]bool{}
 	counters := map[string]bool{}
+	frames := 0
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
 			if ev.Name == "thread_name" {
-				n := ev.Args.Name
-				if strings.HasPrefix(n, "render worker ") ||
-					strings.HasPrefix(n, "replay group ") {
-					workerTracks[n] = true
-				}
+				tracks[ev.Args.Name] = true
 			}
 		case "C":
 			counters[ev.Name] = true
+		case "X":
+			if ev.Name == "frame" {
+				frames++
+			}
 		}
 	}
-	if len(workerTracks) < 3 {
-		t.Errorf("wall export has %d worker tracks (%v), want >= 3", len(workerTracks), workerTracks)
+	if !tracks["render"] {
+		t.Errorf("wall export has no render track (tracks %v)", tracks)
 	}
-	if len(counters) < 2 {
-		t.Errorf("wall export has %d counter tracks (%v), want >= 2", len(counters), counters)
+	if frames != 4 {
+		t.Errorf("wall export has %d frame spans, want 4", frames)
 	}
-	for _, want := range []string{"shard-publish", "replay group 0", "replay group 3",
-		"render worker 0", "render worker 1", "coordinator", "assemble"} {
-		if !bytes.Contains(data, []byte(want)) {
-			t.Errorf("wall export missing %q", want)
+	for _, s := range telemetrySpecs() {
+		if !counters["replayed/"+s.Name] {
+			t.Errorf("wall export missing counter replayed/%s (counters %v)", s.Name, counters)
 		}
 	}
 }
@@ -201,13 +170,11 @@ func (c *stepTestClock) Now() int64 {
 }
 
 // TestTraceCountersTrackEngineWork sanity-checks the live counters the
-// monitor serves: after a parallel sweep every spec's replay counter
-// equals the frame count, the rendered counter equals the frame count,
-// and the chunk pool drained back to zero bytes in flight.
+// monitor serves: after a sweep every spec's replay counter equals the
+// frame count and the render track holds one span per frame.
 func TestTraceCountersTrackEngineWork(t *testing.T) {
 	cfg := testCfg()
 	cfg.Frames = 4
-	cfg.Parallelism = 4
 	cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	specs := telemetrySpecs()
 	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
@@ -217,15 +184,6 @@ func TestTraceCountersTrackEngineWork(t *testing.T) {
 		if got := cfg.Trace.Counter("replayed/" + s.Name).Value(); got != 4 {
 			t.Errorf("replayed/%s = %d, want 4", s.Name, got)
 		}
-	}
-	if got := cfg.Trace.Counter("frames-rendered").Value(); got != 4 {
-		t.Errorf("frames-rendered = %d, want 4", got)
-	}
-	if got := cfg.Trace.Counter("chunk-bytes-inflight").Value(); got != 0 {
-		t.Errorf("chunk-bytes-inflight = %d after run, want 0", got)
-	}
-	if got := cfg.Trace.Counter("trace-bytes").Value(); got <= 0 {
-		t.Errorf("trace-bytes = %d, want > 0", got)
 	}
 
 	mon := telemetry.NewMonitor(cfg.Trace, cfg.Frames)
@@ -237,5 +195,8 @@ func TestTraceCountersTrackEngineWork(t *testing.T) {
 		if sp.Done != 1 {
 			t.Errorf("spec %s done = %v, want 1", sp.Spec, sp.Done)
 		}
+	}
+	if len(snap.Tracks) != 1 || snap.Tracks[0].Name != "render" || snap.Tracks[0].Spans != 4 {
+		t.Errorf("monitor tracks = %+v, want one render track with 4 spans", snap.Tracks)
 	}
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"sync"
 
 	"texcache/internal/cache"
 	"texcache/internal/raster"
@@ -162,28 +159,6 @@ func ReplayTrace(r io.Reader, set *texture.Set, cfg Config) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Frame-range-parallel replay needs the whole stream in memory (the
-	// frame index gives each worker its byte window); the cross-frame
-	// working-set collector is inherently order-serial, so StatLayouts
-	// keeps the serial path regardless of ReplayWorkers.
-	if cfg.ReplayWorkers > 1 && len(cfg.StatLayouts) == 0 {
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: replay: %w", err)
-		}
-		index, err := trace.IndexFrames(data)
-		if err != nil {
-			return nil, fmt.Errorf("core: replay: %w", err)
-		}
-		nframes := len(index)
-		if cfg.Frames > 0 && cfg.Frames < nframes {
-			nframes = cfg.Frames
-		}
-		if ranges := replayRangeCount(cfg.ReplayWorkers, nframes); ranges > 1 {
-			return replayTraceRanged(data, index, nframes, ranges, set, cfg)
-		}
-		r = bytes.NewReader(data)
-	}
 	hier, sink, err := buildHierarchy(set, cfg)
 	if err != nil {
 		return nil, err
@@ -208,66 +183,6 @@ func ReplayTrace(r io.Reader, set *texture.Set, cfg Config) (*Results, error) {
 	if collect != nil {
 		sum := stats.Summarize(collect.Frames(), int64(cfg.Width)*int64(cfg.Height))
 		res.Summary = &sum
-	}
-	return res, nil
-}
-
-// replayTraceRanged is the frame-range-parallel engine behind ReplayTrace
-// for ReplayWorkers > 1: the stream's first nframes frames are
-// partitioned into contiguous ranges, each replayed by a rangeReplayer
-// (see rangereplay.go) on its own clone of the configured hierarchy and
-// stitched serial-equivalent by checkpoints. Each worker re-validates its
-// own references against the texture registry, exactly as the serial
-// handler does; the earliest range's error wins, which is the error a
-// serial replay of the same stream reports first. The assembled Results
-// are identical to the serial path's at every range count.
-func replayTraceRanged(data []byte, index []trace.FramePos, nframes, ranges int, set *texture.Set, cfg Config) (*Results, error) {
-	// All layout preparation happens here, before any worker goroutine
-	// reads the registry (MustPrepare memoizes into maps).
-	set.MustPrepare(texture.CanonicalL1())
-	spec := CacheSpec{Name: "trace", L1Bytes: cfg.L1Bytes, L1Ways: cfg.L1Ways, L2: cfg.L2, TLBEntries: cfg.TLBEntries}
-	res := &Results{Workload: "trace", Config: cfg, Frames: make([]FrameResult, nframes)}
-	frs := specGroups(nframes, ranges)
-	workers := make([]*rangeReplayer, 0, len(frs))
-	var prev *rangeLink
-	for k, fr := range frs {
-		sink, err := buildMultiSink(set, []CacheSpec{spec})
-		if err != nil {
-			return nil, err
-		}
-		g := &rangeReplayer{
-			sink: sink,
-			// The serial path emits no canonical textrace events, so the
-			// ranged path emits only wall-only range tracks (no replayed
-			// counter: sweepSpecState.replayed stays nil and no-ops).
-			track: cfg.Trace.Track("replay range " + strconv.Itoa(k)),
-			specs: []*sweepSpecState{{hier: sink.specs[0].hier, res: res}},
-			start: fr[0], end: fr[1], frame: fr[0],
-			last:  k == len(frs)-1,
-			in:    prev,
-			live:  k == 0,
-			check: true,
-		}
-		if k < len(frs)-1 {
-			g.out = newRangeLink()
-		}
-		prev = g.out
-		workers = append(workers, g)
-	}
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for wi, g := range workers {
-		wg.Add(1)
-		go func(wi int, g *rangeReplayer) {
-			defer wg.Done()
-			errs[wi] = g.consumeBytes(data, index)
-		}(wi, g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }

@@ -23,8 +23,6 @@ func (c *Context) AblationZ() error {
 				Frames:         c.frames(name),
 				Mode:           raster.Trilinear,
 				ZBeforeTexture: zFirst,
-				Parallelism:    c.Parallelism,
-				RenderWorkers:  c.RenderWorkers,
 			}
 			cmp, err := core.RunComparison(c.workloadByName(name), render,
 				[]core.CacheSpec{l2Spec("l2", 2<<10, 2, 0)})
@@ -75,12 +73,10 @@ func (c *Context) AblationRepl() error {
 			})
 		}
 		render := core.Config{
-			Width:         c.Scale.Width,
-			Height:        c.Scale.Height,
-			Frames:        c.frames(name),
-			Mode:          raster.Trilinear,
-			Parallelism:   c.Parallelism,
-			RenderWorkers: c.RenderWorkers,
+			Width:  c.Scale.Width,
+			Height: c.Scale.Height,
+			Frames: c.frames(name),
+			Mode:   raster.Trilinear,
 		}
 		cmp, err := core.RunComparison(c.workloadByName(name), render, specs)
 		if err != nil {
@@ -128,12 +124,10 @@ func (c *Context) AblationSector() error {
 			},
 		}
 		render := core.Config{
-			Width:         c.Scale.Width,
-			Height:        c.Scale.Height,
-			Frames:        c.frames(name),
-			Mode:          raster.Trilinear,
-			Parallelism:   c.Parallelism,
-			RenderWorkers: c.RenderWorkers,
+			Width:  c.Scale.Width,
+			Height: c.Scale.Height,
+			Frames: c.frames(name),
+			Mode:   raster.Trilinear,
 		}
 		cmp, err := core.RunComparison(c.workloadByName(name), render, specs)
 		if err != nil {
@@ -176,12 +170,10 @@ func (c *Context) AblationAssoc() error {
 		})
 	}
 	render := core.Config{
-		Width:         c.Scale.Width,
-		Height:        c.Scale.Height,
-		Frames:        c.frames("village"),
-		Mode:          raster.Trilinear,
-		Parallelism:   c.Parallelism,
-		RenderWorkers: c.RenderWorkers,
+		Width:  c.Scale.Width,
+		Height: c.Scale.Height,
+		Frames: c.frames("village"),
+		Mode:   raster.Trilinear,
 	}
 	cmp, err := core.RunComparison(c.workloadByName("village"), render, specs)
 	if err != nil {

@@ -49,21 +49,6 @@ func Full() Scale {
 type Context struct {
 	Scale Scale
 	Out   io.Writer
-	// Parallelism is forwarded to core.Config.Parallelism for every cache
-	// sweep the context runs: 0 means GOMAXPROCS, 1 the serial reference
-	// engine, higher values the render-once/replay-many worker pool.
-	// Results are identical at every setting.
-	Parallelism int
-	// RenderWorkers is forwarded to core.Config.RenderWorkers for every
-	// cache sweep: it sizes the frame-parallel render farm of the
-	// render-once/replay-many engine (0 = GOMAXPROCS, 1 = the serial
-	// render pass). Results are identical at every setting.
-	RenderWorkers int
-	// ReplayWorkers is forwarded to core.Config.ReplayWorkers for every
-	// cache sweep: it shards each spec group's replay into that many
-	// checkpoint-chained frame ranges (0 or 1 = whole-stream replay per
-	// group). Results are identical at every setting.
-	ReplayWorkers int
 	// FastSweep forwards core.Config.FastSweep to every cache sweep: the
 	// analytic reuse model predicts each model-reachable spec from one
 	// instrumented render instead of replaying it. Totals-based tables
@@ -226,13 +211,10 @@ func (c *Context) sweep(name string, mode raster.SampleMode) (*core.Comparison, 
 		return r, nil
 	}
 	render := core.Config{
-		Width:         c.Scale.Width,
-		Height:        c.Scale.Height,
-		Frames:        c.frames(name),
-		Mode:          mode,
-		Parallelism:   c.Parallelism,
-		RenderWorkers: c.RenderWorkers,
-		ReplayWorkers: c.ReplayWorkers,
+		Width:  c.Scale.Width,
+		Height: c.Scale.Height,
+		Frames: c.frames(name),
+		Mode:   mode,
 		// Always collect the reuse profile: it is what the model
 		// experiment reports from, and in exact sweeps it attaches the
 		// per-spec model error to the comparison for free.

@@ -63,11 +63,7 @@ func (c *Context) Prefetch(parallel int) error {
 			// An isolated context computes the run against its own
 			// workload instance (scene graphs are not goroutine-safe
 			// to share across concurrent renders of different runs).
-			// Sweeps inside a job run serially: job-level parallelism
-			// already saturates the pool, and the serial engine avoids
-			// holding one in-memory trace per concurrent job.
 			iso := NewContext(c.Scale, c.Out)
-			iso.Parallelism = 1
 			res := &results[i]
 			if job.mode == nil {
 				res.stats, res.err = iso.statsRun(job.name)

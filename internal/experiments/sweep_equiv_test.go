@@ -9,55 +9,82 @@ import (
 	"texcache/internal/workload"
 )
 
-// TestParallelSweepMatchesSerial is the sweep engine's contract: the
-// render-once/replay-many worker pool produces a Comparison identical to
-// the serial reference fan-out for every spec the experiments sweep. It
-// runs at a tiny scale so that the race lane (go test -race) covers the
-// worker pool on every CI run; it is deliberately not gated by
-// raceEnabled.
-func TestParallelSweepMatchesSerial(t *testing.T) {
-	render := core.Config{
-		Width:  192,
-		Height: 144,
-		Frames: 4,
-		Mode:   raster.Trilinear,
-	}
+// oracleRender is the oracle tests' render configuration, small enough
+// that the race lane (go test -race) runs them on every CI run; they are
+// deliberately not gated by raceEnabled.
+func oracleRender() core.Config {
+	return core.Config{Width: 192, Height: 144, Frames: 4, Mode: raster.Trilinear}
+}
+
+// TestSweepMatchesIndividualRuns is the exact engine's oracle: every
+// spec the experiments sweep, simulated through RunComparison's shared
+// fan-out, matches an independent core.Run of that spec alone — totals
+// and every frame — on both cache-study scenes. Each subtest builds its
+// own workload, so they run in parallel.
+func TestSweepMatchesIndividualRuns(t *testing.T) {
 	specs := SweepSpecs()
-
-	render.Parallelism = 1
-	serial, err := core.RunComparison(workload.Village(), render, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render.Parallelism = 4
-	parallel, err := core.RunComparison(workload.Village(), render, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The Parallelism knob itself is recorded in the configs; normalise it
-	// before demanding identity of everything else.
-	parallel.Render.Parallelism = serial.Render.Parallelism
-	for i := range parallel.Results {
-		parallel.Results[i].Config.Parallelism = serial.Results[i].Config.Parallelism
-	}
-
-	if len(parallel.Results) != len(specs) {
-		t.Fatalf("results = %d, want %d", len(parallel.Results), len(specs))
-	}
-	for i, spec := range specs {
-		s, p := serial.Results[i], parallel.Results[i]
-		if s.Totals != p.Totals {
-			t.Errorf("spec %q: totals differ:\nserial   %+v\nparallel %+v",
-				spec.Name, s.Totals, p.Totals)
-		}
-		for f := range s.Frames {
-			if s.Frames[f].Counters != p.Frames[f].Counters {
-				t.Errorf("spec %q frame %d: counters differ", spec.Name, f)
+	for _, tc := range []struct {
+		name string
+		load func() *workload.Workload
+	}{
+		{"village", workload.Village},
+		{"city", workload.City},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			w := tc.load()
+			render := oracleRender()
+			cmp, err := core.RunComparison(w, render, specs)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(cmp.Results) != len(specs) {
+				t.Fatalf("results = %d, want %d", len(cmp.Results), len(specs))
+			}
+			for i, spec := range specs {
+				cfg := render
+				cfg.L1Bytes, cfg.L1Ways = spec.L1Bytes, spec.L1Ways
+				cfg.L2, cfg.TLBEntries = spec.L2, spec.TLBEntries
+				want, err := core.Run(w, cfg)
+				if err != nil {
+					t.Fatalf("spec %q: %v", spec.Name, err)
+				}
+				got := cmp.Results[i]
+				if got.Totals != want.Totals {
+					t.Errorf("spec %q: totals differ:\nsweep %+v\nrun   %+v",
+						spec.Name, got.Totals, want.Totals)
+				}
+				if !reflect.DeepEqual(got.Frames, want.Frames) {
+					t.Errorf("spec %q: per-frame results differ", spec.Name)
+				}
+			}
+		})
+	}
+
+	// The frozen benchmark still sets the deprecated engine fields and
+	// reconciles its runs against this engine, so they must stay inert.
+	t.Run("deprecated-fields", func(t *testing.T) {
+		t.Parallel()
+		w := workload.Village()
+		want, err := core.RunComparison(w, oracleRender(), specs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("comparisons not identical beyond counters (pixels, pipeline stats, or summary differ)")
-	}
+		render := oracleRender()
+		render.Parallelism, render.RenderWorkers, render.ReplayWorkers = 4, 4, 4
+		got, err := core.RunComparison(w, render, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The configs record the fields verbatim; clear them before
+		// demanding identity of everything else.
+		zero := func(c *core.Config) { c.Parallelism, c.RenderWorkers, c.ReplayWorkers = 0, 0, 0 }
+		zero(&got.Render)
+		for _, res := range got.Results {
+			zero(&res.Config)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("setting the deprecated engine fields changed the comparison")
+		}
+	})
 }

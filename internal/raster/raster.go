@@ -63,8 +63,8 @@ func (f SinkFunc) Texel(tid texture.ID, u, v, m int) { f(tid, u, v, m) }
 // rasterizer recognises this concrete type in SetSink and bypasses the
 // Sink interface on the per-texel emit path — one direct call per texel
 // instead of an interface dispatch plus an adapter hop. W may be swapped
-// between frames (the sweep engine encodes one independent shard per
-// frame) but must not change while a triangle is being rasterized.
+// between frames but must not change while a triangle is being
+// rasterized.
 type TraceSink struct{ W *trace.Writer }
 
 // Texel implements Sink for callers holding the sink as an interface;

@@ -1,9 +1,10 @@
 // Span timing: nestable phases recorded through an injectable monotonic
-// clock. The simulator's sweep engine opens spans around its phases
-// (render, encode, shard-publish, replay-per-spec, assemble); tests
-// inject a FakeClock so recorded durations are a pure function of the
-// test, and production runs use WallClock, whose readings are confined
-// to telemetry sidecar files and never feed simulation output.
+// clock. The simulator's comparison engines open spans around their
+// phases (render, and the -fast engine's exact-fallback, model and
+// tlb-patch); tests inject a FakeClock so recorded durations are a pure
+// function of the test, and production runs use WallClock, whose
+// readings are confined to telemetry sidecar files and never feed
+// simulation output.
 package telemetry
 
 import (
@@ -59,8 +60,7 @@ type Span struct {
 	Dur   int64  `json:"dur_ns"`
 }
 
-// Tracer records spans. It is safe for concurrent use: the parallel
-// sweep engine opens replay spans from several workers at once. A nil
+// Tracer records spans. It is safe for concurrent use. A nil
 // *Tracer is valid and records nothing, so instrumented code needs no
 // nil checks at every site.
 type Tracer struct {

@@ -65,8 +65,7 @@ type FrameMetrics struct {
 
 // Emitter consumes the per-frame metric stream. Implementations need not
 // be safe for concurrent use: the simulator guarantees single-goroutine
-// emission in a deterministic frame-major, spec-minor order (the parallel
-// sweep engine buffers per worker and merges before emitting).
+// emission in a deterministic frame-major, spec-minor order.
 type Emitter interface {
 	Frame(m FrameMetrics)
 }
@@ -154,9 +153,8 @@ func (s *CSV) Frame(m FrameMetrics) {
 // Err returns the first write error, if any.
 func (s *CSV) Err() error { return s.err }
 
-// Buffer records the stream in memory. The parallel sweep engine gives
-// each replay worker its own Buffer-like slot and merges in spec order;
-// tests use it to assert on emitted records directly.
+// Buffer records the stream in memory; tests use it to assert on emitted
+// records directly.
 type Buffer struct {
 	Records []FrameMetrics
 }

@@ -1,23 +1,22 @@
 // textrace: the concurrent, worker-attributed tracing registry. The
 // texscope Tracer (span.go) records nestable phase spans with no worker
-// identity; textrace records what every worker of the three concurrent
-// engines (render farm, partitioned replay pool, fast-sweep probe) is
-// doing — per-worker span tracks, counter tracks, and instant events
-// for protocol edges (shard publish, chunk abort, model refusal) — and
-// exports the whole run as Chrome trace_event JSON (traceevent.go) that
+// identity; textrace records what every engine track is doing (the
+// exact engine's render pass, the fast sweep's probe and model) — span
+// tracks, counter tracks, and instant events for protocol edges (model
+// refusals) — and exports the whole run as Chrome trace_event JSON (traceevent.go) that
 // Perfetto or chrome://tracing opens directly.
 //
 // Two regimes share one recording API, selected by the injected clock:
 //
 //   - wall regime (WallClock or any other real clock): events carry real
-//     timestamps and export on their physical tracks ("render worker 3",
-//     "replay group 1"), showing true concurrency, stalls, stragglers;
+//     timestamps and export on their physical tracks ("render",
+//     "fast-probe"), showing true concurrency, stalls, stragglers;
 //   - canonical regime (the clock implements DeterministicClock, as
 //     FakeClock does): the export is a pure function of the logical work
 //     performed — events regroup onto their logical tracks, timestamps
 //     are virtual positions in canonical order, and scheduling-dependent
-//     gauge samples are suppressed — so the exported bytes are identical
-//     at every Parallelism / RenderWorkers setting.
+//     gauge samples are suppressed — so the exported bytes never depend
+//     on goroutine scheduling.
 //
 // Every type is nil-safe: a nil *Trace yields nil *Track and *Counter
 // handles whose methods do nothing and allocate nothing, so instrumented
@@ -39,13 +38,13 @@ type DeterministicClock interface {
 }
 
 // DeterministicClock marks FakeClock as canonical: a trace driven by a
-// FakeClock exports identical bytes at every worker-count setting.
+// FakeClock exports identical bytes however its recorders are scheduled.
 func (*FakeClock) DeterministicClock() {}
 
 // Trace is the registry of span tracks and counter tracks for one run.
 // Track and Counter return one shared instance per name, so engine
-// layers that cannot see each other (sweep coordinator, farm workers,
-// chunk pool) still land on the same timeline.
+// layers that cannot see each other (the exact engine, the fast
+// sweep's probe and model) still land on the same timeline.
 type Trace struct {
 	clockMu sync.Mutex
 	clock   Clock
@@ -217,8 +216,8 @@ func (r Region) End() {
 	r.k.mu.Unlock()
 }
 
-// Instant records a zero-duration event (a protocol edge: shard publish,
-// chunk abort, model refusal). logical and seq follow Begin's contract;
+// Instant records a zero-duration event (a protocol edge, such as a
+// model refusal). logical and seq follow Begin's contract;
 // arg is an optional detail label. No-op on a nil track.
 func (k *Track) Instant(logical, name string, seq int64, arg string) {
 	if k == nil {
@@ -283,7 +282,7 @@ type Counter struct {
 }
 
 // Add adjusts the live value by d. Nil-safe and allocation-free: this is
-// the per-event emit path instrumented code may call at chunk rate.
+// the per-event emit path instrumented code may call at high rate.
 //
 // texlint:hotpath
 func (c *Counter) Add(d int64) {

@@ -137,8 +137,7 @@ func (t *Trace) emitWall(cw *chromeWriter) {
 // (seq, kind, name, arg) key, and timestamps are virtual positions in
 // that order. Counter timelines keep only explicit Samples, sorted by
 // seq. Nothing here depends on which goroutine recorded what or when,
-// so the bytes are identical at every Parallelism / RenderWorkers
-// setting.
+// so the bytes never depend on goroutine scheduling.
 func (t *Trace) emitCanonical(cw *chromeWriter) {
 	type canonEvent struct {
 		track string

@@ -14,12 +14,9 @@ import (
 // continuation bytes of the next — 20 bytes. 24 leaves slack.
 const carryMax = 24
 
-// ShardDecoder decodes a trace stream delivered in arbitrary chunks, as
-// the parallel sweep engine's pooled shard storage produces it: the
-// render pass publishes fixed-size chunks of the encoded frame as they
-// fill, and each replay worker feeds them through a ShardDecoder without
-// ever materializing the contiguous stream. Operations that straddle a
-// chunk boundary are carried between Feed calls. Semantics — event
+// ShardDecoder decodes a trace stream delivered in arbitrary chunks,
+// without ever materializing the contiguous stream. Operations that
+// straddle a chunk boundary are carried between Feed calls. Semantics — event
 // sequence, frame counts, error strings, FailingHandler aborts — are
 // identical to ReplayBytes over the concatenated bytes; ReplayBytes is
 // itself implemented on this decoder.
