@@ -42,6 +42,11 @@ func (c Counters) Sub(o Counters) Counters {
 // pull architecture (L1 misses download directly from system memory); with
 // an L2 it models the paper's proposed architecture. TLB is optional and
 // only gathers statistics — it does not change transaction behaviour.
+//
+// Hierarchies that differ only below the L1 may share one L1 cache: the
+// caller looks each reference up in it once and presents every miss to
+// each sharer through Miss. A hierarchy whose L1 is shared must never be
+// driven through Access, which would look the reference up again.
 type Hierarchy struct {
 	L1  *L1Cache
 	L2  *L2Cache
@@ -67,6 +72,17 @@ func (h *Hierarchy) Access(ref Ref) {
 	}
 	if sanitizing {
 		h.sanAccess(ref, hit)
+	}
+}
+
+// Miss is Access below the L1 lookup, for a reference that has already
+// missed in (and been filled into) a shared h.L1.
+//
+// texlint:hotpath
+func (h *Hierarchy) Miss(ref Ref) {
+	h.accessMiss(ref)
+	if sanitizing {
+		h.sanAccess(ref, false)
 	}
 }
 

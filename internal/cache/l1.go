@@ -198,6 +198,15 @@ func (c *L1Cache) Access(ref L1Ref) bool {
 	return false
 }
 
+// RecordHits counts n hits the caller proved without a lookup. It touches
+// no line, so the skipped lookups must be ones that would have left every
+// set's LRU order as it is (repeats of the most recent line are).
+//
+// texlint:hotpath
+func (c *L1Cache) RecordHits(n int64) {
+	c.stats.Accesses += n
+}
+
 // Contains reports whether the reference is resident without touching LRU
 // state or statistics.
 func (c *L1Cache) Contains(ref L1Ref) bool {

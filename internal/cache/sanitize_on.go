@@ -14,10 +14,11 @@
 // traces back to a recorded fill. Any panic below indicates a simulator
 // bug, never a legal stream.
 //
-// The sanitizer assumes the Hierarchy is the sole driver of its component
-// caches and that the address translation feeding it maps each L1 tag to
-// a fixed <page-table index, sub-block> pair for the life of the run, as
-// the simulator's precomputed tilings guarantee.
+// The sanitizer assumes the Hierarchy is the sole driver of its L2 and
+// TLB, that each hierarchy sharing an L1 is presented every miss of it,
+// and that the address translation feeding it maps each L1 tag to a fixed
+// <page-table index, sub-block> pair for the life of the run, as the
+// simulator's precomputed tilings guarantee.
 
 package cache
 

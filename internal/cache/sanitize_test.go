@@ -133,14 +133,24 @@ func TestSanitizerDetectsClockHandOutOfRange(t *testing.T) {
 func TestSanitizerDetectsInclusionViolation(t *testing.T) {
 	h := newSanHierarchy(t)
 	drive(h, 64)
+	// Retire the fills whose block was evicted since the last scan first,
+	// so that the fill corrupted below is one the next scan still checks
+	// for inclusion rather than retires to stale.
+	h.sanDeep()
 	// Clear one recorded fill's sector bit without an eviction: the L1
-	// line now fronts data L2 no longer holds.
-	for _, se := range h.san.shadow {
-		if h.L2.Contains(se.pt, se.sub) {
-			h.L2.table[se.pt].sector &^= 1 << se.sub
-			break
+	// line now fronts data L2 no longer holds. The fill with the smallest
+	// tag is chosen so that the choice does not follow map order.
+	victim, found := uint64(0), false
+	for tag, se := range h.san.shadow {
+		if h.L2.Contains(se.pt, se.sub) && (!found || tag < victim) {
+			victim, found = tag, true
 		}
 	}
+	if !found {
+		t.Fatal("no resident fill to corrupt")
+	}
+	se := h.san.shadow[victim]
+	h.L2.table[se.pt].sector &^= 1 << se.sub
 	expectPanic(t, "left L2 without an eviction", func() { h.sanDeep() })
 }
 

@@ -55,7 +55,7 @@ type Comparison struct {
 type layoutXlate struct {
 	tilings []*texture.Tiling
 	starts  []uint32
-	// per-texel scratch, refreshed by multiSink.Texel.
+	// per-texel scratch, refreshed by multiSink.lookup on an L2-backed miss.
 	pt  uint32
 	sub uint8
 }
@@ -66,41 +66,50 @@ type specState struct {
 	layoutIdx int // -1 when no L2
 }
 
-// multiSink fans one texel reference stream out to several hierarchies,
-// translating each distinct L2 layout only once per texel.
+// l1Group is one distinct L1 geometry of a sweep: a single L1 cache that
+// the hierarchies of every spec with that size and associativity share.
+type l1Group struct {
+	l1      *cache.L1Cache
+	members []int // indices into multiSink.specs
+	backed  bool  // some member has an L2
+}
+
+// multiSink fans one texel reference stream out to several hierarchies.
+// It looks each distinct L1 geometry up once per reference and translates
+// the L2 layouts only when an L2-backed group misses. Before any
+// translation it books as batched hits a repeat of the last L1 line, which
+// hits everywhere and reorders nothing, and a return to the line before
+// it, which hits in every L1 of at least 2 ways: one distinct fill cannot
+// evict the most recent line of an LRU set. Lines are keyed as
+// <tid, mip, u/4, v/4>; every L1 tile is 4x4, so a key names one L1 line.
 type multiSink struct {
 	canon   []*texture.Tiling
 	layouts []*layoutXlate
 	specs   []specState
+	groups  []l1Group
 	collect *stats.Collector
 	reuse   *reuseProbe
+	// The two most recent distinct lines, and the hits settle has yet to book.
+	lastKey, prevKey      uint64
+	lastRef, prevRef      cache.L1Ref
+	repeats, alternations int64
+	alternate             bool // every group has >= 2 ways
 }
 
-// Texel translates one texel reference — the canonical L1 address once,
-// and each distinct L2 layout's page-table index once — and presents it
-// to every hierarchy in the fan-out.
+// Texel presents one reference to every hierarchy and optional collector.
 //
 // texlint:hotpath
 func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
-	a := s.canon[tid].Addr(u, v, m)
-	l1 := cache.L1Ref{
-		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
-		Set: cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid)),
-	}
-	for _, lx := range s.layouts {
-		b := lx.tilings[tid].Addr(u, v, m)
-		lx.pt = lx.starts[tid] + b.L2
-		lx.sub = uint8(b.L1)
-	}
-	for i := range s.specs {
-		sp := &s.specs[i]
-		ref := cache.Ref{L1: l1}
-		if sp.layoutIdx >= 0 {
-			lx := s.layouts[sp.layoutIdx]
-			ref.PTIndex = lx.pt
-			ref.Sub = lx.sub
-		}
-		sp.hier.Access(ref)
+	key := uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
+	switch {
+	case key == s.lastKey:
+		s.repeats++
+	case key == s.prevKey && s.alternate:
+		s.alternations++
+		s.lastKey, s.prevKey = s.prevKey, s.lastKey
+		s.lastRef, s.prevRef = s.prevRef, s.lastRef
+	default:
+		s.lookup(tid, u, v, m, key)
 	}
 	if s.collect != nil {
 		s.collect.Texel(tid, u, v, m)
@@ -108,6 +117,64 @@ func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 	if s.reuse != nil {
 		s.reuse.Texel(tid, u, v, m)
 	}
+}
+
+// lookup looks a reference to a line other than the last two up in each
+// group's L1, presenting a miss to every member of the group.
+//
+// texlint:hotpath
+func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
+	s.settle()
+	a := s.canon[tid].Addr(u, v, m)
+	l1 := cache.L1Ref{
+		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
+		Set: cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid)),
+	}
+	s.prevKey, s.prevRef = s.lastKey, s.lastRef
+	s.lastKey, s.lastRef = key, l1
+	translated := false
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		if g.l1.Access(l1) {
+			continue
+		}
+		if g.backed && !translated {
+			for _, lx := range s.layouts {
+				b := lx.tilings[tid].Addr(u, v, m)
+				lx.pt, lx.sub = lx.starts[tid]+b.L2, uint8(b.L1)
+			}
+			translated = true
+		}
+		for _, i := range g.members {
+			sp := &s.specs[i]
+			ref := cache.Ref{L1: l1}
+			if sp.layoutIdx >= 0 {
+				lx := s.layouts[sp.layoutIdx]
+				ref.PTIndex, ref.Sub = lx.pt, lx.sub
+			}
+			sp.hier.Miss(ref)
+		}
+	}
+}
+
+// settle books the batched hits before each real lookup and each frame's
+// counter read. After an odd alternation run the L1s rank prevRef above
+// lastRef, the line referenced last, so one batched hit becomes a real
+// access to lastRef: a guaranteed hit that restores the order.
+//
+// texlint:hotpath
+func (s *multiSink) settle() {
+	if s.repeats+s.alternations == 0 {
+		return
+	}
+	odd := s.alternations & 1
+	for _, g := range s.groups {
+		g.l1.RecordHits(s.repeats + s.alternations - odd)
+		if odd == 1 && !g.l1.Access(s.lastRef) {
+			panic("core: batched alternation missed in L1")
+		}
+	}
+	s.repeats, s.alternations = 0, 0
 }
 
 // specConfig merges one CacheSpec into the render configuration, yielding
@@ -149,31 +216,48 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	return runComparisonSerial(w, render, specs, nil)
 }
 
-// buildMultiSink builds the shared-translation fan-out sink the exact
-// engine drives: one hierarchy per spec (readable through sink.specs,
-// parallel to specs), with address translation shared across all specs
-// that use the same L2 layout — each distinct layout is translated once
-// per texel, however many specs consume it.
+// buildMultiSink builds the fan-out sink the exact engine drives: one
+// hierarchy per spec (readable through sink.specs, parallel to specs),
+// with one L1 per distinct L1 geometry shared by its specs' hierarchies,
+// and one translator per distinct L2 layout, however many specs use it.
 func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
-	sink := &multiSink{canon: set.Tilings(texture.CanonicalL1())}
+	sink := &multiSink{
+		canon:     set.Tilings(texture.CanonicalL1()),
+		lastKey:   ^uint64(0),
+		prevKey:   ^uint64(0),
+		alternate: true,
+	}
 	sink.specs = make([]specState, 0, len(specs))
 	// Every spec contributes at most one layout, so len(specs) bounds the
 	// deduplicated layout table.
 	sink.layouts = make([]*layoutXlate, 0, len(specs))
+	sink.groups = make([]l1Group, 0, len(specs))
 	layoutIndex := map[texture.TileLayout]int{}
+	groupIndex := map[[2]int]int{} // keyed by L1 bytes and ways
 
-	for _, spec := range specs {
+	for i, spec := range specs {
 		ways := spec.L1Ways
 		if ways == 0 {
 			ways = cache.L1Ways
 		}
-		l1, err := cache.NewL1Assoc(spec.L1Bytes, ways)
-		if err != nil {
-			return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+		geom := [2]int{spec.L1Bytes, ways}
+		gi, ok := groupIndex[geom]
+		if !ok {
+			l1, err := cache.NewL1Assoc(spec.L1Bytes, ways)
+			if err != nil {
+				return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+			}
+			gi = len(sink.groups)
+			sink.groups = append(sink.groups, l1Group{l1: l1})
+			groupIndex[geom] = gi
+			sink.alternate = sink.alternate && ways >= 2
 		}
-		hier := &cache.Hierarchy{L1: l1}
+		g := &sink.groups[gi]
+		g.members = append(g.members, i)
+		hier := &cache.Hierarchy{L1: g.l1}
 		layoutIdx := -1
 		if spec.L2 != nil {
+			g.backed = true
 			l2cfg := *spec.L2
 			l2cfg.Layout.L1Size = 4
 			idx, ok := layoutIndex[l2cfg.Layout]
@@ -273,6 +357,7 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 			sink.collect.BeginFrame()
 		}
 		pst := pipeline.RenderFrame(w.Scene, w.Camera(aspect, f, render.Frames))
+		sink.settle() // the counter reads below must see the batched hits
 		fspan.End()
 		cmp.FramePixels = append(cmp.FramePixels, rast.Pixels())
 		var sf *stats.Frame

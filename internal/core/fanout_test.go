@@ -1,0 +1,269 @@
+package core
+
+import (
+	"testing"
+
+	"texcache/internal/cache"
+	"texcache/internal/texture"
+)
+
+// fanoutSpecPool is the configuration space the fan-out fuzzer draws its
+// spec lists from: shared and unshared L1 geometries (direct-mapped,
+// 2-way, 4-way, fully associative, a 1 KB L1), pull and L2-backed
+// members of one geometry, every replacement policy, three L2 tile edges,
+// and no sector mapping. The L2s are tiny, so the synthetic stream evicts.
+func fanoutSpecPool() []CacheSpec {
+	l2 := func(kb, edge int, p cache.PolicyKind, noSector bool) *cache.L2Config {
+		return &cache.L2Config{
+			SizeBytes:       kb << 10,
+			Layout:          texture.TileLayout{L2Size: edge, L1Size: 4},
+			Policy:          p,
+			NoSectorMapping: noSector,
+		}
+	}
+	return []CacheSpec{
+		{Name: "pull-2k", L1Bytes: 2 << 10},
+		{Name: "l2-2k", L1Bytes: 2 << 10, L1Ways: 2, L2: l2(16, 16, cache.Clock, false), TLBEntries: 4},
+		{Name: "l2-2k-lru-8", L1Bytes: 2 << 10, L2: l2(16, 8, cache.TrueLRU, false), TLBEntries: 1},
+		{Name: "l2-2k-nosector", L1Bytes: 2 << 10, L2: l2(8, 16, cache.Clock, true)},
+		{Name: "pull-1k", L1Bytes: 1 << 10},
+		{Name: "l2-4k-4way-random-32", L1Bytes: 4 << 10, L1Ways: 4, L2: l2(32, 32, cache.Random, false), TLBEntries: 2},
+		{Name: "pull-1k-full", L1Bytes: 1 << 10, L1Ways: 16},
+		{Name: "l2-1k-full", L1Bytes: 1 << 10, L1Ways: 16, L2: l2(16, 16, cache.Clock, false)},
+		{Name: "pull-2k-direct", L1Bytes: 2 << 10, L1Ways: 1},
+		{Name: "l2-2k-direct", L1Bytes: 2 << 10, L1Ways: 1, L2: l2(16, 16, cache.TrueLRU, false), TLBEntries: 4},
+	}
+}
+
+// Spec-pool masks for the seed corpus.
+const (
+	poolAssociative = 0x0FF // every spec with at least 2 L1 ways
+	poolDirect      = 0x303 // direct-mapped L1s beside 2-way ones
+	poolFull        = 0x0C1 // fully associative L1s beside one 2-way
+	poolAll         = 0x3FF
+)
+
+// Fan-out fuzzer opcodes: each takes the next byte as its argument.
+const (
+	opStep     = iota // move the current texel by a small delta
+	opJump            // move to another texture, level 0
+	opRepeat          // reference the current texel arg+1 times
+	opPingLine        // alternate with the line 4 texels right: arg+1 refs
+	opPingSet         // alternate with the line 64 texels right, same L1 set
+	opPingMip         // alternate with the texel's neighbour level
+	opFrame           // end the frame: counters must match
+	opLevel           // move to level arg mod levels
+	numOps
+)
+
+// fanoutStream interprets a fuzzer program as a texel stream over the
+// tiny two-texture set, presenting every reference to emit.
+type fanoutStream struct {
+	set        *texture.Set
+	tid        texture.ID
+	u, v, m    int
+	phase      bool // whether the next ping-pong reference is the partner
+	emit       func(tid texture.ID, u, v, m int)
+	endOfFrame func()
+}
+
+// wrap folds a texel coordinate into level m of texture tid.
+func (s *fanoutStream) wrap(tid texture.ID, u, v, m int) (int, int) {
+	l := s.set.ByID(tid).Levels[m]
+	return texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height)
+}
+
+// ping alternates n references between the current texel and partner,
+// continuing the phase of an earlier ping-pong at the same texel (a run
+// that spans a frame boundary continues it).
+func (s *fanoutStream) ping(n int, pu, pv, pm int) {
+	pu, pv = s.wrap(s.tid, pu, pv, pm)
+	for i := 0; i < n; i++ {
+		if s.phase {
+			s.emit(s.tid, pu, pv, pm)
+		} else {
+			s.emit(s.tid, s.u, s.v, s.m)
+		}
+		s.phase = !s.phase
+	}
+}
+
+// run executes the program; a trailing odd byte is ignored.
+func (s *fanoutStream) run(prog []byte) {
+	for i := 0; i+1 < len(prog); i += 2 {
+		op, arg := int(prog[i])%numOps, int(prog[i+1])
+		levels := len(s.set.ByID(s.tid).Levels)
+		switch op {
+		case opStep:
+			s.u, s.v = s.wrap(s.tid, s.u+arg&7-3, s.v+arg>>3&7-3, s.m)
+			s.phase = false
+		case opJump:
+			s.tid = texture.ID(arg & 1)
+			s.m = 0
+			s.u, s.v = s.wrap(s.tid, arg*7, arg*13, 0)
+			s.phase = false
+		case opRepeat:
+			for k := 0; k <= arg; k++ {
+				s.emit(s.tid, s.u, s.v, s.m)
+			}
+		case opPingLine:
+			s.ping(arg+1, s.u+4, s.v, s.m)
+		case opPingSet:
+			// A 16-tile step in u moves bit 8 of the interleaved set hash,
+			// outside the set mask of every L1 here.
+			s.ping(arg+1, s.u+64, s.v, s.m)
+		case opPingMip:
+			pm := s.m + 1
+			if pm >= levels {
+				pm = s.m - 1
+			}
+			if pm < 0 {
+				continue
+			}
+			s.ping(arg+1, s.u>>1, s.v>>1, pm)
+		case opFrame:
+			s.endOfFrame()
+		case opLevel:
+			m := arg % levels
+			s.u, s.v = s.wrap(s.tid, s.u>>m, s.v>>m, m)
+			s.m = m
+			s.phase = false
+		}
+	}
+	s.endOfFrame()
+}
+
+// FuzzFanoutMatchesPerSpec drives the exact engine's fan-out sink and, as
+// the oracle, one unshared addrSink hierarchy per spec with the same
+// texel stream, and requires equal counters for every spec at every
+// frame boundary. The spec list is any non-empty subset of
+// fanoutSpecPool, so L1 sharing, lazy L2 translation, and repeat and
+// alternation batching (on, or off beside a direct-mapped L1) all meet
+// arbitrary stream shapes.
+func FuzzFanoutMatchesPerSpec(f *testing.F) {
+	long := []byte{opRepeat, 255, opRepeat, 255, opStep, 0x1B, opRepeat, 200, opFrame, 0}
+	sameSet := []byte{opPingSet, 30, opStep, 0x12, opPingSet, 31, opPingSet, 0, opFrame, 0,
+		opJump, 5, opPingSet, 63}
+	crossSet := []byte{opPingLine, 30, opStep, 0x09, opPingLine, 31, opLevel, 1, opPingLine, 6,
+		opPingMip, 33, opStep, 0x3F, opPingMip, 32}
+	spanFrame := []byte{opPingLine, 6, opFrame, 0, opPingLine, 7, opRepeat, 3, opFrame, 0,
+		opPingMip, 8, opFrame, 0, opPingMip, 9}
+	walk := make([]byte, 0, 2048)
+	state := uint32(0x9E3779B9)
+	for len(walk) < cap(walk) {
+		state ^= state << 13
+		state ^= state >> 17
+		state ^= state << 5
+		walk = append(walk, byte(state), byte(state>>8)%64)
+	}
+	for _, seed := range []struct {
+		mask uint16
+		prog []byte
+	}{
+		{poolAssociative, long},
+		{poolAssociative, sameSet},
+		{poolAssociative, crossSet},
+		{poolAssociative, spanFrame},
+		{poolDirect, sameSet},
+		{poolDirect, crossSet},
+		{poolDirect, spanFrame},
+		{poolFull, sameSet},
+		{poolFull, spanFrame},
+		{poolAssociative, walk},
+		{poolAll, walk},
+	} {
+		f.Add(seed.mask, seed.prog)
+	}
+
+	set := texture.NewSet()
+	set.Register(texture.MustNew("a", 256, 128, texture.RGBA8888, nil))
+	set.Register(texture.MustNew("b", 64, 64, texture.RGBA8888, nil))
+	set.MustPrepare(texture.CanonicalL1())
+	pool := fanoutSpecPool()
+
+	f.Fuzz(func(t *testing.T, mask uint16, prog []byte) {
+		if len(prog) > 1<<12 {
+			prog = prog[:1<<12]
+		}
+		var specs []CacheSpec
+		for i, spec := range pool {
+			if mask&(1<<i) != 0 {
+				specs = append(specs, spec)
+			}
+		}
+		if len(specs) == 0 {
+			specs = pool
+		}
+		sink, err := buildMultiSink(set, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := make([]*addrSink, len(specs))
+		for i, spec := range specs {
+			if _, oracle[i], err = buildHierarchy(set, specConfig(Config{}, spec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame := 0
+		s := &fanoutStream{
+			set: set,
+			emit: func(tid texture.ID, u, v, m int) {
+				sink.Texel(tid, u, v, m)
+				for _, o := range oracle {
+					o.Texel(tid, u, v, m)
+				}
+			},
+			endOfFrame: func() {
+				// The engine's order: settle the batch, then read counters.
+				sink.settle()
+				for i, o := range oracle {
+					got, want := sink.specs[i].hier.Counters(), o.h.Counters()
+					if got != want {
+						t.Fatalf("frame %d, spec %q:\nfan-out %+v\noracle  %+v",
+							frame, specs[i].Name, got, want)
+					}
+				}
+				frame++
+			},
+		}
+		s.run(prog)
+	})
+}
+
+// TestFanoutSharesL1PerGeometry pins the sink's structure: specs group by
+// L1 size and effective associativity (0 and 2 ways are one geometry),
+// each group's hierarchies share its L1, and a direct-mapped group turns
+// alternation batching off.
+func TestFanoutSharesL1PerGeometry(t *testing.T) {
+	set := texture.NewSet()
+	set.Register(texture.MustNew("a", 64, 64, texture.RGBA8888, nil))
+	set.MustPrepare(texture.CanonicalL1())
+	pool := fanoutSpecPool()
+
+	sink, err := buildMultiSink(set, pool[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.groups) != 1 || len(sink.groups[0].members) != 4 || !sink.groups[0].backed {
+		t.Fatalf("2 KB specs: groups %+v, want one L2-backed group of 4", sink.groups)
+	}
+	for i, sp := range sink.specs {
+		if sp.hier.L1 != sink.groups[0].l1 {
+			t.Errorf("spec %d does not share the group's L1", i)
+		}
+	}
+	if !sink.alternate {
+		t.Error("alternation batching off with every L1 at 2 ways")
+	}
+
+	sink, err = buildMultiSink(set, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.groups) != 5 {
+		t.Errorf("full pool: %d groups, want 5", len(sink.groups))
+	}
+	if sink.alternate {
+		t.Error("alternation batching on beside a direct-mapped L1")
+	}
+}

@@ -65,3 +65,44 @@ func TestTexsanVillagePullArchitecture(t *testing.T) {
 		t.Fatalf("pull bandwidth identity violated: %+v", res.Totals)
 	}
 }
+
+// TestTexsanSweepFanout drives the exact engine's fan-out under the
+// sanitizer: pull, L2 and TLB variants share one 2 KB L1, so every
+// sharing hierarchy's identities must hold when it sees only the misses
+// of an L1 it does not drive. The 512 KB L2 spills, so the weak-inclusion
+// scan retires evicted fills.
+func TestTexsanSweepFanout(t *testing.T) {
+	render := sanConfig(6)
+	base := *render.L2
+	l2 := func(size int, noSector bool) *cache.L2Config {
+		c := base
+		c.SizeBytes, c.NoSectorMapping = size, noSector
+		return &c
+	}
+	specs := []CacheSpec{
+		{Name: "pull-2k", L1Bytes: 2 << 10},
+		{Name: "l2-2m", L1Bytes: 2 << 10, L2: l2(2<<20, false), TLBEntries: 16},
+		{Name: "l2-512k", L1Bytes: 2 << 10, L2: l2(512<<10, false)},
+		{Name: "l2-512k-nosector", L1Bytes: 2 << 10, L2: l2(512<<10, true)},
+		{Name: "tlb-1", L1Bytes: 2 << 10, L2: l2(2<<20, false), TLBEntries: 1},
+	}
+	cmp, err := RunComparison(workload.Village(), render, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1 := cmp.Results[0].Totals.L1
+	if l1.Accesses == 0 || l1.Misses == 0 {
+		t.Fatalf("no L1 activity: %+v", l1)
+	}
+	for i, res := range cmp.Results {
+		if res.Totals.L1 != l1 {
+			t.Errorf("%s: L1 %+v, want the shared L1's %+v", specs[i].Name, res.Totals.L1, l1)
+		}
+		if specs[i].L2 != nil && res.Totals.L2.Accesses() != l1.Misses {
+			t.Errorf("%s: %d L2 accesses for %d L1 misses", specs[i].Name, res.Totals.L2.Accesses(), l1.Misses)
+		}
+	}
+	if cmp.Results[2].Totals.L2.Evictions == 0 {
+		t.Error("the 512 KB L2 never evicted")
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"texcache/internal/cache"
 	"texcache/internal/core"
 	"texcache/internal/raster"
+	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
 
@@ -19,47 +21,33 @@ func oracleRender() core.Config {
 // TestSweepMatchesIndividualRuns is the exact engine's oracle: every
 // spec the experiments sweep, simulated through RunComparison's shared
 // fan-out, matches an independent core.Run of that spec alone — totals
-// and every frame — on both cache-study scenes. Each subtest builds its
-// own workload, so they run in parallel.
+// and every frame — on both cache-study scenes. The off-canonical
+// subtests repeat the check for a spec list outside the paper's sweep
+// shape. Each subtest builds its own workload, so they run in parallel.
 func TestSweepMatchesIndividualRuns(t *testing.T) {
 	specs := SweepSpecs()
-	for _, tc := range []struct {
+	scenes := []struct {
 		name string
 		load func() *workload.Workload
 	}{
 		{"village", workload.Village},
 		{"city", workload.City},
-	} {
+	}
+	for _, tc := range scenes {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			w := tc.load()
-			render := oracleRender()
-			cmp, err := core.RunComparison(w, render, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cmp.Results) != len(specs) {
-				t.Fatalf("results = %d, want %d", len(cmp.Results), len(specs))
-			}
-			for i, spec := range specs {
-				cfg := render
-				cfg.L1Bytes, cfg.L1Ways = spec.L1Bytes, spec.L1Ways
-				cfg.L2, cfg.TLBEntries = spec.L2, spec.TLBEntries
-				want, err := core.Run(w, cfg)
-				if err != nil {
-					t.Fatalf("spec %q: %v", spec.Name, err)
-				}
-				got := cmp.Results[i]
-				if got.Totals != want.Totals {
-					t.Errorf("spec %q: totals differ:\nsweep %+v\nrun   %+v",
-						spec.Name, got.Totals, want.Totals)
-				}
-				if !reflect.DeepEqual(got.Frames, want.Frames) {
-					t.Errorf("spec %q: per-frame results differ", spec.Name)
-				}
-			}
+			checkSweepOracle(t, tc.load(), specs)
 		})
 	}
+	t.Run("off-canonical", func(t *testing.T) {
+		t.Parallel()
+		for _, tc := range scenes {
+			t.Run(tc.name, func(t *testing.T) {
+				t.Parallel()
+				checkSweepOracle(t, tc.load(), offCanonicalSpecs())
+			})
+		}
+	})
 
 	// The frozen benchmark still sets the deprecated engine fields and
 	// reconciles its runs against this engine, so they must stay inert.
@@ -87,4 +75,60 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 			t.Error("setting the deprecated engine fields changed the comparison")
 		}
 	})
+}
+
+// checkSweepOracle runs specs through one RunComparison of w and requires
+// every spec's totals and frames to equal an independent core.Run.
+func checkSweepOracle(t *testing.T, w *workload.Workload, specs []core.CacheSpec) {
+	t.Helper()
+	render := oracleRender()
+	cmp, err := core.RunComparison(w, render, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmp.Results) != len(specs) {
+		t.Fatalf("results = %d, want %d", len(cmp.Results), len(specs))
+	}
+	for i, spec := range specs {
+		cfg := render
+		cfg.L1Bytes, cfg.L1Ways = spec.L1Bytes, spec.L1Ways
+		cfg.L2, cfg.TLBEntries = spec.L2, spec.TLBEntries
+		want, err := core.Run(w, cfg)
+		if err != nil {
+			t.Fatalf("spec %q: %v", spec.Name, err)
+		}
+		got := cmp.Results[i]
+		if got.Totals != want.Totals {
+			t.Errorf("spec %q: totals differ:\nsweep %+v\nrun   %+v",
+				spec.Name, got.Totals, want.Totals)
+		}
+		if !reflect.DeepEqual(got.Frames, want.Frames) {
+			t.Errorf("spec %q: per-frame results differ", spec.Name)
+		}
+	}
+}
+
+// offCanonicalSpecs leaves the paper's sweep shape: 1-, 4- and 32-way
+// L1s, a 1 KB L1, LRU and random L2s, 8x8 and 32x32 L2 tiles and no
+// sector mapping, beside a canonical pull and L2 pair sharing a 2 KB L1.
+// The half-megabyte L2s spill even at the oracle's tiny scale.
+func offCanonicalSpecs() []core.CacheSpec {
+	l2 := func(kb, edge int, p cache.PolicyKind, noSector bool) *cache.L2Config {
+		return &cache.L2Config{
+			SizeBytes:       kb << 10,
+			Layout:          texture.TileLayout{L2Size: edge, L1Size: 4},
+			Policy:          p,
+			NoSectorMapping: noSector,
+		}
+	}
+	return []core.CacheSpec{
+		{Name: "pull-2k", L1Bytes: 2 << 10},
+		{Name: "l2-2m", L1Bytes: 2 << 10, L2: l2(2048, 16, cache.Clock, false), TLBEntries: 16},
+		{Name: "l2-512k-nosector", L1Bytes: 2 << 10, L2: l2(512, 16, cache.Clock, true)},
+		{Name: "pull-1k", L1Bytes: 1 << 10},
+		{Name: "pull-2k-direct", L1Bytes: 2 << 10, L1Ways: 1},
+		{Name: "l2-512k-direct-lru", L1Bytes: 2 << 10, L1Ways: 1, L2: l2(512, 16, cache.TrueLRU, false), TLBEntries: 4},
+		{Name: "l2-512k-4way-8x8", L1Bytes: 8 << 10, L1Ways: 4, L2: l2(512, 8, cache.Clock, false), TLBEntries: 8},
+		{Name: "l2-512k-32way-random-32x32", L1Bytes: 4 << 10, L1Ways: 32, L2: l2(512, 32, cache.Random, false)},
+	}
 }

@@ -54,17 +54,17 @@ func TestConfigWaivesAllowlistedPackage(t *testing.T) {
 	cfg := &FileConfig{Allow: map[string][]string{
 		"determinism": {"texcache/internal/telemetry"},
 	}}
-	if diags := checkWaived(t,"texcache/internal/telemetry", cfg); len(diags) != 0 {
+	if diags := checkWaived(t, "texcache/internal/telemetry", cfg); len(diags) != 0 {
 		t.Errorf("allowlisted package still flagged: %v", diags)
 	}
-	diags := checkWaived(t,"texcache/internal/core", cfg)
+	diags := checkWaived(t, "texcache/internal/core", cfg)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "time.Now") {
 		t.Errorf("non-allowlisted package not flagged: %v", diags)
 	}
 }
 
 func TestNilConfigAllowsNothing(t *testing.T) {
-	if diags := checkWaived(t,"texcache/internal/telemetry", nil); len(diags) != 1 {
+	if diags := checkWaived(t, "texcache/internal/telemetry", nil); len(diags) != 1 {
 		t.Errorf("nil config waived the finding: %v", diags)
 	}
 	var cfg *FileConfig

@@ -51,8 +51,8 @@ func capped(n int) []byte {
 		perCall bool
 	}{
 		{"leaf", true},
-		{"mid", true},  // direct callee
-		{"top", true},  // two hops, needs the fixpoint
+		{"mid", true}, // direct callee
+		{"top", true}, // two hops, needs the fixpoint
 		{"pooled", false},
 		{"viaPool", false},
 		{"fromPool", false},

@@ -344,8 +344,8 @@ type ReuseHistogram struct {
 	// exact count of re-references at distance d for every d < FineLimit.
 	// Fine may be trimmed of trailing zeros; FineLimit still records the
 	// covered range.
-	FineLimit int64   `json:"fine_limit,omitempty"`
-	Fine      []int64 `json:"fine,omitempty"`
+	FineLimit int64         `json:"fine_limit,omitempty"`
+	Fine      []int64       `json:"fine,omitempty"`
 	Buckets   []ReuseBucket `json:"buckets"`
 }
 
