@@ -5,16 +5,17 @@
 //	go run ./cmd/texlint ./...
 //	go run ./cmd/texlint -json ./internal/cache
 //	go run ./cmd/texlint -list
-//	go run ./cmd/texlint -only chanleak,chanprotocol,wgbalance,mapiter ./...
+//	go run ./cmd/texlint -only determinism,errcheck ./...
 //	go run ./cmd/texlint -skip mapiter ./...
 //	go run ./cmd/texlint -write-baseline lint.baseline ./...
 //	go run ./cmd/texlint -baseline lint.baseline ./...
 //
-// texlint loads every non-test package of the enclosing module, runs all
-// analyzers — scoped by -only (run exactly these), -skip (run all but
-// these), or the legacy -analyzers list; an unknown name in any of them is
-// a usage error listing the registered analyzers — and prints one
-// diagnostic per line as
+// texlint loads every non-test package of the enclosing module and runs
+// the analyzers over all of them, so cross-package facts never depend on
+// which packages are named. -only (run exactly these) and -skip (run all
+// but these) scope the suite; an unknown name in either is a usage error
+// listing the registered analyzers. Findings in the named packages print
+// one per line as
 //
 //	file:line: [analyzer] message
 //
@@ -40,8 +41,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,62 +53,59 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("texlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jsonOut   = flag.Bool("json", false, "emit diagnostics as a JSON array")
-		list      = flag.Bool("list", false, "list analyzers and exit")
-		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		only      = flag.String("only", "", "run only these comma-separated analyzers")
-		skip      = flag.String("skip", "", "run all but these comma-separated analyzers")
-		baseline  = flag.String("baseline", "", "suppress findings recorded in this JSON baseline file")
-		writeBase = flag.String("write-baseline", "", "record current findings to this JSON baseline file and exit clean")
-		confPath  = flag.String("config", "", "package waiver file (default: "+lint.ConfigFile+" at the module root, if present)")
+		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		list      = fs.Bool("list", false, "list analyzers and exit")
+		only      = fs.String("only", "", "run only these comma-separated analyzers")
+		skip      = fs.String("skip", "", "run all but these comma-separated analyzers")
+		baseline  = fs.String("baseline", "", "suppress findings recorded in this JSON baseline file")
+		writeBase = fs.String("write-baseline", "", "record current findings to this JSON baseline file and exit clean")
+		confPath  = fs.String("config", "", "package waiver file (default: "+lint.ConfigFile+" at the module root, if present)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	suite := lint.All()
-	if *analyzers != "" {
-		var err error
-		suite, err = lint.ByName(strings.Split(*analyzers, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	suite, err := selectAnalyzers(suite, *only, *skip)
+	suite, err := selectAnalyzers(lint.All(), *only, *skip)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "texlint:", err)
+		fmt.Fprintln(stderr, "texlint:", err)
 		return 2
 	}
 	root, err := lint.ModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "texlint:", err)
+		fmt.Fprintln(stderr, "texlint:", err)
 		return 2
 	}
 	pkgs, err := lint.LoadModule(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "texlint:", err)
+		fmt.Fprintln(stderr, "texlint:", err)
 		return 2
 	}
-	pkgs = filterPackages(pkgs, root, cwd, flag.Args())
-	if len(pkgs) == 0 {
-		fmt.Fprintf(os.Stderr, "texlint: no packages match %s\n", strings.Join(flag.Args(), " "))
+	named := namedDirs(pkgs, root, cwd, fs.Args())
+	if len(named) == 0 {
+		fmt.Fprintf(stderr, "texlint: no packages match %s\n", strings.Join(fs.Args(), " "))
 		return 2
 	}
 
@@ -113,23 +113,33 @@ func run() int {
 	if *confPath != "" {
 		data, err := os.ReadFile(*confPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "texlint:", err)
+			fmt.Fprintln(stderr, "texlint:", err)
 			return 2
 		}
 		if conf, err = lint.ParseConfig(data); err != nil {
-			fmt.Fprintln(os.Stderr, "texlint:", err)
+			fmt.Fprintln(stderr, "texlint:", err)
 			return 2
 		}
 	} else if conf, err = lint.LoadConfig(root); err != nil {
-		fmt.Fprintln(os.Stderr, "texlint:", err)
+		fmt.Fprintln(stderr, "texlint:", err)
 		return 2
 	}
 
+	// The suite runs over every package so that cross-package facts (hot
+	// and pure marks, map-order summaries) are the same whichever packages
+	// are named; only the named packages' findings are reported.
 	diags, err := lint.RunConfigured(pkgs, suite, conf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "texlint:", err)
+		fmt.Fprintln(stderr, "texlint:", err)
 		return 2
 	}
+	keep := diags[:0]
+	for _, d := range diags {
+		if named[filepath.Dir(d.Pos.Filename)] {
+			keep = append(keep, d)
+		}
+	}
+	diags = keep
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = rel
@@ -138,16 +148,16 @@ func run() int {
 
 	if *writeBase != "" {
 		if err := saveBaseline(*writeBase, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "texlint:", err)
+			fmt.Fprintln(stderr, "texlint:", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "texlint: recorded %d finding(s) in %s\n", len(diags), *writeBase)
+		fmt.Fprintf(stderr, "texlint: recorded %d finding(s) in %s\n", len(diags), *writeBase)
 		return 0
 	}
 	if *baseline != "" {
 		base, err := loadBaseline(*baseline)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "texlint:", err)
+			fmt.Fprintln(stderr, "texlint:", err)
 			return 2
 		}
 		diags = applyBaseline(diags, base)
@@ -158,20 +168,20 @@ func run() int {
 		for _, d := range diags {
 			out = append(out, jsonDiag{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "texlint:", err)
+			fmt.Fprintln(stderr, "texlint:", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "texlint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "texlint: %d finding(s)\n", len(diags))
 		}
 		return 1
 	}
@@ -247,11 +257,11 @@ func applyBaseline(diags []lint.Diagnostic, base map[baselineKey]int) []lint.Dia
 	return keep
 }
 
-// filterPackages restricts the loaded module to the packages named by the
-// argument patterns. "./..." (or no arguments) keeps everything under the
-// current directory; "dir" or "dir/..." keeps that directory (and, with
+// namedDirs returns the directories of the loaded packages named by the
+// argument patterns. "./..." (or no arguments) names everything under the
+// current directory; "dir" or "dir/..." names that directory (and, with
 // /..., its subtree), resolved relative to the current directory.
-func filterPackages(pkgs []*lint.Package, root, cwd string, patterns []string) []*lint.Package {
+func namedDirs(pkgs []*lint.Package, root, cwd string, patterns []string) map[string]bool {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -277,17 +287,17 @@ func filterPackages(pkgs []*lint.Package, root, cwd string, patterns []string) [
 		}
 		rules = append(rules, rule{dir: filepath.Clean(p), subtree: subtree})
 	}
-	keep := pkgs[:0]
+	named := make(map[string]bool)
 	for _, pkg := range pkgs {
 		dir := pkgDir(pkg, root)
 		for _, r := range rules {
 			if dir == r.dir || (r.subtree && strings.HasPrefix(dir+string(filepath.Separator), r.dir+string(filepath.Separator))) {
-				keep = append(keep, pkg)
+				named[dir] = true
 				break
 			}
 		}
 	}
-	return keep
+	return named
 }
 
 // pkgDir recovers the package's directory from its first file position.

@@ -16,13 +16,13 @@ func names(as []*lint.Analyzer) []string {
 }
 
 func TestSelectAnalyzersOnly(t *testing.T) {
-	got, err := selectAnalyzers(lint.All(), "mapiter,chanleak", "")
+	got, err := selectAnalyzers(lint.All(), "mapiter,sharedstate", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registration order, not flag order, so runs are deterministic.
-	if g := strings.Join(names(got), ","); g != "chanleak,mapiter" {
-		t.Errorf("selected %q, want chanleak,mapiter", g)
+	if g := strings.Join(names(got), ","); g != "sharedstate,mapiter" {
+		t.Errorf("selected %q, want sharedstate,mapiter", g)
 	}
 }
 
@@ -43,12 +43,12 @@ func TestSelectAnalyzersSkip(t *testing.T) {
 }
 
 func TestSelectAnalyzersOnlyAndSkipCompose(t *testing.T) {
-	got, err := selectAnalyzers(lint.All(), "chanleak,wgbalance", "wgbalance")
+	got, err := selectAnalyzers(lint.All(), "sharedstate,growloop", "growloop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := strings.Join(names(got), ","); g != "chanleak" {
-		t.Errorf("selected %q, want chanleak", g)
+	if g := strings.Join(names(got), ","); g != "sharedstate" {
+		t.Errorf("selected %q, want sharedstate", g)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,8 @@ func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "fast.json")
 	spans := filepath.Join(dir, "spans.jsonl")
+	metrics := filepath.Join(dir, "m.jsonl")
+	trace := filepath.Join(dir, "t.json")
 	tiny := []string{"-workload", "village", "-width", "64", "-height", "48", "-frames", "2"}
 	with := func(extra ...string) []string { return append(append([]string(nil), tiny...), extra...) }
 
@@ -21,16 +24,22 @@ func TestRun(t *testing.T) {
 		wantCode int
 		// stdout and stderr must contain these substrings.
 		wantOut, wantErr string
-		// file, when set, must exist afterwards and contain fileHas.
-		file, fileHas string
+		// file, when set, must exist afterwards and match every regexp
+		// in fileHas.
+		file    string
+		fileHas []string
 	}{
-		{"removed -parallel", with("-sweep", "-parallel", "2"), 2, "", "-parallel", "", ""},
-		{"removed -renderworkers", with("-sweep", "-renderworkers", "2"), 2, "", "-renderworkers", "", ""},
-		{"removed -replayworkers", with("-sweep", "-replayworkers", "2"), 2, "", "-replayworkers", "", ""},
-		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", ""},
-		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", ""},
-		{"fast manifest", with("-sweep", "-fast", "-manifest", manifest), 0, "modeled", "", manifest, `"model"`},
-		{"spans", with("-sweep", "-specs", "pull-2k,l2-2m", "-spans", spans), 0, "l2-2m", "", spans, `"name":"render"`},
+		{"removed -parallel", with("-sweep", "-parallel", "2"), 2, "", "-parallel", "", nil},
+		{"removed -renderworkers", with("-sweep", "-renderworkers", "2"), 2, "", "-renderworkers", "", nil},
+		{"removed -replayworkers", with("-sweep", "-replayworkers", "2"), 2, "", "-replayworkers", "", nil},
+		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", nil},
+		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
+		{"fast manifest", with("-sweep", "-fast", "-manifest", manifest), 0, "modeled", "", manifest, []string{`"model"`}},
+		{"spans", with("-sweep", "-specs", "pull-2k,l2-2m", "-spans", spans), 0, "l2-2m", "", spans, []string{`"name":"render"`}},
+		{"metrics", with("-sweep", "-specs", "pull-2k,l2-2m", "-metrics", metrics), 0, "l2-2m", "", metrics,
+			[]string{`"spec":"l2-2m","frame":1,`}},
+		{"trace", with("-sweep", "-trace", trace), 0, "textrace report", "", trace,
+			[]string{`"thread_name","args":\{"name":"render"\}`, `"ph":"C",[^}]*"name":"replayed/`}},
 	}
 
 	for _, tt := range tests {
@@ -52,8 +61,10 @@ func TestRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Contains(data, []byte(tt.fileHas)) {
-				t.Errorf("%s missing %q:\n%s", filepath.Base(tt.file), tt.fileHas, data)
+			for _, re := range tt.fileHas {
+				if !regexp.MustCompile(re).Match(data) {
+					t.Errorf("%s does not match %q:\n%s", filepath.Base(tt.file), re, data)
+				}
 			}
 		})
 	}

@@ -25,8 +25,11 @@
 //     suite. `go run ./cmd/texlint ./...` checks determinism of the texel
 //     reference stream (no wall-clock, no unseeded randomness, no
 //     order-dependent map iteration), 64-bit counter widths, hot-path
-//     hygiene on texlint:hotpath functions, panic-message prefixes and
-//     unchecked errors; findings are suppressed with
+//     hygiene on texlint:hotpath functions, panic-message prefixes,
+//     unchecked errors, goroutine-shared state, hot-path allocation,
+//     global mutation, function purity, map-order taint reaching output,
+//     and buffer pinning and unpreallocated append growth; `-list` names
+//     the twelve analyzers, and findings are suppressed with
 //     //texlint:ignore <analyzer> comments.
 //
 // See README.md for a tour and EXPERIMENTS.md for reproduction results.

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
+	"time"
 
 	"texcache/internal/raster"
 )
@@ -18,7 +20,9 @@ var tinyScale = Scale{Name: "tiny", Width: 32, Height: 24,
 // sharing between the isolated contexts into a failure. It then checks
 // that collection is order-deterministic: two prefetched contexts must
 // memoize identical keys and identical totals regardless of which
-// goroutine finished first.
+// goroutine finished first. Last, it checks that no Prefetch call leaves a
+// goroutine behind, including one on an already-filled context, which has
+// no jobs to run.
 func TestPrefetchRace(t *testing.T) {
 	run := func(parallel int) *Context {
 		c := NewContext(tinyScale, io.Discard)
@@ -27,6 +31,7 @@ func TestPrefetchRace(t *testing.T) {
 		}
 		return c
 	}
+	before := runtime.NumGoroutine()
 	a := run(16)
 	b := run(1)
 
@@ -60,5 +65,17 @@ func TestPrefetchRace(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	if err := a.Prefetch(16); err != nil {
+		t.Fatalf("Prefetch on a filled context: %v", err)
+	}
+	// Workers exit just after their last deferred call; give them a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("Prefetch leaked goroutines: %d running, %d before", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -2,11 +2,12 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// Growloop is the texmem append-preallocation analyzer. Go's append
+// Growloop is the append-preallocation analyzer. Go's append
 // grows a slice by a bounded factor (~1.25x at size), so filling a
 // slice of final length n element-by-element from zero capacity
 // allocates and copies a geometric ladder of intermediate arrays — the
@@ -437,4 +438,53 @@ func (gs *growScope) unpreallocated(lhs ast.Expr, loopResliced map[types.Object]
 		return true
 	}
 	return false
+}
+
+// intConst extracts a non-negative integer constant from e.
+func intConst(info *types.Info, e ast.Expr) (int64, bool) {
+	tv, ok := info.Types[ast.Unparen(e)]
+	if !ok || tv.Value == nil {
+		return 0, false
+	}
+	v := constant.ToInt(tv.Value)
+	if v.Kind() != constant.Int {
+		return 0, false
+	}
+	n, exact := constant.Int64Val(v)
+	if !exact || n < 0 {
+		return 0, false
+	}
+	return n, true
+}
+
+// sameRef reports whether two expressions name the same variable or the
+// same field of the same variable (x vs x, s.buf vs s.buf).
+func sameRef(info *types.Info, a, b ast.Expr) bool {
+	a, b = ast.Unparen(a), ast.Unparen(b)
+	switch a := a.(type) {
+	case *ast.Ident:
+		bid, ok := b.(*ast.Ident)
+		return ok && info.ObjectOf(a) != nil && info.ObjectOf(a) == info.ObjectOf(bid)
+	case *ast.SelectorExpr:
+		bsel, ok := b.(*ast.SelectorExpr)
+		return ok && a.Sel.Name == bsel.Sel.Name && sameRef(info, a.X, bsel.X)
+	}
+	return false
+}
+
+// isZeroLen reports whether the slice expression is the scratch-reset
+// idiom x[:0] (or x[0:0]).
+func isZeroLen(info *types.Info, sl *ast.SliceExpr) bool {
+	if sl.High == nil {
+		return false
+	}
+	n, ok := intConst(info, sl.High)
+	if !ok || n != 0 {
+		return false
+	}
+	if sl.Low == nil {
+		return true
+	}
+	low, ok := intConst(info, sl.Low)
+	return ok && low == 0
 }

@@ -9,16 +9,13 @@
 // counters, allocation-free hot paths, and the repo's panic and error
 // conventions.
 //
-// Sixteen analyzers run in four tiers: the syntactic tier
-// (determinism, counterwidth, hotpath, panicstyle, errcheck), the
-// CFG/dataflow tier (sharedstate, hotalloc, globalmut, purity), the
-// interprocedural concurrency-protocol tier (chanleak, chanprotocol,
-// wgbalance, mapiter), which runs over per-function summaries of channel
-// and WaitGroup effects and map-order taint computed by a module-wide
-// fixpoint (FlowFacts), and the allocation-lifetime tier (poolcheck,
-// retain, growloop), which runs over texmem summaries (MemFacts) of
-// allocation sites with size classes, escape-to-sink classification,
-// reuse-pattern recognition and a per-call allocation-closure fixpoint.
+// Twelve analyzers run in four tiers: the syntactic tier (determinism,
+// counterwidth, hotpath, panicstyle, errcheck), the CFG/dataflow tier
+// (sharedstate, hotalloc, globalmut, purity), the map-order taint tier
+// (mapiter), which runs over per-function summaries of map-order taint
+// computed by the suite's one module-wide fixpoint (FlowFacts), and the
+// allocation-hygiene tier (retain, growloop), which checks one function
+// at a time.
 //
 // Diagnostics may be suppressed with a comment on the offending line or
 // the line directly above it:
@@ -87,13 +84,8 @@ type Facts struct {
 	Pure map[*types.Func]bool
 	// ModulePkgs is the set of import paths analyzed together.
 	ModulePkgs map[string]bool
-	// Flow holds the texflow interprocedural summaries (channel and
-	// WaitGroup parameter ops, map-order taint, publication contracts).
+	// Flow holds the map-order taint summaries mapiter reads.
 	Flow *FlowFacts
-	// Mem holds the texmem allocation-lifetime summaries (alloc sites
-	// with size classes, per-call allocation closure, reuse patterns,
-	// buffer-growth fields, goroutine spawn graph).
-	Mem *MemFacts
 }
 
 // HotMarker is the texvet alias of the hotpath marker; both name a
@@ -111,7 +103,6 @@ func CollectFacts(pkgs []*Package) *Facts {
 		Pure:       make(map[*types.Func]bool),
 		ModulePkgs: make(map[string]bool),
 		Flow:       collectFlowFacts(pkgs),
-		Mem:        collectMemFacts(pkgs),
 	}
 	for _, pkg := range pkgs {
 		f.ModulePkgs[pkg.Path] = true
@@ -163,8 +154,8 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in stable order: the five
 // first-generation syntactic analyzers, the four texvet dataflow
-// analyzers, the four texflow concurrency-protocol analyzers, and the
-// three texmem allocation-lifetime analyzers.
+// analyzers, the map-order taint analyzer, and the two allocation-hygiene
+// analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -176,31 +167,10 @@ func All() []*Analyzer {
 		Hotalloc,
 		Globalmut,
 		Purity,
-		Chanleak,
-		Chanprotocol,
-		Wgbalance,
 		Mapiter,
-		Poolcheck,
 		Retain,
 		Growloop,
 	}
-}
-
-// ByName returns the analyzers named, or an error naming the unknown one.
-func ByName(names []string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	out := make([]*Analyzer, 0, len(names))
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // Run applies the analyzers to every package, filters findings through

@@ -87,16 +87,6 @@ func a() time.Time {
 	}
 }
 
-func TestByName(t *testing.T) {
-	as, err := ByName([]string{"determinism", "errcheck"})
-	if err != nil || len(as) != 2 {
-		t.Fatalf("ByName(known) = %v, %v", as, err)
-	}
-	if _, err := ByName([]string{"nope"}); err == nil {
-		t.Fatal("ByName(unknown) succeeded, want error")
-	}
-}
-
 func TestAllHaveNamesAndDocs(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, a := range All() {

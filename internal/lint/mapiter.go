@@ -4,7 +4,7 @@ package lint
 // map-range check. determinism flags output emitted directly inside a
 // range-over-map body; mapiter tracks the taint — "this value depends on
 // Go's randomized map iteration order" — through assignments, helper
-// calls, and function boundaries (via the texflow MapOrdered and
+// calls, and function boundaries (via the FlowFacts MapOrdered and
 // ParamSinks summaries), and reports when it reaches an emitting sink
 // without an intervening sort: fmt output, writer/encoder methods, module
 // emit methods (Emit/Frame/Texel), stores into Results/Frames/Records/

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Retain is the texmem backing-array pinning analyzer. A sub-slice
+// Retain is the backing-array pinning analyzer. A sub-slice
 // shares its backing array with the buffer it was cut from: storing
 // `buf[a:b]` into a long-lived sink — a struct field, a results slot, a
 // map, a channel — keeps the entire decoded buffer reachable for as

@@ -8,8 +8,8 @@ import (
 
 // Sharedstate is the texvet concurrency analyzer: it finds shared mutable
 // state escaping into goroutines without synchronization. The simulator's
-// parallel layers (the experiment prefetcher today, sharded tracing
-// tomorrow) must keep every result a pure function of the job list —
+// parallel layer, the experiment prefetcher's worker pool, must keep
+// every result a pure function of the job list —
 // an unsynchronized captured write not only races, it makes the merged
 // output depend on goroutine scheduling, which silently perturbs the
 // reproduced tables.

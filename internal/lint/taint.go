@@ -1,15 +1,16 @@
 package lint
 
-// Map-order taint engine shared by the mapiter analyzer and the texflow
-// summary pass. A value is tainted when it may depend on Go's randomized
-// map iteration order: the key/value of a range over a map, the result of
+// Map-order taint: the per-body engine the mapiter analyzer runs, and the
+// module-wide function summaries (FlowFacts) that carry the taint across
+// calls. A value is tainted when it may depend on Go's randomized map
+// iteration order: the key/value of a range over a map, the result of
 // maps.Keys/maps.Values, or the result of a function summarized as
 // MapOrdered. Taint propagates through assignments, append, arithmetic,
 // composite literals, and ordinary calls (a helper that formats tainted
 // keys returns tainted output); it is cleared by the sort family
 // (sort.Strings, slices.Sort, slices.Sorted, ...) and by reassignment from
 // a clean value. Each taint value also carries its origin parameters so
-// the texflow pass can summarize "parameter i of f reaches a sink".
+// the summary pass can record "parameter i of f reaches a sink".
 //
 // The walk is in source order, one pass, may-style: a taint assigned in
 // one branch survives into the join. Sorting later in the text clears it,
@@ -410,4 +411,128 @@ func (tt *taintTracker) walk(body ast.Node) {
 		}
 		return true
 	})
+}
+
+// FlowFacts is the map-order summary set, computed once per Run over
+// every loaded package (see CollectFacts). The facts are may-facts closed
+// over the module's static call graph by fixpoint iteration, so a call to
+// a helper carries the helper's taint behaviour into the caller's walk.
+type FlowFacts struct {
+	// MapOrdered marks, per function, the result indices whose value may
+	// be derived from map iteration order without an intervening sort.
+	MapOrdered map[*types.Func]map[int]bool
+	// ParamSinks marks parameter indices that may flow into an emitting
+	// sink (output stream, telemetry emitter, trace writer) without an
+	// intervening sort.
+	ParamSinks map[*types.Func]map[int]bool
+}
+
+// flowDecl pairs a declared function with the package that type-checked it.
+type flowDecl struct {
+	fn   *types.Func
+	decl *ast.FuncDecl
+	pkg  *Package
+}
+
+// collectFlowFacts computes the map-order summaries for every function
+// declared in the loaded packages, iterating to fixpoint so facts flow
+// through call chains in any declaration order.
+func collectFlowFacts(pkgs []*Package) *FlowFacts {
+	ff := &FlowFacts{
+		MapOrdered: make(map[*types.Func]map[int]bool),
+		ParamSinks: make(map[*types.Func]map[int]bool),
+	}
+	var decls []flowDecl
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
+					decls = append(decls, flowDecl{fn: obj, decl: fn, pkg: pkg})
+				}
+			}
+		}
+	}
+	// Summaries only grow, so iterating until a full pass changes nothing
+	// terminates; the bound guards against a logic error, not real code.
+	for iter := 0; iter < 32; iter++ {
+		changed := false
+		for _, d := range decls {
+			if ff.scanFunc(d) {
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return ff
+}
+
+// paramVars maps each named parameter object of the declaration to its
+// index in the signature.
+func paramVars(info *types.Info, decl *ast.FuncDecl) map[*types.Var]int {
+	out := make(map[*types.Var]int)
+	if decl.Type.Params == nil {
+		return out
+	}
+	i := 0
+	for _, field := range decl.Type.Params.List {
+		if len(field.Names) == 0 {
+			i++
+			continue
+		}
+		for _, name := range field.Names {
+			if v, ok := info.Defs[name].(*types.Var); ok {
+				out[v] = i
+			}
+			i++
+		}
+	}
+	return out
+}
+
+// markIndex sets facts[fn][i], reporting whether it was newly set.
+func markIndex(facts map[*types.Func]map[int]bool, fn *types.Func, i int) bool {
+	m := facts[fn]
+	if m == nil {
+		m = make(map[int]bool)
+		facts[fn] = m
+	}
+	if m[i] {
+		return false
+	}
+	m[i] = true
+	return true
+}
+
+// scanFunc recomputes one function's summaries — does any return value
+// derive from map iteration order, and does any parameter reach a sink
+// unsorted — returning whether anything new was learned.
+func (ff *FlowFacts) scanFunc(d flowDecl) bool {
+	params := paramVars(d.pkg.Info, d.decl)
+	changed := false
+	tt := newTaintTracker(d.pkg.Info, ff)
+	tt.onReturn = func(_ *ast.ReturnStmt, ts []*taint) {
+		for i, t := range ts {
+			if t != nil && t.mapOrder && markIndex(ff.MapOrdered, d.fn, i) {
+				changed = true
+			}
+		}
+	}
+	for v := range params {
+		tt.state[v] = &taint{params: map[*types.Var]bool{v: true}}
+	}
+	tt.onSink = func(_ ast.Node, t *taint, _ string) {
+		for pv := range t.params {
+			if idx, ok := params[pv]; ok && markIndex(ff.ParamSinks, d.fn, idx) {
+				changed = true
+			}
+		}
+	}
+	tt.walk(d.decl.Body)
+	return changed
 }
