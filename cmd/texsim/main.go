@@ -27,15 +27,14 @@
 // Telemetry and profiling:
 //
 //	-metrics run.jsonl   stream per-frame counters (JSONL, or CSV via .csv)
-//	-manifest run.json   record config hash, environment, totals and spans
+//	-manifest run.json   record config hash, environment, totals and the
+//	                     per-phase timings of the run's textrace
 //	-reuse hist.json     reuse-distance histogram over L2 block addresses
 //	-trace out.json      Chrome trace_event file — open it in Perfetto
 //	                     (ui.perfetto.dev) or chrome://tracing; also prints
 //	                     the aggregated phase report
 //	-monitor addr        serve live JSON run snapshots over HTTP while the
 //	                     run is in flight (GET /snapshot, GET /trace)
-//	-spans out.jsonl     write the texscope phase-span log (read it back with
-//	                     tracetool spans)
 //	-cpuprofile cpu.pb   CPU profile; -memprofile heap.pb heap profile
 //
 //	texsim -workload village -sweep -metrics run.jsonl -manifest run.json
@@ -93,13 +92,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"with -sweep: predict model-reachable specs analytically from one instrumented render")
 	specsArg := fs.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
 	metricsPath := fs.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
-	manifestPath := fs.String("manifest", "", "write a run manifest (config hash, environment, totals, spans) here")
+	manifestPath := fs.String("manifest", "", "write a run manifest (config hash, environment, totals, phases) here")
 	reusePath := fs.String("reuse", "", "write a reuse-distance histogram over L2 block addresses here")
 	tracePath := fs.String("trace", "",
 		"write a Chrome trace_event file (Perfetto) here and print the phase report")
 	monitorAddr := fs.String("monitor", "",
 		"serve live run snapshots as JSON over HTTP on this address while running")
-	spansPath := fs.String("spans", "", "write the texscope phase-span log (JSONL, for tracetool spans) here")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := fs.String("memprofile", "", "write a heap profile here")
 	if err := fs.Parse(args); err != nil {
@@ -179,8 +177,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Telemetry plumbing: the metric stream goes to -metrics, totals
-	// accumulate for the manifest, and the manifest run gets a wall-clock
-	// tracer whose spans ride along as sidecar data.
+	// accumulate for the manifest, and -trace, -monitor and -manifest
+	// share one wall-clock textrace whose phase table rides along in the
+	// manifest as sidecar data.
 	var totals telemetry.Totals
 	emitters := []telemetry.Emitter{&totals}
 	var flushMetrics func() error
@@ -214,10 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	cfg.Metrics = telemetry.Tee(emitters...)
-	if *manifestPath != "" || *spansPath != "" {
-		cfg.Tracer = telemetry.NewTracer(telemetry.NewWallClock())
-	}
-	if *tracePath != "" || *monitorAddr != "" {
+	if *tracePath != "" || *monitorAddr != "" || *manifestPath != "" {
 		cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	}
 	if *monitorAddr != "" {
@@ -271,6 +267,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		reportSweep(stdout, w, cfg, specs, cmp)
+		addModeledTotals(&totals.T, cmp)
 		reuse = cmp.Reuse
 		modelErrs = cmp.ModelErrors()
 		simFrames = len(cmp.FramePixels)
@@ -306,12 +303,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, cfg.Trace, stdout); err != nil {
 			fmt.Fprintln(stderr, "texsim: writing trace:", err)
-			return 1
-		}
-	}
-	if *spansPath != "" {
-		if err := writeSpans(*spansPath, cfg.Tracer); err != nil {
-			fmt.Fprintln(stderr, "texsim: writing spans:", err)
 			return 1
 		}
 	}
@@ -355,18 +346,22 @@ func writeTrace(path string, tr *telemetry.Trace, out io.Writer) error {
 	return tr.Report().WriteText(out)
 }
 
-// writeSpans writes the texscope phase-span log as JSONL, the shape
-// tracetool spans reads back.
-func writeSpans(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// addModeledTotals adds the end-of-run totals of every modeled spec to
+// the manifest totals: modeled results have no per-frame records, so
+// the metric stream never counted them. FrameRecords keeps counting the
+// records actually written.
+func addModeledTotals(t *telemetry.RunTotals, cmp *core.Comparison) {
+	for _, res := range cmp.Results {
+		if res.ModelFrames == 0 {
+			continue
+		}
+		c := res.Totals
+		t.TexelRefs += c.L1.Accesses
+		t.L1Misses += c.L1.Misses
+		t.HostBytes += c.HostBytes
+		t.L2ReadBytes += c.L2ReadBytes
+		t.L2WriteBytes += c.L2WriteBytes
 	}
-	if err := tr.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // selectSpecs resolves the -specs argument against the canonical sweep.
@@ -421,8 +416,9 @@ func writeReuse(path string, h *telemetry.ReuseHistogram) error {
 }
 
 // writeManifest records the run's identity: configuration fingerprint,
-// environment, spec list, stream totals, any recorded phase spans, and —
-// for sweeps with a reuse profile — the per-spec model report.
+// environment, spec list, stream totals, the phase table of the run's
+// textrace, and — for sweeps with a reuse profile — the per-spec model
+// report.
 func writeManifest(path string, w *workload.Workload, cfg core.Config,
 	specs []core.CacheSpec, sweep bool, frames int, totals telemetry.RunTotals,
 	model []telemetry.SpecModelError) error {
@@ -452,7 +448,9 @@ func writeManifest(path string, w *workload.Workload, cfg core.Config,
 	m.Workload = w.Name
 	m.Frames = frames
 	m.Totals = totals
-	m.Spans = cfg.Tracer.Spans()
+	if rep := cfg.Trace.Report(); rep != nil {
+		m.Phases = rep.Phases
+	}
 	m.Model = model
 
 	f, err := os.Create(path)

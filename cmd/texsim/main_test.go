@@ -11,8 +11,8 @@ import (
 
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
-	manifest := filepath.Join(dir, "fast.json")
-	spans := filepath.Join(dir, "spans.jsonl")
+	manifest := filepath.Join(dir, "sweep.json")
+	fastManifest := filepath.Join(dir, "fast.json")
 	metrics := filepath.Join(dir, "m.jsonl")
 	trace := filepath.Join(dir, "t.json")
 	tiny := []string{"-workload", "village", "-width", "64", "-height", "48", "-frames", "2"}
@@ -32,10 +32,13 @@ func TestRun(t *testing.T) {
 		{"removed -parallel", with("-sweep", "-parallel", "2"), 2, "", "-parallel", "", nil},
 		{"removed -renderworkers", with("-sweep", "-renderworkers", "2"), 2, "", "-renderworkers", "", nil},
 		{"removed -replayworkers", with("-sweep", "-replayworkers", "2"), 2, "", "-replayworkers", "", nil},
+		{"removed -spans", with("-sweep", "-spans", filepath.Join(dir, "spans.jsonl")), 2, "", "-spans", "", nil},
 		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", nil},
 		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
-		{"fast manifest", with("-sweep", "-fast", "-manifest", manifest), 0, "modeled", "", manifest, []string{`"model"`}},
-		{"spans", with("-sweep", "-specs", "pull-2k,l2-2m", "-spans", spans), 0, "l2-2m", "", spans, []string{`"name":"render"`}},
+		{"manifest", with("-sweep", "-specs", "pull-2k,l2-2m", "-manifest", manifest), 0, "l2-2m", "", manifest,
+			[]string{`"phases"`, `"name": "frame"`, `"texel_refs": [1-9]`}},
+		{"fast manifest", with("-sweep", "-fast", "-manifest", fastManifest), 0, "modeled", "", fastManifest,
+			[]string{`"model"`, `"texel_refs": [1-9]`, `"name": "frame"`, `"name": "predict"`, `"name": "eval"`, `"name": "tlb-patch"`}},
 		{"metrics", with("-sweep", "-specs", "pull-2k,l2-2m", "-metrics", metrics), 0, "l2-2m", "", metrics,
 			[]string{`"spec":"l2-2m","frame":1,`}},
 		{"trace", with("-sweep", "-trace", trace), 0, "textrace report", "", trace,

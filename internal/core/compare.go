@@ -350,9 +350,8 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 
 	aspect := float64(render.Width) / float64(render.Height)
 	prev := make([]cache.Counters, len(specs))
-	sp := render.Tracer.Start("render")
 	for f := 0; f < render.Frames; f++ {
-		fspan := tk.Begin("render", "frame", int64(f))
+		fspan := tk.Begin("frame", int64(f))
 		if sink.collect != nil {
 			sink.collect.BeginFrame()
 		}
@@ -382,11 +381,10 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 			if render.Metrics != nil {
 				render.Metrics.Frame(metricsFrame(w.Name, cmp.Specs[i], f, &fr))
 			}
-			replayed[i].Sample(int64(f), int64(f)+1)
+			replayed[i].Sample(int64(f) + 1)
 			cmp.Results[i].Frames = append(cmp.Results[i].Frames, fr)
 		}
 	}
-	sp.End()
 	for i := range sink.specs {
 		cmp.Results[i].Totals = sink.specs[i].hier.Counters()
 	}

@@ -58,20 +58,16 @@ type Config struct {
 	// frame-major, spec-minor order. Emission happens outside the
 	// per-texel hot path; a nil Metrics costs nothing.
 	Metrics telemetry.Emitter
-	// Tracer, when non-nil, records the comparison engines' phase spans:
-	// "render" around the exact engine's frame loop, plus the -fast
-	// engine's "exact-fallback", "model" and "tlb-patch". Span timings
-	// are observational sidecar data and never feed back into simulation
-	// output.
-	Tracer *telemetry.Tracer
 	// Trace, when non-nil, is the textrace registry of comparison runs:
 	// span tracks ("render" frames of the exact engine, "fast-probe"
-	// frames and "model" evaluations of the -fast engine), per-spec
-	// "replayed/<spec>" progress counters, and instant events for model
-	// refusals. Export it with WriteChromeTrace for
-	// Perfetto/chrome://tracing, or serve it live through
-	// telemetry.NewMonitor. A nil Trace costs one predictable branch per
-	// event site and allocates nothing.
+	// frames and the "model" track's predict, tlb-patch and eval phases
+	// of the -fast engine), per-spec "replayed/<spec>" progress counters,
+	// and instant events for model refusals. Export it with
+	// WriteChromeTrace for Perfetto/chrome://tracing, aggregate it with
+	// Report, or serve it live through telemetry.NewMonitor. Span timings
+	// are observational sidecar data and never feed back into simulation
+	// output. A nil Trace costs one predictable branch per event site and
+	// allocates nothing.
 	Trace *telemetry.Trace
 	// CollectReuse enables the reuse-distance probe: an LRU stack
 	// distance histogram over L2 block addresses of the rendered

@@ -50,7 +50,7 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		if err := reusemodel.Check(modelSpec(spec), blockEdge); err != nil {
 			// A model refusal is a protocol edge: this spec leaves the
 			// analytic path and falls back to exact replay.
-			mt.Instant("model", "exact-fallback", int64(i), spec.Name)
+			mt.Instant("exact-fallback", int64(i), spec.Name)
 			replaySpecs = append(replaySpecs, spec)
 			replayIdx = append(replayIdx, i)
 			continue
@@ -82,11 +82,9 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 	var framePixels []int64
 	results := make([]*Results, len(specs))
 	if len(replaySpecs) > 0 {
-		fb := render.Tracer.Start("exact-fallback")
 		sub := render
 		sub.FastSweep = false
 		cmp, err := runComparisonSerial(w, sub, replaySpecs, probe)
-		fb.End()
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +93,6 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 			results[i] = cmp.Results[j]
 		}
 	} else {
-		sp := render.Tracer.Start("render")
 		pt := render.Trace.Track("fast-probe")
 		rast, err := raster.New(raster.Config{
 			Width: render.Width, Height: render.Height,
@@ -110,19 +107,13 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		aspect := float64(render.Width) / float64(render.Height)
 		framePixels = make([]int64, 0, render.Frames)
 		for f := 0; f < render.Frames; f++ {
-			// Logical "probe": the bare instrumented render only exists
-			// on the all-modeled path, a deterministic property of the
-			// spec list, so it is canonical-visible.
-			fr := pt.Begin("probe", "frame", int64(f))
+			fr := pt.Begin("frame", int64(f))
 			pipeline.RenderFrame(w.Scene, w.Camera(aspect, f, render.Frames))
 			framePixels = append(framePixels, rast.Pixels())
 			fr.End()
 		}
-		sp.End()
 	}
 
-	msp := render.Tracer.Start("model")
-	defer msp.End()
 	cmp := &Comparison{
 		Workload:    w.Name,
 		Render:      render,
@@ -132,26 +123,26 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 	}
 	cmp.Reuse = probe.histogram()
 	cmp.ReuseProfile = probe.profile()
+	pr := mt.Begin("predict", int64(len(specs)))
 	attachModel(cmp, specs)
+	pr.End()
 
 	// Snapshot the probe's exact TLB filters; their stats overwrite the
 	// modeled (absent) TLB numbers below.
-	tp := render.Tracer.Start("tlb-patch")
-	tlb2 := mt.Begin("model", "tlb-patch", int64(len(specs)))
+	tp := mt.Begin("tlb-patch", int64(len(specs)))
 	tlbStats := make(map[int]cache.TLBStats)
 	for _, f := range probe.filters {
 		for _, t := range f.tlbs {
 			tlbStats[t.specIdx] = t.tlb.Stats()
 		}
 	}
-	tlb2.End()
 	tp.End()
 	for i, spec := range specs {
 		cmp.Specs[i] = spec.Name
 		if cmp.Results[i] != nil {
 			continue // replayed exactly
 		}
-		ev := mt.Begin("model", "eval", int64(i))
+		ev := mt.Begin("eval", int64(i))
 		m := &cmp.Model[i]
 		if !m.Modeled {
 			ev.End()

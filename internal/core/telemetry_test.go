@@ -97,7 +97,7 @@ func TestRunEmitsMetrics(t *testing.T) {
 	}
 }
 
-// TestRunWithoutTelemetry pins the defaults: no emitter, no tracer, no
+// TestRunWithoutTelemetry pins the defaults: no emitter, no trace, no
 // probe — nothing telemetry-shaped reaches the results.
 func TestRunWithoutTelemetry(t *testing.T) {
 	cfg := testCfg()
@@ -112,21 +112,19 @@ func TestRunWithoutTelemetry(t *testing.T) {
 }
 
 // TestSweepSpans pins the exact engine's phase spans through an
-// injected deterministic clock: one "render" span around the frame loop.
+// injected deterministic clock: one "frame" span per frame, all on the
+// "render" track — the only phase an exact-sweep manifest lists.
 func TestSweepSpans(t *testing.T) {
 	cfg := testCfg()
 	cfg.Frames = 2
-	tracer := telemetry.NewTracer(&telemetry.FakeClock{Step: 1})
-	cfg.Tracer = tracer
+	cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 1})
 	if _, err := RunComparison(workload.Village(), cfg, telemetrySpecs()[:2]); err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, s := range tracer.Spans() {
-		names = append(names, s.Name)
-	}
-	if want := []string{"render"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("spans = %v, want %v", names, want)
+	rep := cfg.Trace.Report()
+	if len(rep.Phases) != 1 || rep.Phases[0].Name != "frame" ||
+		rep.Phases[0].Count != 2 || rep.Phases[0].MaxTrack != "render" {
+		t.Errorf("phases = %+v, want 2 frame spans on the render track", rep.Phases)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"texcache/internal/telemetry"
@@ -26,28 +27,27 @@ func sweepTrace(t *testing.T, clock telemetry.Clock) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceCanonicalDeterminism: under FakeClock the export is a pure
-// function of the logical work — the "render" frame spans and per-spec
-// "replayed/" samples — so two runs of the same sweep export identical
-// bytes.
-func TestTraceCanonicalDeterminism(t *testing.T) {
+// TestTraceDeterminism: the engine records from one goroutine, so under
+// FakeClock the export — the "render" frame spans and per-spec
+// "replayed/" samples, with their clock readings — is a pure function
+// of the work, and two runs of the same sweep export identical bytes.
+func TestTraceDeterminism(t *testing.T) {
 	base := sweepTrace(t, &telemetry.FakeClock{Step: 7})
 	for _, want := range []string{
 		`"name":"frame"`, `"name":"render"`, `"replayed/pull-2k"`, `"replayed/l2-4m"`,
 	} {
 		if !bytes.Contains(base, []byte(want)) {
-			t.Fatalf("canonical export missing %s:\n%s", want, base)
+			t.Fatalf("export missing %s:\n%s", want, base)
 		}
 	}
 	if got := sweepTrace(t, &telemetry.FakeClock{Step: 7}); !bytes.Equal(got, base) {
-		t.Errorf("canonical trace differs between identical runs (%d vs %d bytes)", len(got), len(base))
+		t.Errorf("trace differs between identical runs (%d vs %d bytes)", len(got), len(base))
 	}
 }
 
-// TestTraceFastSweepCanonicalDeterminism extends the byte-identity
-// contract to the analytic engine with an exact fallback beside the
-// modeled specs.
-func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
+// TestTraceFastSweepDeterminism extends the byte-identity contract to
+// the analytic engine with an exact fallback beside the modeled specs.
+func TestTraceFastSweepDeterminism(t *testing.T) {
 	// pull-16k with 1-way L1 is outside the model's reach, forcing the
 	// exact-fallback path next to the modeled specs.
 	specs := telemetrySpecs()
@@ -68,27 +68,28 @@ func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 	}
 	base := run()
 	for _, want := range []string{
-		`"name":"exact-fallback"`, `"name":"eval"`, `"name":"tlb-patch"`, `"name":"model"`,
+		`"name":"exact-fallback"`, `"name":"eval"`, `"name":"tlb-patch"`, `"name":"predict"`,
+		`"name":"model"`, `"name":"render"`,
 	} {
 		if !bytes.Contains(base, []byte(want)) {
-			t.Fatalf("fast canonical export missing %s:\n%s", want, base)
+			t.Fatalf("fast export missing %s:\n%s", want, base)
 		}
 	}
 	if got := run(); !bytes.Equal(got, base) {
-		t.Error("fast canonical trace differs between identical runs")
+		t.Error("fast trace differs between identical runs")
 	}
 }
 
 // TestTraceFastProbePhase covers the all-modeled branch: the bare
-// instrumented render records logical "probe" frame spans, and the old
-// Tracer gains the fast-sweep phase spans PR 8 left dark.
+// instrumented render records its frames on the "fast-probe" track, and
+// the "model" track times the predictions, the TLB patch and each
+// spec's evaluation — the phases a -fast manifest lists.
 func TestTraceFastProbePhase(t *testing.T) {
 	specs := []CacheSpec{l2spec("l2-2m", 2*1024, 2, 16), l2spec("l2-4m", 2*1024, 4, 16)}
 	cfg := testCfg()
 	cfg.Frames = 3
 	cfg.FastSweep = true
 	cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 7})
-	cfg.Tracer = telemetry.NewTracer(&telemetry.FakeClock{Step: 7})
 	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
 		t.Fatal(err)
 	}
@@ -96,23 +97,23 @@ func TestTraceFastProbePhase(t *testing.T) {
 	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"name":"probe"`)) {
-		t.Fatalf("all-modeled fast sweep missing probe track:\n%s", buf.Bytes())
+	if !bytes.Contains(buf.Bytes(), []byte(`"thread_name","args":{"name":"fast-probe"}`)) {
+		t.Fatalf("all-modeled fast sweep missing fast-probe track:\n%s", buf.Bytes())
 	}
-	names := map[string]int{}
-	for _, s := range cfg.Tracer.Spans() {
-		names[s.Name]++
+	rep := cfg.Trace.Report()
+	phases := map[string]int{}
+	for _, p := range rep.Phases {
+		phases[p.Name] = p.Count
 	}
-	for _, want := range []string{"render", "model", "tlb-patch"} {
-		if names[want] == 0 {
-			t.Errorf("fast sweep Tracer missing %q span (got %v)", want, names)
-		}
+	want := map[string]int{"frame": 3, "predict": 1, "tlb-patch": 1, "eval": 2}
+	if !reflect.DeepEqual(phases, want) {
+		t.Errorf("fast sweep phases = %v, want %v", phases, want)
 	}
 }
 
-// TestTraceWallExportShape pins the wall-regime export against a
-// stepping clock: valid trace_event JSON with the engine's "render"
-// track and one "replayed/" counter track per spec.
+// TestTraceWallExportShape pins the export shape against a stepping
+// clock: valid trace_event JSON with the engine's "render" track and one
+// "replayed/" counter track per spec.
 func TestTraceWallExportShape(t *testing.T) {
 	data := sweepTrace(t, &stepTestClock{step: 1000})
 	var doc struct {
@@ -157,8 +158,8 @@ func TestTraceWallExportShape(t *testing.T) {
 	}
 }
 
-// stepTestClock advances by a fixed step per reading without
-// implementing DeterministicClock, so the trace records wall-regime.
+// stepTestClock advances by a fixed step before each reading, so no
+// timestamp is zero.
 type stepTestClock struct {
 	ns   int64
 	step int64

@@ -1,8 +1,8 @@
 // Run manifests: a sidecar record that makes every results file
 // traceable to the run that produced it — which binary configuration,
 // which environment, how much work. Manifests are observational output
-// and may carry wall-clock spans; they are never read back by the
-// simulator.
+// and may carry wall-clock phase timings; they are never read back by
+// the simulator.
 package telemetry
 
 import (
@@ -25,14 +25,16 @@ type Manifest struct {
 	Frames     int    `json:"frames"`
 	// Specs lists the cache configurations of a comparison run.
 	Specs []string `json:"specs,omitempty"`
-	// Totals aggregates the run's metric stream.
+	// Totals aggregates the run's metric stream, plus the end-of-run
+	// totals of modeled specs, which have no per-frame records.
 	Totals RunTotals `json:"totals"`
 	// Model carries the per-spec analytic-model report of a sweep run
 	// that collected a reuse profile: which specs the model covered,
 	// and its absolute error where an exact replay ran alongside.
 	Model []SpecModelError `json:"model,omitempty"`
-	// Spans carries the phase timing sidecar when a tracer was active.
-	Spans []Span `json:"spans,omitempty"`
+	// Phases is the per-phase span table of the run's textrace
+	// (Trace.Report().Phases): wall-clock sidecar data.
+	Phases []PhaseStat `json:"phases,omitempty"`
 }
 
 // SpecModelError is one sweep spec's entry in the manifest's model

@@ -33,17 +33,21 @@ func TestManifestWriteJSON(t *testing.T) {
 	m.Frames = 30
 	m.Specs = []string{"pull-16k", "l2-4m"}
 	m.Totals = RunTotals{FrameRecords: 60, TexelRefs: 1234}
-	m.Spans = []Span{{Name: "render", Start: 0, Dur: 5}}
+	m.Phases = []PhaseStat{{Name: "frame", Count: 2, TotalNS: 10, MeanNS: 5, MaxNS: 6, MaxTrack: "render"}}
 
 	var sb strings.Builder
 	if err := m.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(sb.String(), `"phases": [`) {
+		t.Errorf("manifest has no phases list:\n%s", sb.String())
+	}
 	var back Manifest
 	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v\n%s", err, sb.String())
 	}
-	if back.Tool != m.Tool || back.Totals != m.Totals || len(back.Spans) != 1 {
+	if back.Tool != m.Tool || back.Totals != m.Totals ||
+		len(back.Phases) != 1 || back.Phases[0] != m.Phases[0] {
 		t.Errorf("round trip = %+v, want %+v", back, m)
 	}
 }

@@ -8,17 +8,18 @@ import (
 )
 
 // monitorFixture builds a mid-run trace on a FakeClock: one render
-// track with an open frame, two spec progress counters, and a gauge.
+// track with an open frame, two spec progress counters, and a counter
+// the monitor reports without deriving spec progress from it.
 func monitorFixture() *Trace {
 	tr := NewTrace(&FakeClock{Step: 100})
 	k := tr.Track("render worker 0")
-	r := k.Begin("render", "frame", 0)
+	r := k.Begin("frame", 0)
 	r.End()
-	k.Begin("render", "frame", 1) // left open: mid-run
-	tr.Counter("replayed/pull-2k").Sample(1, 2)
-	tr.Counter("replayed/pull-2k").Set(2)
-	tr.Counter("replayed/l2-2m").Set(1)
-	tr.Counter("chunk-bytes-inflight").Set(512 << 10)
+	k.Begin("frame", 1) // left open: mid-run
+	tr.Counter("replayed/pull-2k").Sample(1)
+	tr.Counter("replayed/pull-2k").Sample(2)
+	tr.Counter("replayed/l2-2m").Sample(1)
+	tr.Counter("chunk-bytes-inflight").Sample(512 << 10)
 	return tr
 }
 

@@ -1,8 +1,8 @@
 // Aggregation over a recorded textrace: per-track utilization, per-phase
-// span statistics, the run's critical path, and a straggler report. The
-// pass reads the physical recording (real spans on real tracks), so it
-// is most meaningful for wall-regime traces; it is pure read-side
-// analysis and never feeds back into simulation output.
+// span statistics, the run's critical path, and a straggler report. It
+// is most meaningful for traces recorded on a WallClock; it is pure
+// read-side analysis and never feeds back into simulation output. Its
+// per-phase table is also the run manifest's "phases" list.
 package telemetry
 
 import (
@@ -23,15 +23,15 @@ type TrackUtil struct {
 // PhaseStat aggregates every closed span with one name across all
 // tracks.
 type PhaseStat struct {
-	Name     string
-	Count    int
-	TotalNS  int64
-	MeanNS   int64
-	MaxNS    int64
-	MaxTrack string
+	Name     string `json:"name"`
+	Count    int    `json:"count"`
+	TotalNS  int64  `json:"total_ns"`
+	MeanNS   int64  `json:"mean_ns"`
+	MaxNS    int64  `json:"max_ns"`
+	MaxTrack string `json:"max_track"`
 	// PctOfRun is TotalNS over the run extent; above 1 means the phase
 	// ran concurrently on several tracks.
-	PctOfRun float64
+	PctOfRun float64 `json:"pct_of_run"`
 }
 
 // CriticalStep is one span on the run's critical path.
@@ -76,8 +76,7 @@ type reportSpan struct {
 	ev    traceEvent
 }
 
-// Report aggregates the trace's physical recording. Nil trace, nil
-// report.
+// Report aggregates the trace's recording. Nil trace, nil report.
 func (t *Trace) Report() *TraceReport {
 	if t == nil {
 		return nil

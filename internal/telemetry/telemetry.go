@@ -6,16 +6,19 @@
 //
 //   - a per-frame metric stream: an Emitter interface with JSONL and CSV
 //     sinks that receives one FrameMetrics record per simulated frame and
-//     per cache configuration, in a deterministic order that is
-//     byte-identical regardless of how many replay workers produced it;
-//   - span timing: nestable phases recorded through an injectable
-//     monotonic Clock, so tests drive a FakeClock and stay deterministic
-//     while production runs confine wall-clock data to a sidecar file
-//     that never feeds simulation output;
+//     per cache configuration, in a deterministic frame-major, spec-minor
+//     order;
+//   - textrace: the one span and counter registry (textrace.go), recorded
+//     through an injectable monotonic Clock, so tests drive a FakeClock
+//     and stay deterministic while production runs confine wall-clock
+//     data to sidecar files that never feed simulation output. It
+//     aggregates into a per-phase Report, exports Chrome trace_event
+//     JSON, and is served live by the Monitor;
 //   - a reuse-distance histogram collector: an O(log n) tree-based stack
 //     distance counter over L2 block addresses (see reuse.go);
-//   - a run manifest: environment and configuration fingerprints that make
-//     every results file traceable to the run that produced it.
+//   - a run manifest: environment and configuration fingerprints, plus
+//     the textrace phase table, that make every results file traceable
+//     to the run that produced it.
 //
 // Everything here is standard library only. The simulator side of the
 // wiring lives in internal/core; the rule is that telemetry may observe

@@ -1,22 +1,16 @@
-// textrace: the concurrent, worker-attributed tracing registry. The
-// texscope Tracer (span.go) records nestable phase spans with no worker
-// identity; textrace records what every engine track is doing (the
-// exact engine's render pass, the fast sweep's probe and model) — span
+// textrace: the run's one tracing registry. It records what every
+// engine track is doing (the exact engine's "render" frames, the fast
+// sweep's "fast-probe" frames and "model" phases) — nestable span
 // tracks, counter tracks, and instant events for protocol edges (model
-// refusals) — and exports the whole run as Chrome trace_event JSON (traceevent.go) that
+// refusals) — aggregates them into a per-phase Report (report.go), and
+// exports the whole run as Chrome trace_event JSON (traceevent.go) that
 // Perfetto or chrome://tracing opens directly.
 //
-// Two regimes share one recording API, selected by the injected clock:
-//
-//   - wall regime (WallClock or any other real clock): events carry real
-//     timestamps and export on their physical tracks ("render",
-//     "fast-probe"), showing true concurrency, stalls, stragglers;
-//   - canonical regime (the clock implements DeterministicClock, as
-//     FakeClock does): the export is a pure function of the logical work
-//     performed — events regroup onto their logical tracks, timestamps
-//     are virtual positions in canonical order, and scheduling-dependent
-//     gauge samples are suppressed — so the exported bytes never depend
-//     on goroutine scheduling.
+// Events carry the injected clock's timestamps. Every engine records
+// from one goroutine, so under a FakeClock the readings — and with them
+// the exported bytes — are a pure function of the work performed; the
+// mutexes exist for readers (the live monitor, a mid-run export) that
+// run beside the recorder.
 //
 // Every type is nil-safe: a nil *Trace yields nil *Track and *Counter
 // handles whose methods do nothing and allocate nothing, so instrumented
@@ -29,18 +23,6 @@ import (
 	"sync/atomic"
 )
 
-// DeterministicClock marks a Clock whose readings are a pure function of
-// call order rather than real time. A Trace built on such a clock
-// records in the canonical regime: its export depends only on the
-// logical events recorded, never on goroutine scheduling.
-type DeterministicClock interface {
-	DeterministicClock()
-}
-
-// DeterministicClock marks FakeClock as canonical: a trace driven by a
-// FakeClock exports identical bytes however its recorders are scheduled.
-func (*FakeClock) DeterministicClock() {}
-
 // Trace is the registry of span tracks and counter tracks for one run.
 // Track and Counter return one shared instance per name, so engine
 // layers that cannot see each other (the exact engine, the fast
@@ -48,9 +30,6 @@ func (*FakeClock) DeterministicClock() {}
 type Trace struct {
 	clockMu sync.Mutex
 	clock   Clock
-	// canonical is set when clock implements DeterministicClock; it
-	// switches the export regime and suppresses Gauge samples.
-	canonical bool
 
 	mu       sync.Mutex
 	tracks   []*Track   // registration order; export sorts by name
@@ -64,18 +43,12 @@ func NewTrace(clock Clock) *Trace {
 	if clock == nil {
 		panic("telemetry: NewTrace requires a clock")
 	}
-	_, canonical := clock.(DeterministicClock)
 	return &Trace{
-		clock:     clock,
-		canonical: canonical,
-		tracksBy:  map[string]*Track{},
-		countBy:   map[string]*Counter{},
+		clock:    clock,
+		tracksBy: map[string]*Track{},
+		countBy:  map[string]*Counter{},
 	}
 }
-
-// Canonical reports whether the trace records in the canonical
-// (deterministic-export) regime. False on a nil trace.
-func (t *Trace) Canonical() bool { return t != nil && t.canonical }
 
 // now reads the clock. Clock implementations need not be goroutine-safe
 // (FakeClock mutates itself); the trace serialises access.
@@ -106,8 +79,8 @@ func (t *Trace) Track(name string) *Track {
 }
 
 // Counter returns the named counter track, creating it on first use.
-// Counters are fully concurrent: any goroutine may Add, Set, Sample or
-// Gauge. Nil trace, nil counter.
+// Counters are fully concurrent: any goroutine may Sample or read the
+// Value. Nil trace, nil counter.
 func (t *Trace) Counter(name string) *Counter {
 	if t == nil {
 		return nil
@@ -129,24 +102,20 @@ const (
 	evInstant
 )
 
-// traceEvent is one recorded span or instant. logical names the logical
-// track the event belongs to in the canonical export ("" = wall-only:
-// the event is physical-schedule detail and is dropped from canonical
-// output). seq is the event's deterministic ordering key within its
-// logical track (typically a frame or spec index); arg is an optional
-// label. dur is -1 while a span is open.
+// traceEvent is one recorded span or instant. seq is the event's
+// position in the engine's work (typically a frame or spec index); arg
+// is an optional label. dur is -1 while a span is open.
 type traceEvent struct {
-	kind    uint8
-	depth   int
-	logical string
-	name    string
-	arg     string
-	seq     int64
-	start   int64
-	dur     int64
+	kind  uint8
+	depth int
+	name  string
+	arg   string
+	seq   int64
+	start int64
+	dur   int64
 }
 
-// Track is one physical span timeline. Events are recorded by a single
+// Track is one span timeline. Events are recorded by a single
 // owning goroutine; the mutex exists so snapshots and exports can read
 // a live track safely.
 type Track struct {
@@ -166,10 +135,10 @@ type Region struct {
 	idx int
 }
 
-// Begin opens a span on the track. logical names the canonical-regime
-// track ("" records a wall-only span); seq is the deterministic order
-// key (frame index, spec index). Nil track: returns a no-op Region.
-func (k *Track) Begin(logical, name string, seq int64) Region {
+// Begin opens a span on the track; seq is the span's position in the
+// engine's work (frame index, spec index). Nil track: returns a no-op
+// Region.
+func (k *Track) Begin(name string, seq int64) Region {
 	if k == nil {
 		return Region{}
 	}
@@ -177,13 +146,12 @@ func (k *Track) Begin(logical, name string, seq int64) Region {
 	k.mu.Lock()
 	idx := len(k.events)
 	k.events = append(k.events, traceEvent{
-		kind:    evSpan,
-		depth:   len(k.open),
-		logical: logical,
-		name:    name,
-		seq:     seq,
-		start:   start,
-		dur:     -1,
+		kind:  evSpan,
+		depth: len(k.open),
+		name:  name,
+		seq:   seq,
+		start: start,
+		dur:   -1,
 	})
 	k.open = append(k.open, idx)
 	k.mu.Unlock()
@@ -217,22 +185,21 @@ func (r Region) End() {
 }
 
 // Instant records a zero-duration event (a protocol edge, such as a
-// model refusal). logical and seq follow Begin's contract;
-// arg is an optional detail label. No-op on a nil track.
-func (k *Track) Instant(logical, name string, seq int64, arg string) {
+// model refusal). seq follows Begin's contract; arg is an optional
+// detail label. No-op on a nil track.
+func (k *Track) Instant(name string, seq int64, arg string) {
 	if k == nil {
 		return
 	}
 	start := k.tr.now()
 	k.mu.Lock()
 	k.events = append(k.events, traceEvent{
-		kind:    evInstant,
-		depth:   len(k.open),
-		logical: logical,
-		name:    name,
-		arg:     arg,
-		seq:     seq,
-		start:   start,
+		kind:  evInstant,
+		depth: len(k.open),
+		name:  name,
+		arg:   arg,
+		seq:   seq,
+		start: start,
 	})
 	k.mu.Unlock()
 }
@@ -264,14 +231,13 @@ func (k *Track) status() (spans int, busy int64, open string) {
 
 // counterSample is one recorded point on a counter track.
 type counterSample struct {
-	seq   int64
 	at    int64
 	value int64
 }
 
-// Counter is one numeric track: a live atomic value (Add/Set/Value, the
-// allocation-free per-event path) plus recorded samples that become the
-// exported counter timeline (Sample/Gauge).
+// Counter is one numeric track: recorded samples that become the
+// exported counter timeline, plus the latest sample as a live atomic
+// value the monitor reads while the engine records.
 type Counter struct {
 	tr   *Trace
 	name string
@@ -279,27 +245,6 @@ type Counter struct {
 
 	mu      sync.Mutex
 	samples []counterSample
-}
-
-// Add adjusts the live value by d. Nil-safe and allocation-free: this is
-// the per-event emit path instrumented code may call at high rate.
-//
-// texlint:hotpath
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(d)
-}
-
-// Set replaces the live value.
-//
-// texlint:hotpath
-func (c *Counter) Set(v int64) {
-	if c == nil {
-		return
-	}
-	c.v.Store(v)
 }
 
 // Value reads the live value; 0 on a nil counter.
@@ -312,30 +257,17 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Sample records value as the counter's reading at deterministic
-// position seq, and makes it the live value. The value must itself be
-// deterministic (a pure function of seq, like "frames of spec S
-// replayed"): samples are exported in both regimes and are what the
-// canonical byte-identity contract pins.
-func (c *Counter) Sample(seq, value int64) {
+// Sample records value as the counter's current reading (say, "frames
+// of spec S replayed") and makes it the live value.
+func (c *Counter) Sample(value int64) {
 	if c == nil {
 		return
 	}
 	c.v.Store(value)
 	at := c.tr.now()
 	c.mu.Lock()
-	c.samples = append(c.samples, counterSample{seq: seq, at: at, value: value})
+	c.samples = append(c.samples, counterSample{at: at, value: value})
 	c.mu.Unlock()
-}
-
-// Gauge records the live value at position seq — a scheduling-dependent
-// reading (queue depth, bytes in flight), so in the canonical regime it
-// records nothing and the export stays parallelism-invariant.
-func (c *Counter) Gauge(seq int64) {
-	if c == nil || c.tr.canonical {
-		return
-	}
-	c.Sample(seq, c.v.Load())
 }
 
 // snapshotSamples copies the counter's recorded samples.

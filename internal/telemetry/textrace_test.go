@@ -10,35 +10,6 @@ import (
 	"testing"
 )
 
-// stepClock is a non-deterministic-marked test clock: each reading
-// advances by a fixed step, giving reproducible wall-regime recordings
-// without marking the trace canonical.
-type stepClock struct {
-	ns   int64
-	step int64
-}
-
-func (c *stepClock) Now() int64 {
-	c.ns += c.step
-	return c.ns
-}
-
-func TestTraceRegimeDetection(t *testing.T) {
-	if tr := NewTrace(&FakeClock{Step: 1}); !tr.Canonical() {
-		t.Fatal("FakeClock trace should be canonical")
-	}
-	if tr := NewTrace(&stepClock{step: 1}); tr.Canonical() {
-		t.Fatal("stepClock trace should be wall-regime")
-	}
-	if tr := NewTrace(NewWallClock()); tr.Canonical() {
-		t.Fatal("WallClock trace should be wall-regime")
-	}
-	var nilTrace *Trace
-	if nilTrace.Canonical() {
-		t.Fatal("nil trace is not canonical")
-	}
-}
-
 func TestTraceNewTracePanicsWithoutClock(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -55,13 +26,10 @@ func TestTextraceNilSafety(t *testing.T) {
 	if k != nil || c != nil {
 		t.Fatal("nil trace must yield nil handles")
 	}
-	r := k.Begin("render", "frame", 0)
+	r := k.Begin("frame", 0)
 	r.End()
-	k.Instant("", "publish", 1, "x")
-	c.Add(5)
-	c.Set(7)
-	c.Sample(0, 1)
-	c.Gauge(0)
+	k.Instant("exact-fallback", 1, "x")
+	c.Sample(1)
 	if c.Value() != 0 {
 		t.Fatal("nil counter Value should be 0")
 	}
@@ -84,13 +52,10 @@ func TestTextraceDisabledAllocFree(t *testing.T) {
 	k := tr.Track("render")
 	c := tr.Counter("frames")
 	allocs := testing.AllocsPerRun(1000, func() {
-		r := k.Begin("render", "frame", 3)
-		k.Instant("", "publish", 3, "")
-		c.Add(1)
-		c.Set(2)
+		r := k.Begin("frame", 3)
+		k.Instant("exact-fallback", 3, "")
 		_ = c.Value()
-		c.Sample(3, 4)
-		c.Gauge(3)
+		c.Sample(4)
 		r.End()
 	})
 	if allocs != 0 {
@@ -111,46 +76,29 @@ func TestTrackRegistryShared(t *testing.T) {
 	}
 }
 
+// TestCounterLiveValue: every Sample is recorded for the export and
+// becomes the live value the monitor reads.
 func TestCounterLiveValue(t *testing.T) {
 	tr := NewTrace(&FakeClock{Step: 1})
-	c := tr.Counter("bytes")
-	c.Add(10)
-	c.Add(-3)
+	c := tr.Counter("replayed/l2-2m")
+	if got := c.Value(); got != 0 {
+		t.Fatalf("unsampled Value = %d, want 0", got)
+	}
+	c.Sample(10)
+	c.Sample(7)
 	if got := c.Value(); got != 7 {
-		t.Fatalf("Value = %d, want 7", got)
+		t.Fatalf("Value = %d, want 7 (the latest sample)", got)
 	}
-	c.Set(42)
-	if got := c.Value(); got != 42 {
-		t.Fatalf("Value = %d, want 42", got)
-	}
-}
-
-func TestCounterGaugeSuppressedInCanonical(t *testing.T) {
-	canon := NewTrace(&FakeClock{Step: 1})
-	c := canon.Counter("depth")
-	c.Set(9)
-	c.Gauge(0)
-	if n := len(c.snapshotSamples()); n != 0 {
-		t.Fatalf("canonical Gauge recorded %d samples, want 0", n)
-	}
-	c.Sample(0, 5)
-	if n := len(c.snapshotSamples()); n != 1 {
-		t.Fatalf("canonical Sample recorded %d samples, want 1", n)
-	}
-
-	wall := NewTrace(&stepClock{step: 1})
-	wc := wall.Counter("depth")
-	wc.Set(9)
-	wc.Gauge(0)
-	s := wc.snapshotSamples()
-	if len(s) != 1 || s[0].value != 9 {
-		t.Fatalf("wall Gauge samples = %+v, want one sample of 9", s)
+	s := c.snapshotSamples()
+	if len(s) != 2 || s[0].value != 10 || s[1].value != 7 || s[1].at <= s[0].at {
+		t.Fatalf("samples = %+v, want 10 then 7 in clock order", s)
 	}
 }
 
 // TestTextraceConcurrentRecording exercises the registry under -race: N
-// goroutines each own a track and hammer shared counters while the main
-// goroutine snapshots and exports concurrently.
+// goroutines each own a track and sample shared counters while the main
+// goroutine reads them the way the live monitor and a mid-run export
+// do.
 func TestTextraceConcurrentRecording(t *testing.T) {
 	const workers = 8
 	const spans = 200
@@ -165,11 +113,10 @@ func TestTextraceConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			k := tr.Track(fmt.Sprintf("worker %d", g))
 			for i := 0; i < spans; i++ {
-				r := k.Begin("work", "frame", int64(i))
-				shared.Add(1)
-				shared.Gauge(int64(i))
-				k.Instant("", "edge", int64(i), "x")
-				tr.Counter("late").Sample(int64(i), int64(i))
+				r := k.Begin("frame", int64(i))
+				shared.Sample(int64(i) + 1)
+				k.Instant("edge", int64(i), "x")
+				tr.Counter("late").Sample(int64(i))
 				r.End()
 			}
 		}(g)
@@ -189,8 +136,11 @@ func TestTextraceConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	<-done
 
-	if got := shared.Value(); got != workers*spans {
-		t.Fatalf("shared counter = %d, want %d", got, workers*spans)
+	if got := len(shared.snapshotSamples()); got != workers*spans {
+		t.Fatalf("shared counter has %d samples, want %d", got, workers*spans)
+	}
+	if got := shared.Value(); got != spans {
+		t.Fatalf("shared counter = %d, want %d (every worker's last sample)", got, spans)
 	}
 	for g := 0; g < workers; g++ {
 		k := tr.Track(fmt.Sprintf("worker %d", g))
@@ -207,8 +157,8 @@ func TestTextraceConcurrentRecording(t *testing.T) {
 func TestTrackStatusOpenSpan(t *testing.T) {
 	tr := NewTrace(&FakeClock{Step: 5})
 	k := tr.Track("w")
-	outer := k.Begin("", "outer", 0)
-	inner := k.Begin("", "inner", 0)
+	outer := k.Begin("outer", 0)
+	inner := k.Begin("inner", 0)
 	if _, _, open := k.status(); open != "inner" {
 		t.Fatalf("open = %q, want inner", open)
 	}
@@ -229,7 +179,7 @@ func TestTrackStatusOpenSpan(t *testing.T) {
 	}
 }
 
-// TestTraceReport drives the aggregation over a hand-built wall trace
+// TestTraceReport drives the aggregation over a hand-built trace
 // with a known layout: two workers, a straggler, and a two-step
 // critical path.
 func TestTraceReport(t *testing.T) {
@@ -242,12 +192,12 @@ func TestTraceReport(t *testing.T) {
 	// a straggler (median 10, 80 > 2*10).
 	for i, d := range []int64{10, 10, 80} {
 		sc.at = [2]int64{sc.now, sc.now + d}
-		r := a.Begin("render", "frame", int64(i))
+		r := a.Begin("frame", int64(i))
 		r.End()
 	}
 	// worker b: one span [100,130) that chains after a's last end.
 	sc.at = [2]int64{100, 130}
-	r := b.Begin("render", "frame", 3)
+	r := b.Begin("frame", 3)
 	r.End()
 
 	rep := tr.Report()
@@ -324,22 +274,19 @@ func TestReportEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestChromeTraceGolden pins the canonical export bytes of a small
-// hand-built trace, then validates the same document parses as the
-// trace_event JSON-object shape Perfetto expects.
+// TestChromeTraceGolden pins the export bytes of a small hand-built
+// trace — tracks in name order, empty tracks and counters skipped,
+// clock timestamps in microseconds — then validates the same document
+// parses as the trace_event JSON-object shape Perfetto expects.
 func TestChromeTraceGolden(t *testing.T) {
-	tr := NewTrace(&FakeClock{Step: 7})
-	k := tr.Track("replay group 0")
-	r := k.Begin("render", "frame", 0)
-	r.End()
-	k.Instant("model", "exact-fallback", 1, "pull-2k")
-	// Wall-only events must not appear in the canonical export.
-	wr := k.Begin("", "replay", 0)
-	wr.End()
-	k.Instant("", "shard-publish", 0, "")
+	tr := NewTrace(&FakeClock{Step: 700})
+	tr.Track("idle")                                          // no events: skipped
+	tr.Track("model").Instant("exact-fallback", 1, "pull-2k") // at=0
+	r := tr.Track("render").Begin("frame", 0)                 // start=700
+	r.End()                                                   // end=1400
 	c := tr.Counter("replayed/pull-2k")
-	c.Sample(0, 1)
-	c.Sample(1, 2)
+	c.Sample(1)         // at=2100
+	c.Sample(2)         // at=2800
 	tr.Counter("empty") // no samples: skipped
 
 	var buf bytes.Buffer
@@ -351,28 +298,28 @@ func TestChromeTraceGolden(t *testing.T) {
 {"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"model"}},
 {"ph":"i","pid":1,"tid":1,"ts":0.000,"s":"t","name":"exact-fallback","args":{"seq":1,"detail":"pull-2k"}},
 {"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"render"}},
-{"ph":"X","pid":1,"tid":2,"ts":0.000,"dur":1.000,"name":"frame","args":{"seq":0}},
-{"ph":"C","pid":1,"tid":0,"ts":0.000,"name":"replayed/pull-2k","args":{"value":1}},
-{"ph":"C","pid":1,"tid":0,"ts":1.000,"name":"replayed/pull-2k","args":{"value":2}}
+{"ph":"X","pid":1,"tid":2,"ts":0.700,"dur":0.700,"name":"frame","args":{"seq":0}},
+{"ph":"C","pid":1,"tid":0,"ts":2.100,"name":"replayed/pull-2k","args":{"value":1}},
+{"ph":"C","pid":1,"tid":0,"ts":2.800,"name":"replayed/pull-2k","args":{"value":2}}
 ],"displayTimeUnit":"ms"}
 `
 	if got := buf.String(); got != want {
-		t.Fatalf("canonical export mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("export mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	validateChromeShape(t, buf.Bytes())
 }
 
-// TestChromeTraceWallGolden pins the wall-regime export of the same
-// recording under a reproducible step clock.
+// TestChromeTraceWallGolden pins the export of a run still recording,
+// as texsim -monitor serves it at /trace: the open span exports with
+// zero duration instead of being dropped.
 func TestChromeTraceWallGolden(t *testing.T) {
-	tr := NewTrace(&stepClock{step: 500})
-	k := tr.Track("render worker 0")
-	r := k.Begin("render", "frame", 0)    // start=500
-	r.End()                               // end=1000
-	k.Instant("", "shard-publish", 0, "") // at=1500
-	c := tr.Counter("frames-rendered")
-	c.Add(1)
-	c.Gauge(0) // at=2000, value 1
+	tr := NewTrace(&FakeClock{Step: 500})
+	k := tr.Track("render")
+	r := k.Begin("frame", 0)               // start=0
+	r.End()                                // end=500
+	k.Begin("frame", 1)                    // start=1000, left open: mid-run
+	k.Instant("edge", 1, "")               // at=1500
+	tr.Counter("replayed/l2-2m").Sample(1) // at=2000
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -380,14 +327,15 @@ func TestChromeTraceWallGolden(t *testing.T) {
 	}
 	want := `{"traceEvents":[
 {"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"textrace"}},
-{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"render worker 0"}},
-{"ph":"X","pid":1,"tid":1,"ts":0.500,"dur":0.500,"name":"frame","args":{"seq":0}},
-{"ph":"i","pid":1,"tid":1,"ts":1.500,"s":"t","name":"shard-publish","args":{"seq":0}},
-{"ph":"C","pid":1,"tid":0,"ts":2.000,"name":"frames-rendered","args":{"value":1}}
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"render"}},
+{"ph":"X","pid":1,"tid":1,"ts":0.000,"dur":0.500,"name":"frame","args":{"seq":0}},
+{"ph":"X","pid":1,"tid":1,"ts":1.000,"dur":0.000,"name":"frame","args":{"seq":1}},
+{"ph":"i","pid":1,"tid":1,"ts":1.500,"s":"t","name":"edge","args":{"seq":1}},
+{"ph":"C","pid":1,"tid":0,"ts":2.000,"name":"replayed/l2-2m","args":{"value":1}}
 ],"displayTimeUnit":"ms"}
 `
 	if got := buf.String(); got != want {
-		t.Fatalf("wall export mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("mid-run export mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	validateChromeShape(t, buf.Bytes())
 }
