@@ -47,6 +47,14 @@ func (c Counters) Sub(o Counters) Counters {
 // caller looks each reference up in it once and presents every miss to
 // each sharer through Miss. A hierarchy whose L1 is shared must never be
 // driven through Access, which would look the reference up again.
+//
+// Hierarchies that share an L1 may also share an L2 of one configuration,
+// each keeping its own TLB and byte counters. An L2's state depends only
+// on its configuration and its miss stream, which the shared L1 makes the
+// same for every sharer, and no TLB feeds back into it. The first sharer
+// is presented each miss through Miss, which accesses the L2 and returns
+// its result; every other sharer is then presented the same miss through
+// MissShared with that result, which it books without touching the L2.
 type Hierarchy struct {
 	L1  *L1Cache
 	L2  *L2Cache
@@ -76,30 +84,55 @@ func (h *Hierarchy) Access(ref Ref) {
 }
 
 // Miss is Access below the L1 lookup, for a reference that has already
-// missed in (and been filled into) a shared h.L1.
+// missed in (and been filled into) a shared h.L1. It returns the L2's
+// result for the hierarchies sharing h.L2 to book through MissShared;
+// without an L2 the result means nothing.
 //
 // texlint:hotpath
-func (h *Hierarchy) Miss(ref Ref) {
-	h.accessMiss(ref)
+func (h *Hierarchy) Miss(ref Ref) L2Result {
+	r := h.accessMiss(ref)
+	if sanitizing {
+		h.sanAccess(ref, false)
+	}
+	return r
+}
+
+// MissShared is Miss for a hierarchy that shares h.L2 with the one just
+// presented the same miss, whose L2 access returned r: it looks the page
+// up in h's own TLB and books r's bytes, leaving the L2 untouched.
+//
+// texlint:hotpath
+func (h *Hierarchy) MissShared(ref Ref, r L2Result) {
+	h.bookL2(ref, r)
 	if sanitizing {
 		h.sanAccess(ref, false)
 	}
 }
 
 // accessMiss services an L1 miss: a host download under the pull
-// architecture, otherwise an L2 access with Figure 7's byte accounting.
+// architecture, otherwise an L2 access booked by bookL2.
 //
 // texlint:hotpath
-func (h *Hierarchy) accessMiss(ref Ref) {
+func (h *Hierarchy) accessMiss(ref Ref) L2Result {
 	if h.L2 == nil {
 		// Pull architecture: download the L1 tile from system memory.
 		h.hostBytes += L1LineBytes
-		return
+		return L2FullMiss
 	}
+	r := h.L2.Access(ref.PTIndex, ref.Sub)
+	h.bookL2(ref, r)
+	return r
+}
+
+// bookL2 applies Figure 7's rules to an L1 miss whose L2 access returned
+// r: the TLB lookup of its page, and the bytes r moves.
+//
+// texlint:hotpath
+func (h *Hierarchy) bookL2(ref Ref, r L2Result) {
 	if h.TLB != nil {
 		h.TLB.Lookup(ref.PTIndex)
 	}
-	switch h.L2.Access(ref.PTIndex, ref.Sub) {
+	switch r {
 	case L2FullHit:
 		// Load the L1 sub-block from L2 cache memory into L1.
 		h.l2ReadBytes += L1LineBytes

@@ -107,8 +107,11 @@ type L1Cache struct {
 	tags []uint64
 	// lastUse[line] orders lines for LRU victim selection within a set.
 	lastUse []uint64
-	tick    uint64
-	stats   L1Stats
+	// hashes[line] is the line's set hash, kept only by a chained cache
+	// with a larger successor, which indexes the line by it (chain.go).
+	hashes []uint32
+	tick   uint64
+	stats  L1Stats
 }
 
 const invalidTag = ^uint64(0)

@@ -14,11 +14,14 @@
 // traces back to a recorded fill. Any panic below indicates a simulator
 // bug, never a legal stream.
 //
-// The sanitizer assumes the Hierarchy is the sole driver of its L2 and
-// TLB, that each hierarchy sharing an L1 is presented every miss of it,
-// and that the address translation feeding it maps each L1 tag to a fixed
-// <page-table index, sub-block> pair for the life of the run, as the
-// simulator's precomputed tilings guarantee.
+// The sanitizer assumes the Hierarchy is the sole driver of its TLB, that
+// each hierarchy sharing an L1 is presented every miss of it, that the
+// hierarchies sharing an L2 also share one L1 (so each is presented every
+// access of the L2, through Miss or MissShared), and that the address
+// translation feeding it maps each L1 tag to a fixed <page-table index,
+// sub-block> pair for the life of the run, as the simulator's
+// precomputed tilings guarantee. The L2 delivers each eviction to every
+// hierarchy on it, since each retires its own fills.
 
 package cache
 
@@ -43,23 +46,27 @@ type sanState struct {
 	shadow map[uint64]shadowEntry
 	// stale holds tags whose backing block was evicted after the fill;
 	// their L1 lines are legal but no longer verifiable against L2.
-	stale    map[uint64]bool
+	stale map[uint64]bool
+	// evicted accumulates the page-table indices the L2 invalidated, by
+	// clock replacement or DeleteTexture, since this hierarchy's last
+	// deep scan.
+	evicted  map[uint32]bool
 	accesses int64
 }
 
 // l2San is the L2-level sanitizer state.
 type l2San struct {
-	// evicted accumulates page-table indices invalidated by clock
-	// replacement or DeleteTexture since the last deep scan.
-	evicted map[uint32]bool
+	// sharers holds the state of every hierarchy on this L2, each of
+	// which is told of every eviction.
+	sharers []*sanState
 }
 
-// noteEvict records that a page-table entry lost its physical block.
+// noteEvict records, for every hierarchy on the L2, that a page-table
+// entry lost its physical block.
 func (s *l2San) noteEvict(pt uint32) {
-	if s.evicted == nil {
-		s.evicted = make(map[uint32]bool)
+	for _, sh := range s.sharers {
+		sh.evicted[pt] = true
 	}
-	s.evicted[pt] = true
 }
 
 // sanAccess runs after every hierarchy access: it records L1 fills in the
@@ -70,6 +77,10 @@ func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool) {
 	if s.shadow == nil {
 		s.shadow = make(map[uint64]shadowEntry)
 		s.stale = make(map[uint64]bool)
+		s.evicted = make(map[uint32]bool)
+		if h.L2 != nil {
+			h.L2.san.sharers = append(h.L2.san.sharers, s)
+		}
 	}
 	if !l1Hit && h.L2 != nil {
 		if old, ok := s.shadow[ref.L1.Tag]; ok && (old.pt != ref.PTIndex || old.sub != ref.Sub) {
@@ -155,14 +166,14 @@ func (h *Hierarchy) sanDeep() {
 	}
 	// Retire fills whose backing block was evicted or deallocated since
 	// the last scan: their L1 lines are legally stale.
-	if ev := h.L2.san.evicted; len(ev) > 0 {
+	if ev := h.san.evicted; len(ev) > 0 {
 		for tag, se := range h.san.shadow {
 			if ev[se.pt] {
 				delete(h.san.shadow, tag)
 				h.san.stale[tag] = true
 			}
 		}
-		h.L2.san.evicted = nil
+		clear(ev)
 	}
 	// Weak inclusion: every recorded fill that survived eviction must
 	// still be resident in L2 (sector bits only clear on eviction).

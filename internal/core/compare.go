@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"texcache/internal/cache"
 	"texcache/internal/raster"
@@ -60,10 +61,16 @@ type layoutXlate struct {
 	sub uint8
 }
 
-// specState pairs a hierarchy with its layout translator index.
+// specState pairs a hierarchy with its layout translator index and the
+// L2 it may share.
 type specState struct {
 	hier      *cache.Hierarchy
 	layoutIdx int // -1 when no L2
+	// owner is the index of the spec whose hierarchy accesses the L2
+	// this one shares, or -1 when this one accesses its own L2.
+	owner int
+	// result is this spec's last L2 result, which its sharers book.
+	result cache.L2Result
 }
 
 // l1Group is one distinct L1 geometry of a sweep: a single L1 cache that
@@ -74,26 +81,39 @@ type l1Group struct {
 	backed  bool  // some member has an L2
 }
 
+// l1Chain holds the groups of one associativity, smallest first, whose
+// L1s one cache.L1Chain looks up.
+type l1Chain struct {
+	l1     *cache.L1Chain
+	groups []l1Group
+}
+
 // multiSink fans one texel reference stream out to several hierarchies.
-// It looks each distinct L1 geometry up once per reference and translates
-// the L2 layouts only when an L2-backed group misses. Before any
-// translation it books as batched hits a repeat of the last L1 line, which
-// hits everywhere and reorders nothing, and a return to the line before
-// it, which hits in every L1 of at least 2 ways: one distinct fill cannot
-// evict the most recent line of an LRU set. Lines are keyed as
-// <tid, mip, u/4, v/4>; every L1 tile is 4x4, so a key names one L1 line.
+// It looks each distinct L1 geometry up at most once per reference,
+// chaining the geometries of one associativity so that a lookup stops at
+// the first (smallest) L1 that hits, translates the L2 layouts only when
+// an L2-backed group misses, and accesses each distinct L2 of a group
+// once per miss. Before any translation it books as batched hits a
+// repeat of the last L1 line, which hits everywhere and reorders
+// nothing, and a return to the line before it, which hits in every L1 of
+// at least 2 ways: one distinct fill cannot evict the most recent line
+// of an LRU set. Lines are keyed as <tid, mip, u/4, v/4>; every L1 tile
+// is 4x4, so a key names one L1 line.
 type multiSink struct {
 	canon   []*texture.Tiling
 	layouts []*layoutXlate
 	specs   []specState
-	groups  []l1Group
+	chains  []l1Chain
 	collect *stats.Collector
 	reuse   *reuseProbe
-	// The two most recent distinct lines, and the hits settle has yet to book.
-	lastKey, prevKey      uint64
-	lastRef, prevRef      cache.L1Ref
-	repeats, alternations int64
-	alternate             bool // every group has >= 2 ways
+	// The two most recent distinct lines, the batched hits settle has yet
+	// to book, and whether an odd alternation run left the L1s ranking
+	// prevRef above lastRef.
+	lastKey, prevKey uint64
+	lastRef, prevRef cache.L1Ref
+	batched          int64
+	swapped          bool
+	alternate        bool // every group has >= 2 ways
 }
 
 // Texel presents one reference to every hierarchy and optional collector.
@@ -103,9 +123,10 @@ func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 	key := uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
 	switch {
 	case key == s.lastKey:
-		s.repeats++
+		s.batched++
 	case key == s.prevKey && s.alternate:
-		s.alternations++
+		s.batched++
+		s.swapped = !s.swapped
 		s.lastKey, s.prevKey = s.prevKey, s.lastKey
 		s.lastRef, s.prevRef = s.prevRef, s.lastRef
 	default:
@@ -120,11 +141,14 @@ func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 }
 
 // lookup looks a reference to a line other than the last two up in each
-// group's L1, presenting a miss to every member of the group.
+// chain, presenting a miss to every member of each group that missed.
+// Members sharing an L2 book its first member's result.
 //
 // texlint:hotpath
 func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
-	s.settle()
+	if s.swapped {
+		s.unswap()
+	}
 	a := s.canon[tid].Addr(u, v, m)
 	l1 := cache.L1Ref{
 		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
@@ -133,48 +157,65 @@ func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
 	s.prevKey, s.prevRef = s.lastKey, s.lastRef
 	s.lastKey, s.lastRef = key, l1
 	translated := false
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		if g.l1.Access(l1) {
-			continue
-		}
-		if g.backed && !translated {
-			for _, lx := range s.layouts {
-				b := lx.tilings[tid].Addr(u, v, m)
-				lx.pt, lx.sub = lx.starts[tid]+b.L2, uint8(b.L1)
+	for ci := range s.chains {
+		ch := &s.chains[ci]
+		missed := ch.groups[:ch.l1.Lookup(l1)]
+		for gi := range missed {
+			g := &missed[gi]
+			if g.backed && !translated {
+				for _, lx := range s.layouts {
+					b := lx.tilings[tid].Addr(u, v, m)
+					lx.pt, lx.sub = lx.starts[tid]+b.L2, uint8(b.L1)
+				}
+				translated = true
 			}
-			translated = true
-		}
-		for _, i := range g.members {
-			sp := &s.specs[i]
-			ref := cache.Ref{L1: l1}
-			if sp.layoutIdx >= 0 {
-				lx := s.layouts[sp.layoutIdx]
-				ref.PTIndex, ref.Sub = lx.pt, lx.sub
+			for _, i := range g.members {
+				sp := &s.specs[i]
+				ref := cache.Ref{L1: l1}
+				if sp.layoutIdx >= 0 {
+					lx := s.layouts[sp.layoutIdx]
+					ref.PTIndex, ref.Sub = lx.pt, lx.sub
+				}
+				if sp.owner < 0 {
+					sp.result = sp.hier.Miss(ref)
+				} else {
+					sp.hier.MissShared(ref, s.specs[sp.owner].result)
+				}
 			}
-			sp.hier.Miss(ref)
 		}
 	}
 }
 
-// settle books the batched hits before each real lookup and each frame's
-// counter read. After an odd alternation run the L1s rank prevRef above
-// lastRef, the line referenced last, so one batched hit becomes a real
-// access to lastRef: a guaranteed hit that restores the order.
+// unswap makes the one real lookup an odd alternation run owes. After
+// the run the L1s rank prevRef above lastRef, the line referenced last,
+// so one batched hit becomes a lookup of lastRef: a guaranteed hit in
+// every L1, which restores the order.
 //
 // texlint:hotpath
-func (s *multiSink) settle() {
-	if s.repeats+s.alternations == 0 {
-		return
-	}
-	odd := s.alternations & 1
-	for _, g := range s.groups {
-		g.l1.RecordHits(s.repeats + s.alternations - odd)
-		if odd == 1 && !g.l1.Access(s.lastRef) {
+func (s *multiSink) unswap() {
+	for i := range s.chains {
+		if s.chains[i].l1.Lookup(s.lastRef) != 0 {
 			panic("core: batched alternation missed in L1")
 		}
 	}
-	s.repeats, s.alternations = 0, 0
+	s.batched--
+	s.swapped = false
+}
+
+// settle books what the L1 counters owe before each frame's counter
+// read: the batched hits, and the hits each chain's lookups skipped.
+//
+// texlint:hotpath
+func (s *multiSink) settle() {
+	if s.swapped {
+		s.unswap()
+	}
+	for i := range s.chains {
+		ch := s.chains[i].l1
+		ch.RecordHits(s.batched)
+		ch.Book()
+	}
+	s.batched = 0
 }
 
 // specConfig merges one CacheSpec into the render configuration, yielding
@@ -219,7 +260,9 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 // buildMultiSink builds the fan-out sink the exact engine drives: one
 // hierarchy per spec (readable through sink.specs, parallel to specs),
 // with one L1 per distinct L1 geometry shared by its specs' hierarchies,
-// and one translator per distinct L2 layout, however many specs use it.
+// the geometries of each associativity chained smallest first, one L2
+// per distinct L2 configuration within a geometry, and one translator
+// per distinct L2 layout, however many specs use it.
 func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 	sink := &multiSink{
 		canon:     set.Tilings(texture.CanonicalL1()),
@@ -228,12 +271,17 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 		alternate: true,
 	}
 	sink.specs = make([]specState, 0, len(specs))
-	// Every spec contributes at most one layout, so len(specs) bounds the
-	// deduplicated layout table.
+	// Every spec contributes at most one layout, group and chain, so
+	// len(specs) bounds each deduplicated table.
 	sink.layouts = make([]*layoutXlate, 0, len(specs))
-	sink.groups = make([]l1Group, 0, len(specs))
+	groups := make([]l1Group, 0, len(specs))
 	layoutIndex := map[texture.TileLayout]int{}
 	groupIndex := map[[2]int]int{} // keyed by L1 bytes and ways
+	type l2Key struct {
+		group int
+		cfg   cache.L2Config
+	}
+	l2Owner := map[l2Key]int{}
 
 	for i, spec := range specs {
 		ways := spec.L1Ways
@@ -247,15 +295,15 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
 			}
-			gi = len(sink.groups)
-			sink.groups = append(sink.groups, l1Group{l1: l1})
+			gi = len(groups)
+			groups = append(groups, l1Group{l1: l1})
 			groupIndex[geom] = gi
 			sink.alternate = sink.alternate && ways >= 2
 		}
-		g := &sink.groups[gi]
+		g := &groups[gi]
 		g.members = append(g.members, i)
 		hier := &cache.Hierarchy{L1: g.l1}
-		layoutIdx := -1
+		st := specState{hier: hier, layoutIdx: -1, owner: -1}
 		if spec.L2 != nil {
 			g.backed = true
 			l2cfg := *spec.L2
@@ -274,17 +322,53 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 				})
 				layoutIndex[l2cfg.Layout] = idx
 			}
-			layoutIdx = idx
-			l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
-			if err != nil {
-				return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+			st.layoutIdx = idx
+			key := l2Key{gi, l2cfg}
+			if owner, ok := l2Owner[key]; ok {
+				st.owner = owner
+				hier.L2 = sink.specs[owner].hier.L2
+			} else {
+				l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
+				if err != nil {
+					return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+				}
+				hier.L2 = l2
+				l2Owner[key] = i
 			}
-			hier.L2 = l2
 			if spec.TLBEntries > 0 {
 				hier.TLB = cache.NewTLB(spec.TLBEntries)
 			}
 		}
-		sink.specs = append(sink.specs, specState{hier: hier, layoutIdx: layoutIdx})
+		sink.specs = append(sink.specs, st)
+	}
+
+	// Chain the groups of each associativity, in order of first
+	// appearance, smallest L1 first.
+	sink.chains = make([]l1Chain, 0, len(groups))
+	chainIndex := map[int]int{} // keyed by ways
+	for _, g := range groups {
+		ci, ok := chainIndex[g.l1.Ways()]
+		if !ok {
+			ci = len(sink.chains)
+			sink.chains = append(sink.chains, l1Chain{groups: make([]l1Group, 0, len(groups))})
+			chainIndex[g.l1.Ways()] = ci
+		}
+		sink.chains[ci].groups = append(sink.chains[ci].groups, g)
+	}
+	for ci := range sink.chains {
+		ch := &sink.chains[ci]
+		sort.Slice(ch.groups, func(a, b int) bool {
+			return ch.groups[a].l1.SizeBytes() < ch.groups[b].l1.SizeBytes()
+		})
+		l1s := make([]*cache.L1Cache, 0, len(ch.groups))
+		for _, g := range ch.groups {
+			l1s = append(l1s, g.l1)
+		}
+		l1, err := cache.NewL1Chain(l1s...)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		ch.l1 = l1
 	}
 	return sink, nil
 }

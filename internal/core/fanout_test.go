@@ -9,9 +9,11 @@ import (
 
 // fanoutSpecPool is the configuration space the fan-out fuzzer draws its
 // spec lists from: shared and unshared L1 geometries (direct-mapped,
-// 2-way, 4-way, fully associative, a 1 KB L1), pull and L2-backed
-// members of one geometry, every replacement policy, three L2 tile edges,
-// and no sector mapping. The L2s are tiny, so the synthetic stream evicts.
+// 2-way, 4-way, fully associative, a 1 KB L1), chains of 1, 2 and 4 KB
+// 2-way L1s and of 4 and 8 KB 4-way ones, pull and L2-backed members of
+// one geometry, two members sharing one L2 behind different TLBs, every
+// replacement policy, three L2 tile edges, and no sector mapping. The L2s
+// are tiny, so the synthetic stream evicts.
 func fanoutSpecPool() []CacheSpec {
 	l2 := func(kb, edge int, p cache.PolicyKind, noSector bool) *cache.L2Config {
 		return &cache.L2Config{
@@ -32,15 +34,24 @@ func fanoutSpecPool() []CacheSpec {
 		{Name: "l2-1k-full", L1Bytes: 1 << 10, L1Ways: 16, L2: l2(16, 16, cache.Clock, false)},
 		{Name: "pull-2k-direct", L1Bytes: 2 << 10, L1Ways: 1},
 		{Name: "l2-2k-direct", L1Bytes: 2 << 10, L1Ways: 1, L2: l2(16, 16, cache.TrueLRU, false), TLBEntries: 4},
+		{Name: "pull-4k", L1Bytes: 4 << 10},
+		{Name: "pull-8k-4way", L1Bytes: 8 << 10, L1Ways: 4},
+		{Name: "l2-2k-tlb-1", L1Bytes: 2 << 10, L2: l2(16, 16, cache.Clock, false), TLBEntries: 1},
 	}
 }
 
 // Spec-pool masks for the seed corpus.
 const (
-	poolAssociative = 0x0FF // every spec with at least 2 L1 ways
-	poolDirect      = 0x303 // direct-mapped L1s beside 2-way ones
-	poolFull        = 0x0C1 // fully associative L1s beside one 2-way
-	poolAll         = 0x3FF
+	poolAssociative = 0x1CFF // every spec with at least 2 L1 ways
+	poolDirect      = 0x303  // direct-mapped L1s beside 2-way ones
+	poolFull        = 0x0C1  // fully associative L1s beside one 2-way
+	poolAll         = 0x1FFF
+	// The 1, 2 and 4 KB 2-way chain, the 4 and 8 KB 4-way chain, and
+	// l2-2k's L2 shared with l2-2k-tlb-1.
+	poolChains = 0x1C33
+	// A direct-mapped chain of one beside the 2-way chain and the
+	// shared L2.
+	poolChainsDirect = 0x1713
 )
 
 // Fan-out fuzzer opcodes: each takes the next byte as its argument.
@@ -137,9 +148,9 @@ func (s *fanoutStream) run(prog []byte) {
 // the oracle, one unshared addrSink hierarchy per spec with the same
 // texel stream, and requires equal counters for every spec at every
 // frame boundary. The spec list is any non-empty subset of
-// fanoutSpecPool, so L1 sharing, lazy L2 translation, and repeat and
-// alternation batching (on, or off beside a direct-mapped L1) all meet
-// arbitrary stream shapes.
+// fanoutSpecPool, so L1 sharing, L1 chains, L2 sharing, lazy L2
+// translation, and repeat and alternation batching (on, or off beside a
+// direct-mapped L1) all meet arbitrary stream shapes.
 func FuzzFanoutMatchesPerSpec(f *testing.F) {
 	long := []byte{opRepeat, 255, opRepeat, 255, opStep, 0x1B, opRepeat, 200, opFrame, 0}
 	sameSet := []byte{opPingSet, 30, opStep, 0x12, opPingSet, 31, opPingSet, 0, opFrame, 0,
@@ -171,6 +182,12 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 		{poolFull, spanFrame},
 		{poolAssociative, walk},
 		{poolAll, walk},
+		{poolChains, sameSet},
+		{poolChains, crossSet},
+		{poolChains, spanFrame},
+		{poolChains, walk},
+		{poolChainsDirect, crossSet},
+		{poolChainsDirect, walk},
 	} {
 		f.Add(seed.mask, seed.prog)
 	}
@@ -228,42 +245,4 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 		}
 		s.run(prog)
 	})
-}
-
-// TestFanoutSharesL1PerGeometry pins the sink's structure: specs group by
-// L1 size and effective associativity (0 and 2 ways are one geometry),
-// each group's hierarchies share its L1, and a direct-mapped group turns
-// alternation batching off.
-func TestFanoutSharesL1PerGeometry(t *testing.T) {
-	set := texture.NewSet()
-	set.Register(texture.MustNew("a", 64, 64, texture.RGBA8888, nil))
-	set.MustPrepare(texture.CanonicalL1())
-	pool := fanoutSpecPool()
-
-	sink, err := buildMultiSink(set, pool[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.groups) != 1 || len(sink.groups[0].members) != 4 || !sink.groups[0].backed {
-		t.Fatalf("2 KB specs: groups %+v, want one L2-backed group of 4", sink.groups)
-	}
-	for i, sp := range sink.specs {
-		if sp.hier.L1 != sink.groups[0].l1 {
-			t.Errorf("spec %d does not share the group's L1", i)
-		}
-	}
-	if !sink.alternate {
-		t.Error("alternation batching off with every L1 at 2 ways")
-	}
-
-	sink, err = buildMultiSink(set, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.groups) != 5 {
-		t.Errorf("full pool: %d groups, want 5", len(sink.groups))
-	}
-	if sink.alternate {
-		t.Error("alternation batching on beside a direct-mapped L1")
-	}
 }

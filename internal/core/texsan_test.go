@@ -70,7 +70,9 @@ func TestTexsanVillagePullArchitecture(t *testing.T) {
 // sanitizer: pull, L2 and TLB variants share one 2 KB L1, so every
 // sharing hierarchy's identities must hold when it sees only the misses
 // of an L1 it does not drive. The 512 KB L2 spills, so the weak-inclusion
-// scan retires evicted fills.
+// scan retires evicted fills, and l2-512k-tlb-2 shares that L2 (as tlb-1
+// shares l2-2m's), so each of its hierarchies must be told of every
+// eviction, including those the other hierarchy's access caused.
 func TestTexsanSweepFanout(t *testing.T) {
 	render := sanConfig(6)
 	base := *render.L2
@@ -85,6 +87,7 @@ func TestTexsanSweepFanout(t *testing.T) {
 		{Name: "l2-512k", L1Bytes: 2 << 10, L2: l2(512<<10, false)},
 		{Name: "l2-512k-nosector", L1Bytes: 2 << 10, L2: l2(512<<10, true)},
 		{Name: "tlb-1", L1Bytes: 2 << 10, L2: l2(2<<20, false), TLBEntries: 1},
+		{Name: "l2-512k-tlb-2", L1Bytes: 2 << 10, L2: l2(512<<10, false), TLBEntries: 2},
 	}
 	cmp, err := RunComparison(workload.Village(), render, specs)
 	if err != nil {

@@ -331,13 +331,14 @@ func (r *Rasterizer) shadePixel(t *triState, px, py float64, idx int) {
 	dvdx := (t.gv.a - v*t.giw.a) * wRecip
 	dudy := (t.gu.b - u*t.giw.b) * wRecip
 	dvdy := (t.gv.b - v*t.giw.b) * wRecip
-	rho := maxf(math.Hypot(dudx, dvdx), math.Hypot(dudy, dvdy))
-	var lambda float64
-	if rho > 0 {
-		lambda = math.Log2(rho)
+	var l lod
+	if r.color != nil {
+		l = exactLOD(lambdaOf(dudx, dvdx, dudy, dvdy))
+	} else {
+		l = footprintLOD(dudx, dvdx, dudy, dvdy)
 	}
 
-	col := r.sampleAndEmit(t.tex, u, v, lambda)
+	col := r.sampleAndEmit(t.tex, u, v, l)
 
 	if pass {
 		r.depth[idx] = z
@@ -347,31 +348,92 @@ func (r *Rasterizer) shadePixel(t *triState, px, py float64, idx int) {
 	}
 }
 
+// lod is a pixel's level of detail λ = log2 ρ, where ρ is the longer of
+// its footprint's two axis lengths, in the forms sampling reads.
+type lod struct {
+	floor   int     // ⌊λ⌋, the finer trilinear level
+	round   int     // λ rounded half away from zero: the point and bilinear level
+	magnify bool    // λ ≤ 0
+	frac    float64 // λ − ⌊λ⌋, the trilinear blend weight; only exactLOD sets it
+}
+
+// lambdaOf is λ = log2 max(|(dudx, dvdx)|, |(dudy, dvdy)|), or 0 for a
+// zero footprint: the exact expression footprintLOD reproduces.
+//
+// texlint:hotpath
+func lambdaOf(dudx, dvdx, dudy, dvdy float64) float64 {
+	rho := maxf(math.Hypot(dudx, dvdx), math.Hypot(dudy, dvdy))
+	if rho > 0 {
+		return math.Log2(rho)
+	}
+	return 0
+}
+
+// exactLOD reduces an exact λ to every form sampling reads.
+//
+// texlint:hotpath
+func exactLOD(lambda float64) lod {
+	fl := math.Floor(lambda)
+	return lod{
+		floor:   int(fl),
+		round:   int(math.Round(lambda)),
+		magnify: lambda <= 0,
+		frac:    lambda - fl,
+	}
+}
+
+// footprintLOD is exactLOD(lambdaOf(...)) without the blend weight and
+// mostly without the logarithm. ⌊λ⌋, round λ and λ ≤ 0 change only where
+// ρ crosses 2^(k/2), that is where ρ² = max(dudx²+dvdx², dudy²+dvdy²)
+// crosses a power of two, so away from those points they follow from
+// ρ²'s binary exponent e alone: ρ² ∈ (2^e, 2^(e+1)) puts λ in
+// (e/2, (e+1)/2), so ⌊λ⌋ = ⌊e/2⌋, round λ = ⌊(e+1)/2⌋, and λ ≤ 0
+// exactly when e < 0. Near a crossing, math.Log2's own rounding decides
+// the level, so when ρ² is within 2^-30 (relative) of a power of two, or
+// zero, subnormal or not finite, it falls back to the exact expression.
+//
+// texlint:hotpath
+func footprintLOD(dudx, dvdx, dudy, dvdy float64) lod {
+	sx := dudx*dudx + dvdx*dvdx
+	sy := dudy*dudy + dvdy*dvdy
+	bits := math.Float64bits(maxf(sx, sy))
+	exp := int(bits>>52) & 0x7FF
+	top := bits >> 22 & (1<<30 - 1) // the 30 high mantissa bits
+	// sx+sy is finite only if all four derivatives and both sums are.
+	if !(sx+sy <= math.MaxFloat64) || exp == 0 || top == 0 || top == 1<<30-1 {
+		return exactLOD(lambdaOf(dudx, dvdx, dudy, dvdy))
+	}
+	e := exp - 1023
+	return lod{floor: e >> 1, round: (e + 1) >> 1, magnify: e < 0}
+}
+
 // sampleAndEmit performs the configured filtering: it emits every texel
 // reference to the sink and returns the filtered colour (valid only when a
 // framebuffer is attached; otherwise the value is unused).
-func (r *Rasterizer) sampleAndEmit(tex *texture.Texture, u, v, lambda float64) texture.RGBA {
+func (r *Rasterizer) sampleAndEmit(tex *texture.Texture, u, v float64, l lod) texture.RGBA {
 	switch r.cfg.Mode {
 	case Point:
-		m := tex.ClampLevel(int(math.Round(lambda)))
+		m := tex.ClampLevel(l.round)
 		return r.pointSample(tex, u, v, m)
 	case Bilinear:
-		m := tex.ClampLevel(int(math.Round(lambda)))
+		m := tex.ClampLevel(l.round)
 		return r.bilinearSample(tex, u, v, m)
 	case Trilinear:
-		if lambda <= 0 {
+		if l.magnify {
 			// Magnification: a single bilinear fetch at the base level.
 			return r.bilinearSample(tex, u, v, 0)
 		}
-		m0 := tex.ClampLevel(int(math.Floor(lambda)))
+		m0 := tex.ClampLevel(l.floor)
 		m1 := tex.ClampLevel(m0 + 1)
 		c0 := r.bilinearSample(tex, u, v, m0)
 		if m1 == m0 {
 			return c0
 		}
 		c1 := r.bilinearSample(tex, u, v, m1)
-		frac := lambda - math.Floor(lambda)
-		return lerpColor(c0, c1, frac)
+		if r.color == nil {
+			return c1
+		}
+		return lerpColor(c0, c1, l.frac)
 	default:
 		panic(fmt.Sprintf("raster: unknown sample mode %d", int(r.cfg.Mode)))
 	}
