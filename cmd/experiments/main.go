@@ -17,8 +17,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -30,27 +32,54 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	exp := flag.String("exp", "all", "experiment id, 'all', or 'list'")
-	scaleName := flag.String("scale", "reduced", "bench | reduced | full")
-	out := flag.String("o", "", "write output to file instead of stdout")
-	parallel := flag.Int("parallel", 0,
+// errWriter keeps the first error its writer returns. The experiments
+// print their tables without checking each write, so run checks this
+// after every experiment and fails instead of losing a table.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
+}
+
+// run is the whole command: it parses args, writes tables to stdout (or
+// -o) and diagnostics to stderr, and returns the exit status — 2 for a
+// usage error, 1 for a failed run or a table that could not be written.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id, 'all', or 'list'")
+	scaleName := fs.String("scale", "reduced", "bench | reduced | full")
+	out := fs.String("o", "", "write output to file instead of stdout")
+	parallel := fs.Int("parallel", 0,
 		"with -exp all: simulation runs to prefetch concurrently (0 = GOMAXPROCS, -1 = no prefetch)")
-	fast := flag.Bool("fast", false,
+	fast := fs.Bool("fast", false,
 		"analytic cache sweeps: predict model-reachable specs from one reuse-profile pass; per-frame figures then report totals only")
-	csvDir := flag.String("csv", "", "also export per-frame figure series as CSV into this directory")
-	metricsPath := flag.String("metrics", "", "write every run's per-frame metric stream here (.csv = CSV, else JSONL)")
-	manifestPath := flag.String("manifest", "", "write a run manifest (config hash, environment, totals) here")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
-	memprofile := flag.String("memprofile", "", "write a heap profile here")
-	flag.Parse()
+	csvDir := fs.String("csv", "", "also export per-frame figure series as CSV into this directory")
+	metricsPath := fs.String("metrics", "", "write every run's per-frame metric stream here (.csv = CSV, else JSONL)")
+	manifestPath := fs.String("manifest", "", "write a run manifest (config hash, environment, totals) here")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile here")
+	memprofile := fs.String("memprofile", "", "write a heap profile here")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *exp == "list" {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-16s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
@@ -64,29 +93,40 @@ func run() int {
 	case "full":
 		scale = experiments.Full()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
+		fmt.Fprintf(stderr, "unknown scale %q\n", *scaleName)
 		return 2
 	}
 
-	w := os.Stdout
+	todo := experiments.All()
+	if *exp != "all" {
+		e, ok := experiments.ByID(*exp)
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q; try -exp list\n", *exp)
+			return 2
+		}
+		todo = []experiments.Experiment{e}
+	}
+
+	w := &errWriter{w: stdout}
+	var outFile *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer func() { _ = f.Close() }()
-		w = f
+		defer func() { _ = f.Close() }() // for the early returns; success closes and checks below
+		outFile, w.w = f, f
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -95,12 +135,12 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 			_ = f.Close()
 		}()
@@ -115,7 +155,7 @@ func run() int {
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		bw := bufio.NewWriter(f)
@@ -145,49 +185,41 @@ func run() int {
 		ctx.Metrics = telemetry.Tee(emitters...)
 	}
 
-	run := func(e experiments.Experiment) int {
+	if *exp == "all" && *parallel >= 0 {
 		start := time.Now() //texlint:ignore determinism progress timing on stderr only
-		if err := e.Run(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+		if err := ctx.Prefetch(*parallel); err != nil {
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		//texlint:ignore determinism progress timing on stderr only
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
-		return 0
+		fmt.Fprintf(stderr, "[prefetch done in %v]\n", time.Since(start).Round(time.Millisecond))
 	}
-
-	if *exp == "all" {
-		if *parallel >= 0 {
-			start := time.Now() //texlint:ignore determinism progress timing on stderr only
-			if err := ctx.Prefetch(*parallel); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			//texlint:ignore determinism progress timing on stderr only
-			fmt.Fprintf(os.Stderr, "[prefetch done in %v]\n", time.Since(start).Round(time.Millisecond))
+	for _, e := range todo {
+		start := time.Now() //texlint:ignore determinism progress timing on stderr only
+		if err := e.Run(ctx); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.ID, err)
+			return 1
 		}
-		for _, e := range experiments.All() {
-			if rc := run(e); rc != 0 {
-				return rc
-			}
+		if w.err != nil {
+			fmt.Fprintf(stderr, "experiments: writing %s: %v\n", e.ID, w.err)
+			return 1
 		}
-	} else {
-		e, ok := experiments.ByID(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -exp list\n", *exp)
-			return 2
-		}
-		if rc := run(e); rc != 0 {
-			return rc
+		//texlint:ignore determinism progress timing on stderr only
+		fmt.Fprintf(stderr, "[%s done in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
+			fmt.Fprintln(stderr, "experiments: writing output:", err)
+			return 1
 		}
 	}
-	if rc := exportCSV(ctx, *csvDir); rc != 0 {
+	if rc := exportCSV(ctx, *csvDir, stderr); rc != 0 {
 		return rc
 	}
 
 	if flushMetrics != nil {
 		if err := flushMetrics(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: writing metrics:", err)
+			fmt.Fprintln(stderr, "experiments: writing metrics:", err)
 			return 1
 		}
 	}
@@ -201,30 +233,30 @@ func run() int {
 		m.Totals = totals.T
 		f, err := os.Create(*manifestPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := m.WriteJSON(f); err != nil {
 			_ = f.Close()
-			fmt.Fprintln(os.Stderr, "experiments: writing manifest:", err)
+			fmt.Fprintln(stderr, "experiments: writing manifest:", err)
 			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: writing manifest:", err)
+			fmt.Fprintln(stderr, "experiments: writing manifest:", err)
 			return 1
 		}
 	}
 	return 0
 }
 
-func exportCSV(ctx *experiments.Context, dir string) int {
+func exportCSV(ctx *experiments.Context, dir string, stderr io.Writer) int {
 	if dir == "" {
 		return 0
 	}
 	if err := ctx.ExportCSV(dir); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "[csv series written to %s]\n", dir)
+	fmt.Fprintf(stderr, "[csv series written to %s]\n", dir)
 	return 0
 }

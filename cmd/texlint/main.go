@@ -7,8 +7,6 @@
 //	go run ./cmd/texlint -list
 //	go run ./cmd/texlint -only determinism,errcheck ./...
 //	go run ./cmd/texlint -skip mapiter ./...
-//	go run ./cmd/texlint -write-baseline lint.baseline ./...
-//	go run ./cmd/texlint -baseline lint.baseline ./...
 //
 // texlint loads every non-test package of the enclosing module and runs
 // the analyzers over all of them, so cross-package facts never depend on
@@ -30,13 +28,6 @@
 // import paths exempt from it, e.g.
 //
 //	{"allow": {"determinism": ["texcache/internal/telemetry"]}}
-//
-// For adopting a new analyzer over an existing codebase, -write-baseline
-// records the current findings as a JSON file and -baseline suppresses
-// exactly those recorded findings on later runs, so only regressions
-// fail. Baseline entries match on file, analyzer and message — not line —
-// so unrelated edits do not dislodge them; run both from the module root
-// so the recorded file paths agree.
 package main
 
 import (
@@ -60,13 +51,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("texlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		only      = fs.String("only", "", "run only these comma-separated analyzers")
-		skip      = fs.String("skip", "", "run all but these comma-separated analyzers")
-		baseline  = fs.String("baseline", "", "suppress findings recorded in this JSON baseline file")
-		writeBase = fs.String("write-baseline", "", "record current findings to this JSON baseline file and exit clean")
-		confPath  = fs.String("config", "", "package waiver file (default: "+lint.ConfigFile+" at the module root, if present)")
+		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		list     = fs.Bool("list", false, "list analyzers and exit")
+		only     = fs.String("only", "", "run only these comma-separated analyzers")
+		skip     = fs.String("skip", "", "run all but these comma-separated analyzers")
+		confPath = fs.String("config", "", "package waiver file (default: "+lint.ConfigFile+" at the module root, if present)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -126,8 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The suite runs over every package so that cross-package facts (hot
-	// and pure marks, map-order summaries) are the same whichever packages
-	// are named; only the named packages' findings are reported.
+	// marks, map-order summaries) are the same whichever packages are
+	// named; only the named packages' findings are reported.
 	diags, err := lint.RunConfigured(pkgs, suite, conf)
 	if err != nil {
 		fmt.Fprintln(stderr, "texlint:", err)
@@ -144,23 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rel, err := filepath.Rel(cwd, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = rel
 		}
-	}
-
-	if *writeBase != "" {
-		if err := saveBaseline(*writeBase, diags); err != nil {
-			fmt.Fprintln(stderr, "texlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "texlint: recorded %d finding(s) in %s\n", len(diags), *writeBase)
-		return 0
-	}
-	if *baseline != "" {
-		base, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "texlint:", err)
-			return 2
-		}
-		diags = applyBaseline(diags, base)
 	}
 
 	if *jsonOut {
@@ -188,73 +160,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// jsonDiag is the serialised diagnostic shared by -json and the baseline
-// files.
+// jsonDiag is one diagnostic as -json serialises it.
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Column   int    `json:"column"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-// baselineKey identifies a finding across runs. Line and column are
-// deliberately excluded: edits elsewhere in a file move findings without
-// changing what they say, and a moved finding is not a new finding.
-type baselineKey struct {
-	File, Analyzer, Message string
-}
-
-// saveBaseline records the findings as a JSON baseline file.
-func saveBaseline(path string, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		_ = f.Close() // the encode error is the one worth reporting
-		return err
-	}
-	return f.Close()
-}
-
-// loadBaseline reads a baseline file into per-key multiplicities, so a
-// file with two identical findings baselines exactly two.
-func loadBaseline(path string) (map[baselineKey]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []jsonDiag
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	base := make(map[baselineKey]int, len(entries))
-	for _, e := range entries {
-		base[baselineKey{e.File, e.Analyzer, e.Message}]++
-	}
-	return base, nil
-}
-
-// applyBaseline drops findings recorded in the baseline, respecting
-// multiplicity, and returns the remainder (the regressions).
-func applyBaseline(diags []lint.Diagnostic, base map[baselineKey]int) []lint.Diagnostic {
-	keep := diags[:0]
-	for _, d := range diags {
-		k := baselineKey{d.Pos.Filename, d.Analyzer, d.Message}
-		if base[k] > 0 {
-			base[k]--
-			continue
-		}
-		keep = append(keep, d)
-	}
-	return keep
 }
 
 // namedDirs returns the directories of the loaded packages named by the

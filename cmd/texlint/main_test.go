@@ -66,13 +66,15 @@ func Cold(x int) int { return x + 1 }
 		// stdout and stderr must contain these substrings.
 		wantOut, wantErr string
 	}{
-		{"list", []string{"-list"}, 0, "growloop", ""},
+		{"list", []string{"-list"}, 0, "globalmut", ""},
 		{"whole module", []string{"./..."}, 1, "a/a.go:8: [hotalloc] Hot is reachable from a hot path and calls b.Cold", ""},
 		// Naming only a must not hide b from the module facts.
 		{"named package keeps module facts", []string{"-only", "hotalloc", "./a"}, 1, "calls b.Cold, which is not annotated", ""},
 		{"findings only for named packages", []string{"./b"}, 0, "", ""},
 		{"no packages match", []string{"./nosuch"}, 2, "", "no packages match ./nosuch"},
 		{"removed -analyzers", []string{"-analyzers", "hotalloc", "./..."}, 2, "", "-analyzers"},
+		{"removed -baseline", []string{"-baseline", "x", "./..."}, 2, "", "-baseline"},
+		{"removed -write-baseline", []string{"-write-baseline", "x", "./..."}, 2, "", "-write-baseline"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -16,13 +16,13 @@ func names(as []*lint.Analyzer) []string {
 }
 
 func TestSelectAnalyzersOnly(t *testing.T) {
-	got, err := selectAnalyzers(lint.All(), "mapiter,sharedstate", "")
+	got, err := selectAnalyzers(lint.All(), "mapiter,globalmut", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registration order, not flag order, so runs are deterministic.
-	if g := strings.Join(names(got), ","); g != "sharedstate,mapiter" {
-		t.Errorf("selected %q, want sharedstate,mapiter", g)
+	if g := strings.Join(names(got), ","); g != "globalmut,mapiter" {
+		t.Errorf("selected %q, want globalmut,mapiter", g)
 	}
 }
 
@@ -43,12 +43,12 @@ func TestSelectAnalyzersSkip(t *testing.T) {
 }
 
 func TestSelectAnalyzersOnlyAndSkipCompose(t *testing.T) {
-	got, err := selectAnalyzers(lint.All(), "sharedstate,growloop", "growloop")
+	got, err := selectAnalyzers(lint.All(), "globalmut,hotalloc", "hotalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := strings.Join(names(got), ","); g != "sharedstate" {
-		t.Errorf("selected %q, want sharedstate", g)
+	if g := strings.Join(names(got), ","); g != "globalmut" {
+		t.Errorf("selected %q, want globalmut", g)
 	}
 }
 

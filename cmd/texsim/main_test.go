@@ -35,6 +35,7 @@ func TestRun(t *testing.T) {
 		{"removed -spans", with("-sweep", "-spans", filepath.Join(dir, "spans.jsonl")), 2, "", "-spans", "", nil},
 		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", nil},
 		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
+		{"monitor", with("-sweep", "-monitor", "127.0.0.1:0"), 0, "workload village", "monitor listening on http://127.0.0.1:", "", nil},
 		{"manifest", with("-sweep", "-specs", "pull-2k,l2-2m", "-manifest", manifest), 0, "l2-2m", "", manifest,
 			[]string{`"phases"`, `"name": "frame"`, `"texel_refs": [1-9]`}},
 		{"fast manifest", with("-sweep", "-fast", "-manifest", fastManifest), 0, "modeled", "", fastManifest,

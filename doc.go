@@ -26,11 +26,10 @@
 //     reference stream (no wall-clock, no unseeded randomness, no
 //     order-dependent map iteration), 64-bit counter widths, hot-path
 //     hygiene on texlint:hotpath functions, panic-message prefixes,
-//     unchecked errors, goroutine-shared state, hot-path allocation,
-//     global mutation, function purity, map-order taint reaching output,
-//     and buffer pinning and unpreallocated append growth; `-list` names
-//     the twelve analyzers, and findings are suppressed with
-//     //texlint:ignore <analyzer> comments.
+//     unchecked errors, hot-path allocation, global mutation and
+//     map-order taint reaching output; `-list` names the eight analyzers,
+//     and findings are suppressed with //texlint:ignore <analyzer>
+//     comments.
 //
 // See README.md for a tour and EXPERIMENTS.md for reproduction results.
 package texcache

@@ -15,9 +15,17 @@ import (
 var tinyScale = Scale{Name: "tiny", Width: 32, Height: 24,
 	VillageFrames: 2, CityFrames: 2, MallFrames: 2}
 
+// racedPrefetches is how many times TestPrefetchRace runs the parallel
+// prefetch. The race detector reports two unsynchronized accesses only
+// when no synchronization the goroutines happen to share orders them in
+// that run, so with one parallel prefetch the test missed a captured
+// counter in 1 of 30 runs; with four it missed in none of 30.
+const racedPrefetches = 4
+
 // TestPrefetchRace drives the parallel runner with more workers than jobs
-// so every job runs concurrently; `go test -race` turns any unsynchronized
-// sharing between the isolated contexts into a failure. It then checks
+// so every job runs concurrently, racedPrefetches times; `go test -race`
+// turns any unsynchronized sharing between the workers, the isolated
+// contexts and the spawning loop into a failure. It then checks
 // that collection is order-deterministic: two prefetched contexts must
 // memoize identical keys and identical totals regardless of which
 // goroutine finished first. Last, it checks that no Prefetch call leaves a
@@ -33,6 +41,9 @@ func TestPrefetchRace(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	a := run(16)
+	for i := 1; i < racedPrefetches; i++ {
+		run(16)
+	}
 	b := run(1)
 
 	if len(a.statsRuns) != 3 || len(a.cmpRuns) != 6 {

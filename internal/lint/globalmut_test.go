@@ -66,6 +66,41 @@ func poke() {
 	state.n = 4 //want write to package-level state
 }
 `},
+		{"counter-in-value-function", `package fix
+
+var calls int
+
+// wrapCoord takes and returns values only, so its one possible side
+// effect is a package-level write.
+func wrapCoord(x, n int) int {
+	calls++ //want write to package-level calls
+	if x >= n {
+		return n - 1
+	}
+	return x
+}
+`},
+		{"compound-assign-in-callee", `package fix
+
+var total int
+
+func outer(x int) int {
+	return bump(x)
+}
+
+func bump(x int) int {
+	total += x //want write to package-level total
+	return total
+}
+`},
+		{"sub-slice-stored-in-global", `package fix
+
+var window []byte
+
+func keep(buf []byte) {
+	window = buf[2:4] //want write to package-level window
+}
+`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { testAnalyzer(t, Globalmut, "fix", c.src) })

@@ -9,7 +9,7 @@ import (
 // Hotalloc is the texvet allocation analyzer. Where hotpath polices the
 // annotated function bodies themselves, hotalloc closes the call tree:
 // it builds the package's static call graph, computes every function
-// reachable from a hot-annotated root (texlint:hotpath / texsim:hot), and
+// reachable from a hot-annotated root (texlint:hotpath), and
 // reports allocation sites anywhere in that set — append, make, new,
 // closure creation, explicit or implicit interface boxing, and
 // non-constant string concatenation. Each of these costs a heap visit (or
@@ -180,7 +180,7 @@ func checkHotAllocCall(pass *Pass, fn *types.Func, name string, annotated bool, 
 	if cp := callee.Pkg(); cp != nil && cp != pass.Pkg.Types &&
 		pass.Facts.ModulePkgs[cp.Path()] && !pass.Facts.Hot[callee] {
 		pass.Reportf(call.Pos(),
-			"%s is reachable from a hot path and calls %s.%s, which is not annotated texsim:hot",
+			"%s is reachable from a hot path and calls %s.%s, which is not annotated texlint:hotpath",
 			name, cp.Name(), callee.Name())
 		return
 	}

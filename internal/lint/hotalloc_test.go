@@ -9,7 +9,7 @@ func TestHotalloc(t *testing.T) {
 	}{
 		{"direct-builtins", `package fix
 
-// texsim:hot
+// texlint:hotpath
 func hot(xs []int, n int) []int {
 	ys := make([]int, 0, n) //want calls make
 	ys = append(ys, xs...)  //want calls append
@@ -26,7 +26,7 @@ func cold(n int) []int {
 
 type thing struct{ v int }
 
-// texsim:hot
+// texlint:hotpath
 func root(x int) *thing {
 	return helper(x)
 }
@@ -39,7 +39,7 @@ func helper(x int) *thing {
 `},
 		{"closure-in-reachable", `package fix
 
-// texsim:hot
+// texlint:hotpath
 func root() int {
 	return helper()()
 }
@@ -50,12 +50,12 @@ func helper() func() int {
 `},
 		{"string-concat", `package fix
 
-// texsim:hot
+// texlint:hotpath
 func hot(a, b string) string {
 	return a + b //want concatenates strings
 }
 
-// texsim:hot
+// texlint:hotpath
 func constOK() string {
 	return "a" + "b" // constant-folded at compile time
 }
@@ -64,7 +64,7 @@ func constOK() string {
 
 type shaper interface{ area() int }
 
-// texsim:hot
+// texlint:hotpath
 func hot(s shaper) int {
 	return s.area() //want dynamically through an interface
 }
@@ -73,12 +73,12 @@ func hot(s shaper) int {
 
 func sink(v interface{}) {}
 
-// texsim:hot
+// texlint:hotpath
 func hot(x int) {
 	sink(x) //want boxes int into an interface argument
 }
 
-// texsim:hot
+// texlint:hotpath
 func nilOK() {
 	sink(nil) // untyped nil boxes nothing
 }
@@ -89,7 +89,7 @@ type counter struct{ n int }
 
 func (c *counter) bump() { c.n++ }
 
-// texsim:hot
+// texlint:hotpath
 func hot(c *counter) {
 	c.bump() // static dispatch on a concrete receiver
 }
@@ -97,7 +97,7 @@ func hot(c *counter) {
 		{"texlint-hotpath-marker", `package fix
 
 // texlint:hotpath
-func legacy(xs []int) []int {
+func entry(xs []int) []int {
 	return helper(xs)
 }
 

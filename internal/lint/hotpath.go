@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Hotpath enforces allocation and formatting hygiene in functions whose
@@ -24,32 +23,18 @@ func runHotpath(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !isHotpath(fn) {
+			if !ok || fn.Body == nil {
 				continue
 			}
-			checkHotBody(pass, fn)
+			if obj, ok := pass.Pkg.Info.Defs[fn.Name].(*types.Func); ok && pass.Facts.Hot[obj] {
+				checkHotBody(pass, fn)
+			}
 		}
 	}
-}
-
-// isHotpath reports whether the function's doc comment contains the
-// hotpath marker (with or without a space after the comment slashes) or
-// its texvet alias texsim:hot.
-func isHotpath(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.Contains(c.Text, HotpathMarker) || strings.Contains(c.Text, HotMarker) {
-			return true
-		}
-	}
-	return false
 }
 
 func checkHotBody(pass *Pass, fn *ast.FuncDecl) {
 	name := fn.Name.Name
-	info := pass.Pkg.Info
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -70,7 +55,6 @@ func checkHotBody(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-	_ = info
 }
 
 func checkHotCall(pass *Pass, name string, call *ast.CallExpr) {

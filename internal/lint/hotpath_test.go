@@ -22,6 +22,12 @@ func Access(x int) string {
 func Cold(x int) string {
 	return fmt.Sprintf("%d", x)
 }
+
+// Retired carries texsim:hot, an old spelling that no longer marks a
+// function hot.
+func Retired(x int) string {
+	return fmt.Sprintf("%d", x)
+}
 `},
 		{"closure", `package fix
 

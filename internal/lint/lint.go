@@ -9,13 +9,13 @@
 // counters, allocation-free hot paths, and the repo's panic and error
 // conventions.
 //
-// Twelve analyzers run in four tiers: the syntactic tier (determinism,
-// counterwidth, hotpath, panicstyle, errcheck), the CFG/dataflow tier
-// (sharedstate, hotalloc, globalmut, purity), the map-order taint tier
-// (mapiter), which runs over per-function summaries of map-order taint
-// computed by the suite's one module-wide fixpoint (FlowFacts), and the
-// allocation-hygiene tier (retain, growloop), which checks one function
-// at a time.
+// Eight analyzers run in three tiers: the syntactic tier (determinism,
+// counterwidth, hotpath, panicstyle, errcheck), the texvet tier
+// (hotalloc, which closes a package's call graph over the hot-marked
+// functions, and globalmut, which checks writes to package-level state),
+// and the map-order taint tier (mapiter), which runs over per-function
+// summaries of map-order taint computed by the suite's one module-wide
+// fixpoint (FlowFacts).
 //
 // Diagnostics may be suppressed with a comment on the offending line or
 // the line directly above it:
@@ -70,37 +70,26 @@ type Pass struct {
 	out      *[]Diagnostic
 }
 
-// Facts carries cross-package knowledge shared by the texvet dataflow
-// analyzers: which functions are annotated hot or pure, and which import
-// paths belong to the module under analysis. It is computed once per Run
-// over every loaded package, so an analyzer inspecting package P can ask
-// about functions defined in P's dependencies.
+// Facts carries cross-package knowledge shared by the analyzers: which
+// functions are marked hot, and which import paths belong to the module
+// under analysis. It is computed once per Run over every loaded package,
+// so an analyzer inspecting package P can ask about functions defined in
+// P's dependencies.
 type Facts struct {
 	// Hot maps functions whose doc comment carries the texlint:hotpath
-	// or texsim:hot marker.
-	Hot map[*types.Func]bool
-	// Pure maps functions whose doc comment carries the texsim:pure
 	// marker.
-	Pure map[*types.Func]bool
+	Hot map[*types.Func]bool
 	// ModulePkgs is the set of import paths analyzed together.
 	ModulePkgs map[string]bool
 	// Flow holds the map-order taint summaries mapiter reads.
 	Flow *FlowFacts
 }
 
-// HotMarker is the texvet alias of the hotpath marker; both name a
-// function whose call tree is the per-texel fast path.
-const HotMarker = "texsim:hot"
-
-// PureMarker names a function that must be verifiably side-effect-free.
-const PureMarker = "texsim:pure"
-
-// CollectFacts scans every package's function doc comments for hot and
-// pure markers.
+// CollectFacts scans every package's function doc comments for the
+// hotpath marker.
 func CollectFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		Hot:        make(map[*types.Func]bool),
-		Pure:       make(map[*types.Func]bool),
 		ModulePkgs: make(map[string]bool),
 		Flow:       collectFlowFacts(pkgs),
 	}
@@ -117,11 +106,8 @@ func CollectFacts(pkgs []*Package) *Facts {
 					continue
 				}
 				for _, c := range fn.Doc.List {
-					if strings.Contains(c.Text, HotpathMarker) || strings.Contains(c.Text, HotMarker) {
+					if strings.Contains(c.Text, HotpathMarker) {
 						f.Hot[obj] = true
-					}
-					if strings.Contains(c.Text, PureMarker) {
-						f.Pure[obj] = true
 					}
 				}
 			}
@@ -153,9 +139,8 @@ type Analyzer struct {
 }
 
 // All returns every analyzer in the suite, in stable order: the five
-// first-generation syntactic analyzers, the four texvet dataflow
-// analyzers, the map-order taint analyzer, and the two allocation-hygiene
-// analyzers.
+// syntactic analyzers, the two texvet analyzers and the map-order taint
+// analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -163,13 +148,9 @@ func All() []*Analyzer {
 		Counterwidth,
 		Panicstyle,
 		Errcheck,
-		Sharedstate,
 		Hotalloc,
 		Globalmut,
-		Purity,
 		Mapiter,
-		Retain,
-		Growloop,
 	}
 }
 
@@ -352,4 +333,74 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
+}
+
+// contains reports whether outer's source range encloses inner's.
+func contains(outer, inner ast.Node) bool {
+	if outer == nil || inner == nil {
+		return false
+	}
+	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
+}
+
+// rootVar resolves the base variable of an lvalue or reference expression:
+// V, V.f, V[i], *V, (&V) and chains thereof all root at V. It returns nil
+// for literals, calls and globals-of-other-kinds.
+func rootVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			v, _ := info.ObjectOf(x).(*types.Var)
+			return v
+		case *ast.SelectorExpr:
+			// Package-qualified identifiers (pkg.Var) resolve through the
+			// selection; otherwise descend into the operand.
+			if info.Selections[x] == nil {
+				v, _ := info.ObjectOf(x.Sel).(*types.Var)
+				return v
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return nil
+			}
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.TypeAssertExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// isPackageLevel reports whether v is a package-scope variable.
+func isPackageLevel(v *types.Var) bool {
+	return v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// isSyncType reports whether t is a synchronization primitive whose
+// methods establish happens-before edges: anything from package sync or
+// sync/atomic, or a channel.
+func isSyncType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if _, ok := t.Underlying().(*types.Chan); ok {
+		return true
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	pkg := named.Obj().Pkg()
+	return pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic")
 }

@@ -166,13 +166,10 @@ type gradient struct {
 	a, b, c float64
 }
 
-// texsim:pure
 func (g gradient) at(x, y float64) float64 { return g.a*x + g.b*y + g.c }
 
 // planeGradients solves for the linear interpolant through three screen
 // points with values f0, f1, f2. denom is the doubled signed area.
-//
-// texsim:pure
 func planeGradient(x0, y0, x1, y1, x2, y2, invDenom, f0, f1, f2 float64) gradient {
 	a := ((f1-f0)*(y2-y0) - (f2-f0)*(y1-y0)) * invDenom
 	b := ((f2-f0)*(x1-x0) - (f1-f0)*(x2-x0)) * invDenom
@@ -506,8 +503,6 @@ func (r *Rasterizer) bilinearSample(tex *texture.Texture, u, v float64, m int) t
 }
 
 // lerpColor blends two colours channel-wise by t.
-//
-// texsim:pure
 func lerpColor(a, b texture.RGBA, t float64) texture.RGBA {
 	mix := func(x, y uint8) uint8 {
 		return uint8(float64(x) + (float64(y)-float64(x))*t)
@@ -518,8 +513,6 @@ func lerpColor(a, b texture.RGBA, t float64) texture.RGBA {
 }
 
 // applyShade scales the colour channels by the clamped shade factor.
-//
-// texsim:pure
 func applyShade(c texture.RGBA, s float64) texture.RGBA {
 	if s < 0 {
 		s = 0
@@ -540,7 +533,6 @@ func applyShade(c texture.RGBA, s float64) texture.RGBA {
 // results are identical; the branches inline where the math calls do not
 // (they carry NaN and signed-zero handling the rasterizer never needs).
 
-// texsim:pure
 func min3(a, b, c float64) float64 {
 	m := a
 	if b < m {
@@ -552,7 +544,6 @@ func min3(a, b, c float64) float64 {
 	return m
 }
 
-// texsim:pure
 func max3(a, b, c float64) float64 {
 	m := a
 	if b > m {
@@ -564,7 +555,6 @@ func max3(a, b, c float64) float64 {
 	return m
 }
 
-// texsim:pure
 func maxf(a, b float64) float64 {
 	if b > a {
 		return b

@@ -15,7 +15,7 @@
 // spaces. Slots are recycled by compaction when the slot array fills, which
 // keeps the structure allocation-free after construction — a hard
 // requirement, because Access sits on the simulator's per-texel hot
-// path (texsim:hot, enforced by the hotalloc analyzer).
+// path (texlint:hotpath, enforced by the hotalloc analyzer).
 //
 // Distances below fineLimit are additionally counted exactly, one
 // counter per distance, so capacity queries at any cache size up to
@@ -64,7 +64,7 @@ func newDistTally(maxDist int) distTally {
 
 // record tallies one observed distance d >= 0. Allocation-free.
 //
-// texsim:hot
+// texlint:hotpath
 func (t *distTally) record(d int64) {
 	t.hist[reuseBucket(d)]++
 	if d < int64(len(t.fine)) {
@@ -180,7 +180,7 @@ func NewReuseCollector(numAddrs int) *ReuseCollector {
 // reference on instrumented runs and must stay free of allocation and
 // formatting.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *ReuseCollector) Access(addr uint32) {
 	c.accessDist(addr)
 }
@@ -188,7 +188,7 @@ func (c *ReuseCollector) Access(addr uint32) {
 // accessDist is Access returning the observed distance (-1 for a cold
 // first reference), shared with the white-box tests and fuzzers.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *ReuseCollector) accessDist(addr uint32) int64 {
 	c.tally.refs++
 	a := int32(addr)
@@ -234,7 +234,7 @@ func (c *ReuseCollector) accessDist(addr uint32) int64 {
 // insertFront claims the next time slot for a, compacting first if the
 // slot array is exhausted.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *ReuseCollector) insertFront(a int32) {
 	if c.next == len(c.slotAddr) {
 		c.compact()
@@ -276,7 +276,7 @@ func (c *ReuseCollector) compact() {
 
 // setLive marks slot s live: one bit flip plus a group-tree walk.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *ReuseCollector) setLive(s int) {
 	c.liveBits[s>>6] |= 1 << (uint(s) & 63)
 	for i := s>>6 + 1; i < len(c.gtree); i += i & -i {
@@ -286,7 +286,7 @@ func (c *ReuseCollector) setLive(s int) {
 
 // clearLive marks slot s stale.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *ReuseCollector) clearLive(s int) {
 	c.liveBits[s>>6] &^= 1 << (uint(s) & 63)
 	for i := s>>6 + 1; i < len(c.gtree); i += i & -i {
@@ -298,7 +298,7 @@ func (c *ReuseCollector) clearLive(s int) {
 // group-tree prefix over whole 64-slot groups plus a popcount of the
 // partial group's bitmap word.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *ReuseCollector) prefix(i int) int64 {
 	var s int64
 	for g := i >> 6; g > 0; g -= g & -g {

@@ -86,7 +86,7 @@ func NewSectorReuseCollector(numBlocks, subPerBlock, blockEdge int) *SectorReuse
 // per texel reference on instrumented runs and must stay free of
 // allocation and formatting.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *SectorReuseCollector) Access(block uint32, sub uint16) {
 	line := block*c.subPerBlock + uint32(sub)
 	d1 := c.lines.accessDist(line)
@@ -130,7 +130,7 @@ func (c *SectorReuseCollector) Access(block uint32, sub uint16) {
 // order-independent, the batch may cover an entire run and be flushed
 // once at snapshot time.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *SectorReuseCollector) RecordRepeats(n int64) {
 	if n <= 0 {
 		return
@@ -154,7 +154,7 @@ func (c *SectorReuseCollector) RecordRepeats(n int64) {
 // line-stack top-two order depends on n: an odd count leaves the other
 // line on top, fixed here by a register swap.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *SectorReuseCollector) RecordAlternations(n int64) {
 	if n <= 0 {
 		return
@@ -188,7 +188,7 @@ func (c *SectorReuseCollector) RecordAlternations(n int64) {
 // referenced last; an odd count leaves the other side's line and block
 // on top of their stacks, fixed here by register swaps.
 //
-// texsim:hot
+// texlint:hotpath
 func (c *SectorReuseCollector) RecordCrossAlternations(n int64, lastBlock uint32, lastSub uint16, prevBlock uint32, prevSub uint16) {
 	if n <= 0 {
 		return

@@ -16,8 +16,6 @@ type TileLayout struct {
 // L1 sub-tiles, independent of the L2 cache's simulated tile size. It is a
 // function rather than a package-level var so callers cannot mutate the
 // canonical choice mid-run.
-//
-// texsim:pure
 func CanonicalL1() TileLayout { return TileLayout{L2Size: 16, L1Size: 4} }
 
 // Validate reports whether the layout is usable.
@@ -44,7 +42,7 @@ func (l TileLayout) SubPerBlock() int { s := l.SubPerEdge(); return s * s }
 // L2BlockBytes returns the cache storage of one L2 tile at 32-bit texels.
 // The hierarchy reads it on every partial hit and full miss.
 //
-// texsim:hot texsim:pure
+// texlint:hotpath
 func (l TileLayout) L2BlockBytes() int {
 	return l.L2Size * l.L2Size * CacheTexelBytes
 }
@@ -146,7 +144,7 @@ func (ti *Tiling) NumL2Blocks() uint32 { return ti.numL2 }
 // virtual texture block address <tid, L2, L1>. u and v must already be
 // wrapped into the level extent and m must be a valid level.
 //
-// texlint:hotpath texsim:pure
+// texlint:hotpath
 func (ti *Tiling) Addr(u, v, m int) Virtual {
 	l2u := u >> ti.l2Shift
 	l2v := v >> ti.l2Shift

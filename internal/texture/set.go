@@ -39,7 +39,7 @@ func (s *Set) Len() int { return len(s.textures) }
 // ByID returns the texture with the given ID. The stats collector calls it
 // per texel, so the bad-ID panic carries a constant message.
 //
-// texsim:hot
+// texlint:hotpath
 func (s *Set) ByID(id ID) *Texture {
 	if int(id) >= len(s.textures) {
 		panic("texture: unknown texture id")

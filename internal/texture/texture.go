@@ -137,7 +137,7 @@ func (t *Texture) Height() int { return t.Levels[0].Height }
 // its original depth, summed over all MIP levels. The stats collector calls
 // it per texel on first touch of a frame.
 //
-// texsim:hot
+// texlint:hotpath
 func (t *Texture) HostBytes() int64 {
 	var total int64
 	bpt := int64(t.Format.BytesPerTexel())
@@ -157,8 +157,6 @@ func (t *Texture) Texels() int64 {
 }
 
 // ClampLevel clamps a MIP level to the valid range for this texture.
-//
-// texsim:pure
 func (t *Texture) ClampLevel(m int) int {
 	if m < 0 {
 		return 0
@@ -175,8 +173,6 @@ func (t *Texture) ClampLevel(m int) int {
 // dimensions and halving preserves the property), so the per-texel path
 // reduces to a mask; the mod fallback keeps the function total for
 // arbitrary extents.
-//
-// texsim:pure
 func WrapTexel(c, extent int) int {
 	if extent&(extent-1) == 0 {
 		return c & (extent - 1)

@@ -99,7 +99,7 @@ func (w *Writer) BeginFrame() {
 // the trace-record path — the rasterizer's devirtualized TraceSink calls
 // it once per emitted texel.
 //
-// texsim:hot
+// texlint:hotpath
 func (w *Writer) Texel(tid uint32, u, v, m int) {
 	if !w.inFrame {
 		w.fail(errors.New("trace: Texel outside a frame"))
