@@ -180,8 +180,9 @@ func comparisonTotals(cmp *core.Comparison) telemetry.RunTotals {
 
 // rasterizerFill is the per-texel hot-path sample: repeated textured quad
 // fills (two triangles covering a 256x256 target under trilinear
-// filtering) through the devirtualized trace sink, averaged over enough
-// iterations to be a stable single-shot measurement.
+// filtering) into a counting SinkFunc, a plain Sink that takes every
+// texel in its own call, averaged over enough iterations to be a stable
+// single-shot measurement.
 func rasterizerFill(clock *telemetry.WallClock) (benchResult, error) {
 	const iters = 32
 	r, err := raster.New(raster.Config{Width: 256, Height: 256, Mode: raster.Trilinear})

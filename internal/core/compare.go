@@ -82,10 +82,32 @@ type l1Group struct {
 }
 
 // l1Chain holds the groups of one associativity, smallest first, whose
-// L1s one cache.L1Chain looks up.
+// L1s one cache.L1Chain looks up, and the chain's MRU filter: mru[s] is
+// the key of the line referenced last in set s of the smallest cache,
+// whose set mask is mask. A reference to that line is a hit, already
+// the most recent of its set, in every cache of the chain, so it is
+// counted in batched instead of looked up.
 type l1Chain struct {
-	l1     *cache.L1Chain
-	groups []l1Group
+	l1      *cache.L1Chain
+	groups  []l1Group
+	mru     []uint64
+	mask    uint32
+	batched int64
+}
+
+// recent reports whether key names the line referenced last in its set
+// of the chain's smallest cache, counting that hit for settle, and
+// otherwise records key as the set's most recent line.
+//
+// texlint:hotpath
+func (ch *l1Chain) recent(set uint32, key uint64) bool {
+	mru := &ch.mru[set&ch.mask]
+	if *mru == key {
+		ch.batched++
+		return true
+	}
+	*mru = key
+	return false
 }
 
 // multiSink fans one texel reference stream out to several hierarchies.
@@ -93,12 +115,10 @@ type l1Chain struct {
 // chaining the geometries of one associativity so that a lookup stops at
 // the first (smallest) L1 that hits, translates the L2 layouts only when
 // an L2-backed group misses, and accesses each distinct L2 of a group
-// once per miss. Before any translation it books as batched hits a
-// repeat of the last L1 line, which hits everywhere and reorders
-// nothing, and a return to the line before it, which hits in every L1 of
-// at least 2 ways: one distinct fill cannot evict the most recent line
-// of an LRU set. Lines are keyed as <tid, mip, u/4, v/4>; every L1 tile
-// is 4x4, so a key names one L1 line.
+// once per miss. It books as batched hits, before any translation, a
+// repeat of the last line, and in each chain a reference to the line its
+// set referenced last (l1Chain.recent). Lines are keyed as
+// <tid, mip, u/4, v/4>; every L1 tile is 4x4, so a key names one L1 line.
 type multiSink struct {
 	canon   []*texture.Tiling
 	layouts []*layoutXlate
@@ -106,32 +126,17 @@ type multiSink struct {
 	chains  []l1Chain
 	collect *stats.Collector
 	reuse   *reuseProbe
-	// The two most recent distinct lines, the batched hits settle has yet
-	// to book, and whether an odd alternation run left the L1s ranking
-	// prevRef above lastRef.
-	lastKey, prevKey uint64
-	lastRef, prevRef cache.L1Ref
-	batched          int64
-	swapped          bool
-	alternate        bool // every group has >= 2 ways
+	// lastKey is the line referenced last; batched counts the repeats of
+	// it settle has yet to book in every chain.
+	lastKey uint64
+	batched int64
 }
 
 // Texel presents one reference to every hierarchy and optional collector.
 //
 // texlint:hotpath
 func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
-	key := uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
-	switch {
-	case key == s.lastKey:
-		s.batched++
-	case key == s.prevKey && s.alternate:
-		s.batched++
-		s.swapped = !s.swapped
-		s.lastKey, s.prevKey = s.prevKey, s.lastKey
-		s.lastRef, s.prevRef = s.prevRef, s.lastRef
-	default:
-		s.lookup(tid, u, v, m, key)
-	}
+	s.ref(tid, u, v, m)
 	if s.collect != nil {
 		s.collect.Texel(tid, u, v, m)
 	}
@@ -140,25 +145,58 @@ func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 	}
 }
 
-// lookup looks a reference to a line other than the last two up in each
-// chain, presenting a miss to every member of each group that missed.
-// Members sharing an L2 book its first member's result.
+// Quad implements raster.QuadSink: it presents a bilinear footprint, its
+// texels in Texel order. A footprint inside one L1 line is one reference
+// and three repeats of it, unless a collector or reuse probe rides the
+// sink and must see every texel; any other footprint goes through Texel.
+//
+// texlint:hotpath
+func (s *multiSink) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
+	if s.collect == nil && s.reuse == nil && u0>>2 == u1>>2 && v0>>2 == v1>>2 {
+		s.ref(tid, u0, v0, m)
+		s.batched += 3
+		return
+	}
+	s.Texel(tid, u0, v0, m)
+	s.Texel(tid, u1, v0, m)
+	s.Texel(tid, u0, v1, m)
+	s.Texel(tid, u1, v1, m)
+}
+
+// ref presents one reference to the hierarchies, counting a repeat of
+// the last line without computing its set.
+//
+// texlint:hotpath
+func (s *multiSink) ref(tid texture.ID, u, v, m int) {
+	key := uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
+	if key == s.lastKey {
+		s.batched++
+		return
+	}
+	s.lastKey = key
+	s.lookup(tid, u, v, m, key)
+}
+
+// lookup looks a reference to a line other than the last one up in each
+// chain whose MRU filter cannot settle it, presenting a miss to every
+// member of each group that missed. The canonical address is translated
+// for the first such chain, the L2 layouts for the first L2-backed group
+// that misses. Members sharing an L2 book its first member's result.
 //
 // texlint:hotpath
 func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
-	if s.swapped {
-		s.unswap()
-	}
-	a := s.canon[tid].Addr(u, v, m)
-	l1 := cache.L1Ref{
-		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
-		Set: cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid)),
-	}
-	s.prevKey, s.prevRef = s.lastKey, s.lastRef
-	s.lastKey, s.lastRef = key, l1
-	translated := false
+	l1 := cache.L1Ref{Set: cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid))}
+	tagged, translated := false, false
 	for ci := range s.chains {
 		ch := &s.chains[ci]
+		if ch.recent(l1.Set, key) {
+			continue
+		}
+		if !tagged {
+			a := s.canon[tid].Addr(u, v, m)
+			l1.Tag = cache.PackTag(uint32(tid), a.L2, a.L1)
+			tagged = true
+		}
 		missed := ch.groups[:ch.l1.Lookup(l1)]
 		for gi := range missed {
 			g := &missed[gi]
@@ -186,34 +224,16 @@ func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
 	}
 }
 
-// unswap makes the one real lookup an odd alternation run owes. After
-// the run the L1s rank prevRef above lastRef, the line referenced last,
-// so one batched hit becomes a lookup of lastRef: a guaranteed hit in
-// every L1, which restores the order.
-//
-// texlint:hotpath
-func (s *multiSink) unswap() {
-	for i := range s.chains {
-		if s.chains[i].l1.Lookup(s.lastRef) != 0 {
-			panic("core: batched alternation missed in L1")
-		}
-	}
-	s.batched--
-	s.swapped = false
-}
-
 // settle books what the L1 counters owe before each frame's counter
 // read: the batched hits, and the hits each chain's lookups skipped.
 //
 // texlint:hotpath
 func (s *multiSink) settle() {
-	if s.swapped {
-		s.unswap()
-	}
 	for i := range s.chains {
-		ch := s.chains[i].l1
-		ch.RecordHits(s.batched)
-		ch.Book()
+		ch := &s.chains[i]
+		ch.l1.RecordHits(s.batched + ch.batched)
+		ch.l1.Book()
+		ch.batched = 0
 	}
 	s.batched = 0
 }
@@ -265,10 +285,8 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 // per distinct L2 layout, however many specs use it.
 func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 	sink := &multiSink{
-		canon:     set.Tilings(texture.CanonicalL1()),
-		lastKey:   ^uint64(0),
-		prevKey:   ^uint64(0),
-		alternate: true,
+		canon:   set.Tilings(texture.CanonicalL1()),
+		lastKey: ^uint64(0),
 	}
 	sink.specs = make([]specState, 0, len(specs))
 	// Every spec contributes at most one layout, group and chain, so
@@ -298,7 +316,6 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 			gi = len(groups)
 			groups = append(groups, l1Group{l1: l1})
 			groupIndex[geom] = gi
-			sink.alternate = sink.alternate && ways >= 2
 		}
 		g := &groups[gi]
 		g.members = append(g.members, i)
@@ -369,6 +386,11 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		ch.l1 = l1
+		ch.mru = make([]uint64, l1s[0].Sets())
+		for i := range ch.mru {
+			ch.mru[i] = ^uint64(0)
+		}
+		ch.mask = uint32(len(ch.mru) - 1)
 	}
 	return sink, nil
 }

@@ -13,11 +13,12 @@ type FanoutShape struct {
 	// bytes, in lookup order.
 	Ways  []int
 	Sizes [][]int
+	// FilterSets gives each chain's MRU filter size: the set count of
+	// its smallest cache.
+	FilterSets []int
 	// L1Of and L2Of give, per spec, the index of the first spec whose L1
 	// (L2) cache its hierarchy uses; L2Of is -1 for a pull spec.
 	L1Of, L2Of []int
-	// Alternate reports whether alternations are batched.
-	Alternate bool
 }
 
 // FanoutShapeOf builds the exact engine's sink over specs and reports its
@@ -27,7 +28,7 @@ func FanoutShapeOf(set *texture.Set, specs []CacheSpec) (FanoutShape, error) {
 	if err != nil {
 		return FanoutShape{}, err
 	}
-	sh := FanoutShape{Alternate: sink.alternate}
+	var sh FanoutShape
 	for _, ch := range sink.chains {
 		sizes := make([]int, 0, len(ch.groups))
 		for _, g := range ch.groups {
@@ -35,6 +36,7 @@ func FanoutShapeOf(set *texture.Set, specs []CacheSpec) (FanoutShape, error) {
 		}
 		sh.Ways = append(sh.Ways, ch.groups[0].l1.Ways())
 		sh.Sizes = append(sh.Sizes, sizes)
+		sh.FilterSets = append(sh.FilterSets, len(ch.mru))
 	}
 	first := func(same func(a, b *specState) bool, i int) int {
 		for j := range sink.specs[:i] {

@@ -14,8 +14,9 @@ import (
 // L1 size and effective associativity (0 and 2 ways are one geometry),
 // and each group's hierarchies share its L1. The groups of one
 // associativity form one chain, smallest first; a direct-mapped group is
-// a chain of its own and turns alternation batching off. Within a group,
-// specs with one L2 configuration share one L2.
+// a chain of its own. Each chain's MRU filter has one slot per set of its
+// smallest cache. Within a group, specs with one L2 configuration share
+// one L2.
 func TestFanoutSharesL1PerGeometry(t *testing.T) {
 	set := texture.NewSet()
 	set.Register(texture.MustNew("a", 64, 64, texture.RGBA8888, nil))
@@ -30,8 +31,8 @@ func TestFanoutSharesL1PerGeometry(t *testing.T) {
 		!reflect.DeepEqual(sh.Ways, []int{2}) {
 		t.Errorf("SweepSpecs chains: ways %v sizes %v, want one 2-way chain %v", sh.Ways, sh.Sizes, want)
 	}
-	if !sh.Alternate {
-		t.Error("alternation batching off with every L1 at 2 ways")
+	if want := []int{16}; !reflect.DeepEqual(sh.FilterSets, want) {
+		t.Errorf("SweepSpecs MRU filter sets %v, want %v (the 2 KB 2-way L1)", sh.FilterSets, want)
 	}
 	l2s, backed := map[int]bool{}, 0
 	for i, spec := range specs {
@@ -85,7 +86,7 @@ func TestFanoutSharesL1PerGeometry(t *testing.T) {
 	if want := []int{-1, 1, -1, -1, -1, 1}; !reflect.DeepEqual(sh.L2Of, want) {
 		t.Errorf("direct-mapped pool: L2 owners %v, want %v", sh.L2Of, want)
 	}
-	if sh.Alternate {
-		t.Error("alternation batching on beside a direct-mapped L1")
+	if want := []int{8, 32}; !reflect.DeepEqual(sh.FilterSets, want) {
+		t.Errorf("direct-mapped pool: MRU filter sets %v, want %v (1 KB 2-way, 2 KB direct)", sh.FilterSets, want)
 	}
 }

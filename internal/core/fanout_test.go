@@ -64,17 +64,20 @@ const (
 	opPingMip         // alternate with the texel's neighbour level
 	opFrame           // end the frame: counters must match
 	opLevel           // move to level arg mod levels
+	opQuad            // send a bilinear footprint near the texel (quadAt)
 	numOps
 )
 
 // fanoutStream interprets a fuzzer program as a texel stream over the
-// tiny two-texture set, presenting every reference to emit.
+// tiny two-texture set, presenting every reference to emit and every
+// bilinear footprint to quad.
 type fanoutStream struct {
 	set        *texture.Set
 	tid        texture.ID
 	u, v, m    int
 	phase      bool // whether the next ping-pong reference is the partner
 	emit       func(tid texture.ID, u, v, m int)
+	quad       func(tid texture.ID, u0, v0, u1, v1, m int)
 	endOfFrame func()
 }
 
@@ -97,6 +100,37 @@ func (s *fanoutStream) ping(n int, pu, pv, pm int) {
 		}
 		s.phase = !s.phase
 	}
+}
+
+// quadAt sends the bilinear footprint that arg places near the current
+// texel, leaving the texel where it is. arg%5 puts the footprint inside
+// one line, across a u edge, a v edge or a corner of four lines, or
+// across the level's wrap edge in both u and v; an odd arg/5 moves it to
+// the texel's neighbour level, as a trilinear sample's second footprint.
+func (s *fanoutStream) quadAt(arg int) {
+	u, v, m := s.u, s.v, s.m
+	if arg/5%2 == 1 {
+		m++
+		if m >= len(s.set.ByID(s.tid).Levels) {
+			m -= 2
+		}
+		u, v = u>>1, v>>1
+	}
+	switch arg % 5 {
+	case 0:
+		u, v = u&^3|1, v&^3|1
+	case 1:
+		u, v = u|3, v&^3|1
+	case 2:
+		u, v = u&^3|1, v|3
+	case 3:
+		u, v = u|3, v|3
+	case 4:
+		u, v = -1, -1
+	}
+	u0, v0 := s.wrap(s.tid, u, v, m)
+	u1, v1 := s.wrap(s.tid, u0+1, v0+1, m)
+	s.quad(s.tid, u0, v0, u1, v1, m)
 }
 
 // run executes the program; a trailing odd byte is ignored.
@@ -139,6 +173,8 @@ func (s *fanoutStream) run(prog []byte) {
 			s.u, s.v = s.wrap(s.tid, s.u>>m, s.v>>m, m)
 			s.m = m
 			s.phase = false
+		case opQuad:
+			s.quadAt(arg)
 		}
 	}
 	s.endOfFrame()
@@ -149,8 +185,10 @@ func (s *fanoutStream) run(prog []byte) {
 // texel stream, and requires equal counters for every spec at every
 // frame boundary. The spec list is any non-empty subset of
 // fanoutSpecPool, so L1 sharing, L1 chains, L2 sharing, lazy L2
-// translation, and repeat and alternation batching (on, or off beside a
-// direct-mapped L1) all meet arbitrary stream shapes.
+// translation, the batching of repeats and of hits on a set's most
+// recent line, and the quad route that takes a footprint inside one line
+// whole all meet arbitrary stream shapes. The oracle sees a footprint as
+// its four texels.
 func FuzzFanoutMatchesPerSpec(f *testing.F) {
 	long := []byte{opRepeat, 255, opRepeat, 255, opStep, 0x1B, opRepeat, 200, opFrame, 0}
 	sameSet := []byte{opPingSet, 30, opStep, 0x12, opPingSet, 31, opPingSet, 0, opFrame, 0,
@@ -159,6 +197,25 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 		opPingMip, 33, opStep, 0x3F, opPingMip, 32}
 	spanFrame := []byte{opPingLine, 6, opFrame, 0, opPingLine, 7, opRepeat, 3, opFrame, 0,
 		opPingMip, 8, opFrame, 0, opPingMip, 9}
+	// Every footprint placement at the texel's level and the next, each
+	// checked at a frame boundary (a later footprint would book a line a
+	// wrong quad route skipped), as the texel steps right and down.
+	quads := make([]byte, 0, 512)
+	for k := 0; k < 12; k++ {
+		for arg := 0; arg < 10; arg++ {
+			quads = append(quads, opQuad, byte(arg), opFrame, 0)
+		}
+		quads = append(quads, opStep, 0x25)
+	}
+	// The trilinear straddle: a footprint across a u edge at level m and
+	// its partner at m+1, two lines each, cycled as the texel steps right.
+	straddle := make([]byte, 0, 256)
+	for k := 0; k < 24; k++ {
+		straddle = append(straddle, opQuad, 1, opQuad, 6, opQuad, 1, opQuad, 6, opStep, 0x1C)
+		if k%8 == 7 {
+			straddle = append(straddle, opFrame, 0)
+		}
+	}
 	walk := make([]byte, 0, 2048)
 	state := uint32(0x9E3779B9)
 	for len(walk) < cap(walk) {
@@ -188,6 +245,11 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 		{poolChains, walk},
 		{poolChainsDirect, crossSet},
 		{poolChainsDirect, walk},
+		{poolAssociative, quads},
+		{poolChains, quads},
+		{poolDirect, straddle},
+		{poolFull, straddle},
+		{poolChainsDirect, straddle},
 	} {
 		f.Add(seed.mask, seed.prog)
 	}
@@ -228,6 +290,15 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 				sink.Texel(tid, u, v, m)
 				for _, o := range oracle {
 					o.Texel(tid, u, v, m)
+				}
+			},
+			quad: func(tid texture.ID, u0, v0, u1, v1, m int) {
+				sink.Quad(tid, u0, v0, u1, v1, m)
+				for _, o := range oracle {
+					o.Texel(tid, u0, v0, m)
+					o.Texel(tid, u1, v0, m)
+					o.Texel(tid, u0, v1, m)
+					o.Texel(tid, u1, v1, m)
 				}
 			},
 			endOfFrame: func() {

@@ -53,22 +53,29 @@ type Sink interface {
 	Texel(tid texture.ID, u, v, m int)
 }
 
+// QuadSink is a Sink that also takes a bilinear 2x2 footprint in one
+// call. Quad receives the texels (u0,v0), (u1,v0), (u0,v1), (u1,v1) of
+// level m, in that order, with u1 and v1 the wrapped successors of u0
+// and v0: exactly the four Texel calls it stands for. The rasterizer
+// asserts the interface once, in SetSink, and then hands every bilinear
+// footprint over through Quad; point samples still go through Texel.
+type QuadSink interface {
+	Sink
+	Quad(tid texture.ID, u0, v0, u1, v1, m int)
+}
+
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(tid texture.ID, u, v, m int)
 
 // Texel implements Sink.
 func (f SinkFunc) Texel(tid texture.ID, u, v, m int) { f(tid, u, v, m) }
 
-// TraceSink streams texel references straight into a trace.Writer. The
-// rasterizer recognises this concrete type in SetSink and bypasses the
-// Sink interface on the per-texel emit path — one direct call per texel
-// instead of an interface dispatch plus an adapter hop. W may be swapped
-// between frames but must not change while a triangle is being
-// rasterized.
+// TraceSink streams texel references straight into a trace.Writer. It is
+// a plain Sink: a bilinear footprint reaches it as four Texel calls. W
+// may be swapped between frames.
 type TraceSink struct{ W *trace.Writer }
 
-// Texel implements Sink for callers holding the sink as an interface;
-// the rasterizer's fast path calls the writer directly instead.
+// Texel implements Sink.
 //
 // texlint:hotpath
 func (s *TraceSink) Texel(tid texture.ID, u, v, m int) { s.W.Texel(uint32(tid), u, v, m) }
@@ -98,10 +105,9 @@ type Rasterizer struct {
 	depth []float32
 	color []texture.RGBA
 	sink  Sink
-	// tsink is non-nil when sink is a *TraceSink: the type assertion is
-	// hoisted here, out of the inner scanline loop, so emit can call the
-	// trace writer directly instead of dispatching through the interface.
-	tsink  *TraceSink
+	// quad is sink when it is a QuadSink, asserted once in SetSink
+	// rather than per footprint.
+	quad   QuadSink
 	pixels int64
 }
 
@@ -131,11 +137,10 @@ func MustNew(cfg Config) *Rasterizer {
 func (r *Rasterizer) Config() Config { return r.cfg }
 
 // SetSink directs the texel reference stream. A nil sink discards it.
-// A *TraceSink is recognised and devirtualized: its writer is called
-// directly on the per-texel path.
+// A QuadSink receives each bilinear footprint through one Quad call.
 func (r *Rasterizer) SetSink(s Sink) {
 	r.sink = s
-	r.tsink, _ = s.(*TraceSink)
+	r.quad, _ = s.(QuadSink)
 }
 
 func (r *Rasterizer) clear() {
@@ -458,15 +463,30 @@ func levelCoord(c float64, m int) float64 {
 	return c * levelInv[m]
 }
 
+// emit sends the texel (u, v) of level m, wrapped, to the sink.
 func (r *Rasterizer) emit(tex *texture.Texture, u, v, m int) {
-	l := tex.Levels[m]
-	u = texture.WrapTexel(u, l.Width)
-	v = texture.WrapTexel(v, l.Height)
-	if r.tsink != nil {
-		r.tsink.W.Texel(uint32(tex.ID), u, v, m)
-	} else if r.sink != nil {
-		r.sink.Texel(tex.ID, u, v, m)
+	if r.sink == nil {
+		return
 	}
+	l := tex.Levels[m]
+	r.sink.Texel(tex.ID, texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height), m)
+}
+
+// emitQuad sends the bilinear footprint whose first texel is (u, v) of
+// level m: in one Quad call to a QuadSink, else as four texels in the
+// same order.
+func (r *Rasterizer) emitQuad(tex *texture.Texture, u, v, m int) {
+	if r.quad == nil {
+		r.emit(tex, u, v, m)
+		r.emit(tex, u+1, v, m)
+		r.emit(tex, u, v+1, m)
+		r.emit(tex, u+1, v+1, m)
+		return
+	}
+	l := tex.Levels[m]
+	r.quad.Quad(tex.ID,
+		texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height),
+		texture.WrapTexel(u+1, l.Width), texture.WrapTexel(v+1, l.Height), m)
 }
 
 func (r *Rasterizer) pointSample(tex *texture.Texture, u, v float64, m int) texture.RGBA {
@@ -486,10 +506,7 @@ func (r *Rasterizer) bilinearSample(tex *texture.Texture, u, v float64, m int) t
 	v0 := int(math.Floor(lv))
 	fu := lu - float64(u0)
 	fv := lv - float64(v0)
-	r.emit(tex, u0, v0, m)
-	r.emit(tex, u0+1, v0, m)
-	r.emit(tex, u0, v0+1, m)
-	r.emit(tex, u0+1, v0+1, m)
+	r.emitQuad(tex, u0, v0, m)
 	if r.color == nil {
 		return texture.RGBA{}
 	}

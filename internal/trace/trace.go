@@ -96,8 +96,8 @@ func (w *Writer) BeginFrame() {
 }
 
 // Texel records one texel reference. It is the per-texel entry point of
-// the trace-record path — the rasterizer's devirtualized TraceSink calls
-// it once per emitted texel.
+// the trace-record path: raster.TraceSink calls it once per emitted
+// texel.
 //
 // texlint:hotpath
 func (w *Writer) Texel(tid uint32, u, v, m int) {
