@@ -10,6 +10,7 @@ import (
 	"texcache/internal/experiments"
 	"texcache/internal/raster"
 	"texcache/internal/texture"
+	"texcache/internal/trace"
 	"texcache/internal/vecmath"
 	"texcache/internal/workload"
 )
@@ -232,7 +233,9 @@ func BenchmarkReplaySingleSpecSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceRecordReplay measures the trace encode+decode round trip.
+// BenchmarkTraceRecordReplay measures the trace encode+decode round trip:
+// each iteration records two City frames into memory and decodes them
+// back through trace.Replay.
 func BenchmarkTraceRecordReplay(b *testing.B) {
 	w := workload.City()
 	cfg := core.Config{
@@ -242,21 +245,26 @@ func BenchmarkTraceRecordReplay(b *testing.B) {
 		L1Bytes: 2 << 10,
 	}
 	b.ReportAllocs()
+	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
-		var sink countingWriter
-		if _, err := core.RecordTrace(w, cfg, &sink); err != nil {
+		buf.Reset()
+		if _, err := core.RecordTrace(w, cfg, &buf); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(sink.n)
+		frames, err := trace.Replay(bytes.NewReader(buf.Bytes()), discardEvents{})
+		if err != nil || frames != cfg.Frames {
+			b.Fatalf("replayed %d of %d frames: %v", frames, cfg.Frames, err)
+		}
+		b.SetBytes(int64(buf.Len()))
 	}
 }
 
-type countingWriter struct{ n int64 }
+// discardEvents drops replayed trace events.
+type discardEvents struct{}
 
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
+func (discardEvents) BeginFrame()                   {}
+func (discardEvents) Texel(tid uint32, u, v, m int) {}
+func (discardEvents) EndFrame(pixels int64)         {}
 
 func benchQuad() [2][3]raster.Vertex {
 	mk := func(x, y, u, v float64) raster.Vertex {

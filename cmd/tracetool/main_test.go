@@ -19,6 +19,11 @@ func TestRun(t *testing.T) {
 	if err := os.WriteFile(empty, []byte("TXTR\x01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A stream cut right after an opcode: corrupt, not a clean end.
+	cut := filepath.Join(dir, "cut.trace")
+	if err := os.WriteFile(cut, []byte("TXTR\x01\x01\x02"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// A well-formed stream whose texture id no Village texture has.
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
@@ -46,6 +51,7 @@ func TestRun(t *testing.T) {
 		{"replay", []string{"replay", "-workload", "village", village}, 0, "MB/frame", ""},
 		{"info header-only", []string{"info", empty}, 0, "0 frames, 0 texel references", ""},
 		{"replay header-only", []string{"replay", empty}, 0, "replayed 0 frames", ""},
+		{"info truncated", []string{"info", cut}, 1, "", "trace:"},
 		{"replay out-of-range texture", []string{"replay", hostile}, 1, "", "invalid reference"},
 		{"unknown workload", []string{"replay", "-workload", "bogus", village}, 2, "", `unknown workload "bogus"`},
 		{"removed spans", []string{"spans", "run.jsonl"}, 2, "", "usage: tracetool record|info|replay"},

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -101,6 +102,28 @@ func TestReplayTraceRejectsHostileStreams(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "invalid reference") {
 				t.Errorf("err = %q, want the offending reference described", err)
+			}
+		})
+	}
+}
+
+// A trace cut short is corrupt, not a clean end: the error must not match
+// io.EOF, and it carries the decoder's description of the cut.
+func TestReplayTraceRejectsTruncatedStreams(t *testing.T) {
+	set := workload.Village().Scene.Textures
+	cfg := withL2(testCfg(), 2)
+	cases := []struct {
+		name, data, want string
+	}{
+		{"cut after an opcode", "TXTR\x01\x01\x02", "trace: bad uvarint"},
+		{"cut inside a sample's operand", "TXTR\x01\x01\x04\x80", "trace: bad varint"},
+		{"empty stream", "", "trace: short header"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReplayTrace(strings.NewReader(tc.data), set, cfg)
+			if err == nil || errors.Is(err, io.EOF) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want a non-EOF error containing %q", err, tc.want)
 			}
 		})
 	}

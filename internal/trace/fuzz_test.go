@@ -5,16 +5,11 @@ import (
 	"testing"
 )
 
-// discardHandler drops all events; fuzzing only cares that Replay never
-// panics or loops on malformed input.
-type discardHandler struct{}
-
-func (discardHandler) BeginFrame()                   {}
-func (discardHandler) Texel(tid uint32, u, v, m int) {}
-func (discardHandler) EndFrame(pixels int64)         {}
-
-// FuzzReplay feeds arbitrary bytes to the decoder. Malformed streams must
-// produce an error (or succeed), never a panic or unbounded memory growth.
+// FuzzReplay feeds arbitrary bytes to the decoder, through ReplayBytes and
+// through ReplayFrames read whole, one byte at a time, in halves and split
+// in two at every offset. Malformed streams must produce an error (or
+// succeed), never a panic or unbounded memory growth, and every read gives
+// the frame count, events and error text of the whole slice.
 func FuzzReplay(f *testing.F) {
 	// Seed with a valid stream.
 	var buf bytes.Buffer
@@ -34,16 +29,37 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{'T', 'X', 'T', 'R', 1, 0x01, 0x05, 0x80, 0x80, 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Both decoders must terminate without panicking, and must agree
-		// on the frame count and on whether the stream is well-formed.
-		fa, ea := Replay(bytes.NewReader(data), discardHandler{})
-		fb, eb := ReplayBytes(data, discardHandler{})
-		if fa != fb {
-			t.Fatalf("frames: %d (reader) vs %d (bytes)", fa, fb)
+		agreeEverySplit(t, data)
+	})
+}
+
+// FuzzShardChunks reads a stream through ReplayFrames in the fuzzer's
+// chunks: each byte of pieces is the length of the next chunk, and the
+// rest of data is the last. Every chunking gives the frame count, events
+// and error text of ReplayBytes on the whole slice.
+func FuzzShardChunks(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.BeginFrame()
+	w.Texel(3, 10, 10, 0)
+	w.Texel(3, 11, 10, 0)
+	w.EndFrame(4)
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes(), []byte{7})
+	f.Add([]byte("TXTR\x01"), []byte{2})
+
+	f.Fuzz(func(t *testing.T, data, pieces []byte) {
+		var cuts []int
+		at := 0
+		for _, p := range pieces {
+			if at += int(p); at >= len(data) {
+				break
+			}
+			cuts = append(cuts, at)
 		}
-		if (ea == nil) != (eb == nil) {
-			t.Fatalf("errors disagree: %v (reader) vs %v (bytes)", ea, eb)
-		}
+		agree(t, "chunks", data, &chunkReader{data: data, cuts: cuts})
 	})
 }
 

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -174,8 +175,8 @@ type Handler interface {
 }
 
 // FailingHandler is an optional extension of Handler. A handler whose
-// ReplayErr returns non-nil aborts the replay: the decoders consult it at
-// frame boundaries (cheap — never on the per-texel path) and return the
+// ReplayErr returns non-nil aborts the replay: the decoder consults it at
+// frame boundaries (cheap — never on the per-texel path) and returns the
 // handler's error with the count of fully replayed frames. Handlers that
 // validate events against external state (texture registries, address
 // tables) latch their first failure here instead of panicking mid-stream.
@@ -192,6 +193,12 @@ func handlerErr(h Handler) error {
 	return nil
 }
 
+// bufSize is ReplayFrames' read buffer, bufio's default size. It must
+// exceed the longest tail that cannot be decoded yet, or a refill could
+// not make progress: an opSample with a ten-byte operand and ten bytes of
+// an unfinished second one, 1 + 2*binary.MaxVarintLen64 bytes.
+const bufSize = 4096
+
 // Replay decodes a stream from r, invoking h for each event. It returns
 // the number of frames replayed.
 func Replay(r io.Reader, h Handler) (frames int, err error) {
@@ -200,116 +207,175 @@ func Replay(r io.Reader, h Handler) (frames int, err error) {
 
 // ReplayFrames is Replay bounded to the first maxFrames frames of the
 // stream (0 or negative means no limit). Decoding stops cleanly at the
-// closing frame boundary, so a bounded replay never reads past its last
-// frame's data.
+// closing frame boundary, so a bounded replay never decodes past its last
+// frame's data. The stream is read through one fixed buffer: each refill
+// first moves the undecoded tail (at most one operation) to the front, so
+// an operation split across reads is decoded once it is whole. Frame
+// counts, events and errors are those of ReplayBytes over the same bytes;
+// a failing read returns its error, wrapped, with the frames completed
+// before it.
 func ReplayFrames(r io.Reader, h Handler, maxFrames int) (frames int, err error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	buf := make([]byte, bufSize)
+	n, err := io.ReadFull(r, buf[:len(magic)])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return 0, fmt.Errorf("trace: reading header: %w", err)
 	}
-	for i, b := range magic {
-		if head[i] != b {
-			return 0, errors.New("trace: bad magic or version")
-		}
+	if err := checkHeader(buf[:n]); err != nil {
+		return 0, err
 	}
-	var (
-		tid     uint32
-		m       int
-		u, v    int
-		inFrame bool
-	)
+	var d decoder
+	end := 0 // buf[:end] holds the bytes not yet decoded
 	for {
-		code, err := br.ReadByte()
-		if err == io.EOF {
-			if inFrame {
-				return frames, errors.New("trace: truncated inside a frame")
-			}
-			return frames, handlerErr(h)
+		n, rerr := r.Read(buf[end:])
+		end += n
+		eof := rerr == io.EOF
+		used, err := d.decode(buf[:end], h, eof, maxFrames)
+		switch {
+		case err != nil:
+			return d.frames, err
+		case eof, maxFrames > 0 && d.frames == maxFrames:
+			return d.frames, nil
+		case rerr != nil:
+			return d.frames, fmt.Errorf("trace: reading: %w", rerr)
 		}
-		if err != nil {
-			return frames, err
-		}
+		end = copy(buf, buf[used:end])
+	}
+}
+
+// ReplayBytes decodes an in-memory stream, invoking h for each event. It
+// runs the decode loop once over the whole slice, with no copy and no
+// io.Reader round trip. Semantics are identical to Replay, including
+// FailingHandler aborts.
+func ReplayBytes(data []byte, h Handler) (frames int, err error) {
+	if err := checkHeader(data); err != nil {
+		return 0, err
+	}
+	var d decoder
+	_, err = d.decode(data[len(magic):], h, true, 0)
+	return d.frames, err
+}
+
+// checkHeader verifies the stream's magic and version; b holds the
+// stream's first len(magic) bytes, or all of a shorter stream.
+func checkHeader(b []byte) error {
+	if len(b) < len(magic) {
+		return errors.New("trace: short header")
+	}
+	if !bytes.Equal(b[:len(magic)], magic) {
+		return errors.New("trace: bad magic or version")
+	}
+	return nil
+}
+
+// decoder is the replay state carried from one decode call to the next.
+type decoder struct {
+	tid     uint32
+	m, u, v int
+	frames  int
+	inFrame bool
+}
+
+// decode decodes the operations of data, invoking h per event, and
+// returns the bytes it consumed. It stops after the frame that brings the
+// count to limit (0 or negative means no limit). An operation whose
+// operand runs off the end of data is left unconsumed to wait for more
+// input, unless final says data ends the stream; then it is
+// truncated, and so is a stream that ends inside a frame.
+func (d *decoder) decode(data []byte, h Handler, final bool, limit int) (int, error) {
+	// Decoder state lives in locals for the loop; single-byte deltas,
+	// which dominate coherent rasterization walks, take the fast path.
+	tid, m, u, v := d.tid, d.m, d.u, d.v
+	inFrame, frames := d.inFrame, d.frames
+	var err error
+	i, n := 0, len(data)
+loop:
+	for i < n {
+		start := i
+		code := data[i]
+		i++
 		switch code {
-		case opFrame:
-			if inFrame {
-				return frames, errors.New("trace: nested frame")
-			}
-			if err := handlerErr(h); err != nil {
-				return frames, err
-			}
-			inFrame = true
-			h.BeginFrame()
-		case opTexture:
-			x, err := binary.ReadUvarint(br)
-			if err != nil {
-				return frames, err
-			}
-			tid = uint32(x)
-		case opLevel:
-			x, err := binary.ReadUvarint(br)
-			if err != nil {
-				return frames, err
-			}
-			m = int(x)
 		case opSample:
-			du, err := binary.ReadVarint(br)
-			if err != nil {
-				return frames, err
-			}
-			dv, err := binary.ReadVarint(br)
-			if err != nil {
-				return frames, err
+			var du, dv int64
+			if i+1 < n && data[i] < 0x80 && data[i+1] < 0x80 {
+				bu, bv := data[i], data[i+1]
+				du = int64(bu>>1) ^ -int64(bu&1)
+				dv = int64(bv>>1) ^ -int64(bv&1)
+				i += 2
+			} else {
+				var ku, kv int
+				du, ku = binary.Varint(data[i:])
+				if ku > 0 {
+					dv, kv = binary.Varint(data[i+ku:])
+				}
+				if ku <= 0 || kv <= 0 {
+					// A zero length runs off the end of data; a
+					// negative one overflows.
+					if ku >= 0 && kv >= 0 && !final {
+						i = start
+						break loop
+					}
+					err = errors.New("trace: bad varint")
+					break loop
+				}
+				i += ku + kv
 			}
 			if !inFrame {
-				return frames, errors.New("trace: sample outside frame")
+				err = errors.New("trace: sample outside frame")
+				break loop
 			}
 			u += int(du)
 			v += int(dv)
 			h.Texel(tid, u, v, m)
-		case opPixels:
-			x, err := binary.ReadUvarint(br)
-			if err != nil {
-				return frames, err
+		case opFrame:
+			if inFrame {
+				err = errors.New("trace: nested frame")
+				break loop
 			}
-			if !inFrame {
-				return frames, errors.New("trace: frame end outside frame")
+			if err = handlerErr(h); err != nil {
+				break loop
 			}
-			inFrame = false
-			frames++
-			h.EndFrame(int64(x))
-			if err := handlerErr(h); err != nil {
-				return frames, err
+			inFrame = true
+			h.BeginFrame()
+		case opTexture, opLevel, opPixels:
+			x, k := binary.Uvarint(data[i:])
+			if k <= 0 {
+				if k == 0 && !final {
+					i = start
+					break loop
+				}
+				err = errors.New("trace: bad uvarint")
+				break loop
 			}
-			if maxFrames > 0 && frames >= maxFrames {
-				return frames, nil
+			i += k
+			switch code {
+			case opTexture:
+				tid = uint32(x)
+			case opLevel:
+				m = int(x)
+			default: // opPixels
+				if !inFrame {
+					err = errors.New("trace: frame end outside frame")
+					break loop
+				}
+				inFrame = false
+				frames++
+				h.EndFrame(int64(x))
+				if err = handlerErr(h); err != nil || frames == limit {
+					break loop
+				}
 			}
 		default:
-			return frames, fmt.Errorf("trace: unknown opcode %#x", code)
+			err = fmt.Errorf("trace: unknown opcode %#x", code)
+			break loop
 		}
 	}
-}
-
-// Decoder errors shared by the slice decoder's helpers.
-var (
-	errBadUvarint = errors.New("trace: bad uvarint")
-	errBadVarint  = errors.New("trace: bad varint")
-)
-
-// ReplayBytes decodes an in-memory stream, invoking h for each event. It
-// is the whole-slice entry to the replay path: the decode loop indexes
-// the slice directly instead of paying an io.Reader round trip per byte,
-// and the sample loop special-cases single-byte deltas, which dominate
-// coherent rasterization walks. Semantics are identical to Replay,
-// including FailingHandler aborts. It is implemented as a single Feed
-// into a ShardDecoder, so chunked and contiguous decodes cannot diverge.
-func ReplayBytes(data []byte, h Handler) (frames int, err error) {
-	if len(data) < len(magic) {
-		return 0, errors.New("trace: short header")
+	d.tid, d.m, d.u, d.v = tid, m, u, v
+	d.inFrame, d.frames = inFrame, frames
+	if err == nil && final && i == n {
+		if inFrame {
+			return i, errors.New("trace: truncated inside a frame")
+		}
+		return i, handlerErr(h)
 	}
-	var d ShardDecoder
-	if err := d.Feed(data, h); err != nil {
-		return d.frames, err
-	}
-	return d.Finish(h)
+	return i, err
 }

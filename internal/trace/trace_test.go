@@ -397,9 +397,10 @@ func TestFailingHandlerAbortsReplay(t *testing.T) {
 	}
 }
 
-// TestReplayBytesMatchesReplay drives both decoders over the same streams —
-// valid, truncated, and corrupted — and demands identical frame counts and
-// error outcomes.
+// TestReplayBytesMatchesReplay drives both entry points over the same
+// streams — valid, truncated, and corrupted — read whole, a byte at a
+// time and in halves, and demands identical frame counts, events and
+// error text.
 func TestReplayBytesMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf bytes.Buffer
@@ -427,30 +428,7 @@ func TestReplayBytesMatchesReplay(t *testing.T) {
 	corrupt[len(corrupt)/2] = 0xEE
 	inputs = append(inputs, corrupt)
 
-	for i, data := range inputs {
-		var ra, rb recorder
-		fa, ea := Replay(bytes.NewReader(data), &ra)
-		fb, eb := ReplayBytes(data, &rb)
-		if fa != fb {
-			t.Errorf("input %d: frames %d (reader) vs %d (bytes)", i, fa, fb)
-		}
-		if (ea == nil) != (eb == nil) {
-			t.Errorf("input %d: err %v (reader) vs %v (bytes)", i, ea, eb)
-		}
-		if len(ra.frames) != len(rb.frames) {
-			t.Fatalf("input %d: delivered %d vs %d frames", i, len(ra.frames), len(rb.frames))
-		}
-		for f := range ra.frames {
-			if len(ra.frames[f]) != len(rb.frames[f]) {
-				t.Fatalf("input %d frame %d: %d vs %d events",
-					i, f, len(ra.frames[f]), len(rb.frames[f]))
-			}
-			for j := range ra.frames[f] {
-				if ra.frames[f][j] != rb.frames[f][j] {
-					t.Fatalf("input %d frame %d event %d: %+v vs %+v",
-						i, f, j, ra.frames[f][j], rb.frames[f][j])
-				}
-			}
-		}
+	for _, data := range inputs {
+		agreeReads(t, data)
 	}
 }
