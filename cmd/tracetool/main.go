@@ -193,7 +193,7 @@ func info(args []string, stdout, stderr io.Writer) int {
 	defer func() { _ = f.Close() }() // read-only
 	h := &infoHandler{textures: map[uint32]bool{}, levels: map[int]int64{}}
 	if _, err := trace.Replay(f, h); err != nil {
-		return fail(stderr, err)
+		return fail(stderr, fmt.Errorf("%s: %w", path, err))
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -239,7 +239,8 @@ func replay(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	f, err := os.Open(fs.Arg(0))
+	path := fs.Arg(0)
+	f, err := os.Open(path)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -259,7 +260,7 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := core.ReplayTrace(f, w.Scene.Textures, cfg)
 	if err != nil {
-		return fail(stderr, err)
+		return fail(stderr, fmt.Errorf("%s: %w", path, err))
 	}
 	t := res.Totals
 	fmt.Fprintf(stdout, "replayed %d frames\n", len(res.Frames))
@@ -267,7 +268,9 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	if cfg.L2 != nil {
 		fmt.Fprintf(stdout, "L2: full %.2f%%, partial %.2f%% (of L1 misses)\n",
 			100*t.L2.FullHitRate(), 100*t.L2.PartialHitRate())
-		fmt.Fprintf(stdout, "TLB hit rate: %.2f%%\n", 100*t.TLB.HitRate())
+		if cfg.TLBEntries > 0 {
+			fmt.Fprintf(stdout, "TLB hit rate: %.2f%%\n", 100*t.TLB.HitRate())
+		}
 	}
 	if n := len(res.Frames); n > 0 {
 		fmt.Fprintf(stdout, "host bandwidth: %.3f MB/frame\n", float64(t.HostBytes)/float64(n)/(1<<20))

@@ -42,21 +42,24 @@ func TestRun(t *testing.T) {
 		name     string
 		args     []string
 		wantCode int
-		// stdout and stderr must contain these substrings.
-		wantOut, wantErr string
+		// stdout and stderr must contain these substrings, and stdout
+		// must not contain notOut unless it is empty.
+		wantOut, wantErr, notOut string
 	}{
 		{"record", []string{"record", "-workload", "village", "-width", "64", "-height", "48",
-			"-frames", "2", "-o", village}, 0, "recorded 2 frames of village", ""},
-		{"info", []string{"info", village}, 0, "refs/pixel", ""},
-		{"replay", []string{"replay", "-workload", "village", village}, 0, "MB/frame", ""},
-		{"info header-only", []string{"info", empty}, 0, "0 frames, 0 texel references", ""},
-		{"replay header-only", []string{"replay", empty}, 0, "replayed 0 frames", ""},
-		{"info truncated", []string{"info", cut}, 1, "", "trace:"},
-		{"replay out-of-range texture", []string{"replay", hostile}, 1, "", "invalid reference"},
-		{"unknown workload", []string{"replay", "-workload", "bogus", village}, 2, "", `unknown workload "bogus"`},
-		{"removed spans", []string{"spans", "run.jsonl"}, 2, "", "usage: tracetool record|info|replay"},
-		{"unknown subcommand", []string{"bogus"}, 2, "", "usage:"},
-		{"no subcommand", nil, 2, "", "usage:"},
+			"-frames", "2", "-o", village}, 0, "recorded 2 frames of village", "", ""},
+		{"info", []string{"info", village}, 0, "refs/pixel", "", ""},
+		{"replay", []string{"replay", "-workload", "village", village}, 0, "MB/frame", "", ""},
+		{"replay without a TLB", []string{"replay", "-tlb", "0", village}, 0, "MB/frame", "", "TLB"},
+		{"info header-only", []string{"info", empty}, 0, "0 frames, 0 texel references", "", ""},
+		{"replay header-only", []string{"replay", empty}, 0, "replayed 0 frames", "", ""},
+		{"info truncated", []string{"info", cut}, 1, "", cut + ": trace: bad uvarint at byte 6", ""},
+		{"replay truncated", []string{"replay", cut}, 1, "", cut + ": core: replay: trace: bad uvarint at byte 6", ""},
+		{"replay out-of-range texture", []string{"replay", hostile}, 1, "", hostile + ": core: replay: invalid reference", ""},
+		{"unknown workload", []string{"replay", "-workload", "bogus", village}, 2, "", `unknown workload "bogus"`, ""},
+		{"removed spans", []string{"spans", "run.jsonl"}, 2, "", "usage: tracetool record|info|replay", ""},
+		{"unknown subcommand", []string{"bogus"}, 2, "", "usage:", ""},
+		{"no subcommand", nil, 2, "", "usage:", ""},
 	}
 
 	for _, tt := range tests {
@@ -70,6 +73,9 @@ func TestRun(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tt.wantErr) {
 				t.Errorf("stderr missing %q:\n%s", tt.wantErr, stderr.String())
+			}
+			if tt.notOut != "" && strings.Contains(stdout.String(), tt.notOut) {
+				t.Errorf("stdout prints %q:\n%s", tt.notOut, stdout.String())
 			}
 			// No ratio may print over an empty denominator.
 			for _, bad := range []string{"NaN", "Inf"} {

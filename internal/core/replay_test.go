@@ -108,15 +108,18 @@ func TestReplayTraceRejectsHostileStreams(t *testing.T) {
 }
 
 // A trace cut short is corrupt, not a clean end: the error must not match
-// io.EOF, and it carries the decoder's description of the cut.
+// io.EOF, and it carries the decoder's description of the cut and where
+// it is: the offset of the operation cut, or the stream's length when the
+// cut falls between operations.
 func TestReplayTraceRejectsTruncatedStreams(t *testing.T) {
 	set := workload.Village().Scene.Textures
 	cfg := withL2(testCfg(), 2)
 	cases := []struct {
 		name, data, want string
 	}{
-		{"cut after an opcode", "TXTR\x01\x01\x02", "trace: bad uvarint"},
-		{"cut inside a sample's operand", "TXTR\x01\x01\x04\x80", "trace: bad varint"},
+		{"cut after an opcode", "TXTR\x01\x01\x02", "trace: bad uvarint at byte 6"},
+		{"cut inside a sample's operand", "TXTR\x01\x01\x04\x80", "trace: bad varint at byte 6"},
+		{"cut between operations in a frame", "TXTR\x01\x01\x02\x00", "trace: truncated inside a frame at byte 8"},
 		{"empty stream", "", "trace: short header"},
 	}
 	for _, tc := range cases {

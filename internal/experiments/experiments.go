@@ -204,24 +204,25 @@ func SweepSpecs() []core.CacheSpec {
 	return specs
 }
 
+// sweepConfig is the render configuration of the cache sweep of
+// workload x filter.
+func (c *Context) sweepConfig(name string, mode raster.SampleMode) core.Config {
+	return core.Config{
+		Width:     c.Scale.Width,
+		Height:    c.Scale.Height,
+		Frames:    c.frames(name),
+		Mode:      mode,
+		FastSweep: c.FastSweep,
+	}
+}
+
 // sweep returns the memoized cache-sweep comparison for workload x filter.
 func (c *Context) sweep(name string, mode raster.SampleMode) (*core.Comparison, error) {
 	key := fmt.Sprintf("%s/%s", name, mode)
 	if r, ok := c.cmpRuns[key]; ok {
 		return r, nil
 	}
-	render := core.Config{
-		Width:  c.Scale.Width,
-		Height: c.Scale.Height,
-		Frames: c.frames(name),
-		Mode:   mode,
-		// Always collect the reuse profile: it is what the model
-		// experiment reports from, and in exact sweeps it attaches the
-		// per-spec model error to the comparison for free.
-		CollectReuse: true,
-		FastSweep:    c.FastSweep,
-	}
-	cmp, err := core.RunComparison(c.workloadByName(name), render, SweepSpecs())
+	cmp, err := core.RunComparison(c.workloadByName(name), c.sweepConfig(name, mode), SweepSpecs())
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"texcache/internal/core"
+	"texcache/internal/model/reusemodel"
 	"texcache/internal/raster"
 )
 
@@ -14,27 +15,51 @@ import (
 func (c *Context) ModelReport() error {
 	c.header("Reuse model: predicted vs exact rates on the cache sweep (trilinear)")
 	for _, name := range []string{"village", "city"} {
-		cmp, err := c.sweep(name, raster.Trilinear)
+		model, err := c.modelRates(name)
 		if err != nil {
 			return err
 		}
 		c.printf("\n-- %s --\n", name)
-		c.modelTable(cmp)
+		c.modelTable(model)
 	}
 	c.printf("\nRates are absolute; L2 full-hit rates are conditioned on an L1 miss.\n")
 	c.printf("Specs the model refuses fall back to exact replay in -fast sweeps.\n")
 	return nil
 }
 
-func (c *Context) modelTable(cmp *core.Comparison) {
-	if len(cmp.Model) == 0 {
-		c.printf("(no reuse profile collected)\n")
-		return
+// modelRates returns the model's report on a workload's trilinear cache
+// sweep, parallel to SweepSpecs(). A memoized exact sweep carries no
+// reuse probe, so the predictions come from a -fast sweep of their own,
+// each compared with the exact sweep's counters; a memoized -fast sweep
+// carries its own predictions, with no exact side.
+func (c *Context) modelRates(name string) ([]core.SpecModel, error) {
+	cmp, err := c.sweep(name, raster.Trilinear)
+	if err != nil {
+		return nil, err
 	}
+	if cmp.Model != nil {
+		return cmp.Model, nil
+	}
+	render := c.sweepConfig(name, raster.Trilinear)
+	render.FastSweep = true
+	fast, err := core.RunComparison(c.workloadByName(name), render, SweepSpecs())
+	if err != nil {
+		return nil, err
+	}
+	for i := range fast.Model {
+		if m := &fast.Model[i]; m.Modeled {
+			m.HasExact = true
+			m.Err = reusemodel.Compare(*m.Pred, cmp.Results[i].Totals)
+		}
+	}
+	return fast.Model, nil
+}
+
+func (c *Context) modelTable(model []core.SpecModel) {
 	c.printf("%-12s %9s %9s %7s   %9s %9s %7s\n",
 		"spec", "L1 exact", "L1 model", "|err|", "L2 exact", "L2 model", "|err|")
 	maxL1, maxL2 := 0.0, 0.0
-	for _, m := range cmp.Model {
+	for _, m := range model {
 		switch {
 		case !m.Modeled:
 			c.printf("%-12s replayed exactly: %s\n", m.Spec, m.Unreachable)

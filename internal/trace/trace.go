@@ -223,7 +223,7 @@ func ReplayFrames(r io.Reader, h Handler, maxFrames int) (frames int, err error)
 	if err := checkHeader(buf[:n]); err != nil {
 		return 0, err
 	}
-	var d decoder
+	d := decoder{off: len(magic)}
 	end := 0 // buf[:end] holds the bytes not yet decoded
 	for {
 		n, rerr := r.Read(buf[end:])
@@ -250,7 +250,7 @@ func ReplayBytes(data []byte, h Handler) (frames int, err error) {
 	if err := checkHeader(data); err != nil {
 		return 0, err
 	}
-	var d decoder
+	d := decoder{off: len(magic)}
 	_, err = d.decode(data[len(magic):], h, true, 0)
 	return d.frames, err
 }
@@ -273,6 +273,9 @@ type decoder struct {
 	m, u, v int
 	frames  int
 	inFrame bool
+	// off is the stream offset of the next byte to decode: the start of
+	// the data passed to the next decode call.
+	off int
 }
 
 // decode decodes the operations of data, invoking h per event, and
@@ -280,17 +283,21 @@ type decoder struct {
 // count to limit (0 or negative means no limit). An operation whose
 // operand runs off the end of data is left unconsumed to wait for more
 // input, unless final says data ends the stream; then it is
-// truncated, and so is a stream that ends inside a frame.
+// truncated, and so is a stream that ends inside a frame. A malformed
+// stream's error names the stream offset of the operation that failed,
+// the stream's length for one that ends inside a frame; a handler's
+// error is returned as it is.
 func (d *decoder) decode(data []byte, h Handler, final bool, limit int) (int, error) {
 	// Decoder state lives in locals for the loop; single-byte deltas,
 	// which dominate coherent rasterization walks, take the fast path.
 	tid, m, u, v := d.tid, d.m, d.u, d.v
 	inFrame, frames := d.inFrame, d.frames
 	var err error
-	i, n := 0, len(data)
+	bad := "" // what is wrong with the operation at data[start:]
+	i, n, start := 0, len(data), 0
 loop:
 	for i < n {
-		start := i
+		start = i
 		code := data[i]
 		i++
 		switch code {
@@ -314,13 +321,13 @@ loop:
 						i = start
 						break loop
 					}
-					err = errors.New("trace: bad varint")
+					bad = "bad varint"
 					break loop
 				}
 				i += ku + kv
 			}
 			if !inFrame {
-				err = errors.New("trace: sample outside frame")
+				bad = "sample outside frame"
 				break loop
 			}
 			u += int(du)
@@ -328,7 +335,7 @@ loop:
 			h.Texel(tid, u, v, m)
 		case opFrame:
 			if inFrame {
-				err = errors.New("trace: nested frame")
+				bad = "nested frame"
 				break loop
 			}
 			if err = handlerErr(h); err != nil {
@@ -343,7 +350,7 @@ loop:
 					i = start
 					break loop
 				}
-				err = errors.New("trace: bad uvarint")
+				bad = "bad uvarint"
 				break loop
 			}
 			i += k
@@ -354,7 +361,7 @@ loop:
 				m = int(x)
 			default: // opPixels
 				if !inFrame {
-					err = errors.New("trace: frame end outside frame")
+					bad = "frame end outside frame"
 					break loop
 				}
 				inFrame = false
@@ -365,17 +372,21 @@ loop:
 				}
 			}
 		default:
-			err = fmt.Errorf("trace: unknown opcode %#x", code)
+			bad = fmt.Sprintf("unknown opcode %#x", code)
 			break loop
 		}
 	}
 	d.tid, d.m, d.u, d.v = tid, m, u, v
 	d.inFrame, d.frames = inFrame, frames
-	if err == nil && final && i == n {
-		if inFrame {
-			return i, errors.New("trace: truncated inside a frame")
-		}
-		return i, handlerErr(h)
+	at := d.off + start
+	d.off += i
+	switch {
+	case bad != "":
+		return i, fmt.Errorf("trace: %s at byte %d", bad, at)
+	case err != nil || !final || i < n:
+		return i, err
+	case inFrame:
+		return i, fmt.Errorf("trace: truncated inside a frame at byte %d", d.off)
 	}
-	return i, err
+	return i, handlerErr(h)
 }
