@@ -10,9 +10,12 @@
 // (1024x768 over the paper's 411/525 frames; slow).
 //
 // Telemetry and profiling: -metrics streams one record per simulated
-// frame of every underlying run (JSONL, or CSV when the path ends in
-// .csv); -manifest records the run's configuration hash, environment and
-// stream totals; -cpuprofile / -memprofile write pprof profiles.
+// frame and cache configuration of every memoized run and ablation
+// (JSONL, or CSV when the path ends in .csv); the push experiment's runs
+// have no cache counters and are left out. -manifest records the run's
+// configuration hash, environment, the workload labels and frames that
+// reached the stream, and its totals; -cpuprofile / -memprofile write
+// pprof profiles.
 package main
 
 import (
@@ -63,10 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("o", "", "write output to file instead of stdout")
 	parallel := fs.Int("parallel", 0,
 		"with -exp all: simulation runs to prefetch concurrently (0 = GOMAXPROCS, -1 = no prefetch)")
-	fast := fs.Bool("fast", false,
-		"analytic cache sweeps: predict model-reachable specs from one reuse-profile pass; per-frame figures then report totals only")
 	csvDir := fs.String("csv", "", "also export per-frame figure series as CSV into this directory")
-	metricsPath := fs.String("metrics", "", "write every run's per-frame metric stream here (.csv = CSV, else JSONL)")
+	metricsPath := fs.String("metrics", "",
+		"write the per-frame metric stream of every cache run here (.csv = CSV, else JSONL); push runs have no cache counters and are left out")
 	manifestPath := fs.String("manifest", "", "write a run manifest (config hash, environment, totals) here")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := fs.String("memprofile", "", "write a heap profile here")
@@ -147,10 +149,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ctx := experiments.NewContext(scale, w)
-	ctx.FastSweep = *fast
 
 	var totals telemetry.Totals
-	emitters := []telemetry.Emitter{&totals}
+	runs := &streamRuns{frames: map[string]int{}}
+	emitters := []telemetry.Emitter{&totals, runs}
 	var flushMetrics func() error
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
@@ -230,6 +232,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Sprintf("%dx%d", scale.Width, scale.Height),
 			"exp="+*exp,
 		)
+		m.Workload = strings.Join(runs.labels, ",")
+		for _, l := range runs.labels {
+			m.Frames += runs.frames[l]
+		}
 		m.Totals = totals.T
 		f, err := os.Create(*manifestPath)
 		if err != nil {
@@ -247,6 +253,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// streamRuns records which runs reached the metric stream, for the
+// manifest: the workload labels in first-seen order and, per label, the
+// frames its records cover.
+type streamRuns struct {
+	labels []string
+	frames map[string]int
+}
+
+func (s *streamRuns) Frame(m telemetry.FrameMetrics) {
+	n, seen := s.frames[m.Workload]
+	if !seen {
+		s.labels = append(s.labels, m.Workload)
+	}
+	if m.Frame >= n {
+		s.frames[m.Workload] = m.Frame + 1
+	}
 }
 
 func exportCSV(ctx *experiments.Context, dir string, stderr io.Writer) int {

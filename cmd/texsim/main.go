@@ -14,22 +14,11 @@
 //
 //	texsim -workload city -sweep -specs pull-2k,l2-2m
 //
-// With -sweep -fast the replay collapses to one instrumented render: the
-// analytic reuse model (internal/model/reusemodel) predicts every
-// model-reachable spec's counters from the stream's sector-aware
-// stack-distance profile, TLB statistics come from exact in-probe
-// filters, and only specs outside the model's reach are replayed. The
-// report marks modeled rows; exact sweeps run with -reuse additionally
-// report the model's per-spec error:
-//
-//	texsim -workload city -sweep -fast
-//
 // Telemetry and profiling:
 //
 //	-metrics run.jsonl   stream per-frame counters (JSONL, or CSV via .csv)
 //	-manifest run.json   record config hash, environment, totals and the
 //	                     per-phase timings of the run's textrace
-//	-reuse hist.json     reuse-distance histogram over L2 block addresses
 //	-trace out.json      Chrome trace_event file — open it in Perfetto
 //	                     (ui.perfetto.dev) or chrome://tracing; also prints
 //	                     the aggregated phase report
@@ -88,12 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nosector := fs.Bool("nosector", false, "disable sector mapping")
 	stats := fs.Bool("stats", false, "collect working-set statistics")
 	sweep := fs.Bool("sweep", false, "simulate the canonical cache sweep against one render of the workload")
-	fast := fs.Bool("fast", false,
-		"with -sweep: predict model-reachable specs analytically from one instrumented render")
 	specsArg := fs.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
 	metricsPath := fs.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
 	manifestPath := fs.String("manifest", "", "write a run manifest (config hash, environment, totals, phases) here")
-	reusePath := fs.String("reuse", "", "write a reuse-distance histogram over L2 block addresses here")
 	tracePath := fs.String("trace", "",
 		"write a Chrome trace_event file (Perfetto) here and print the phase report")
 	monitorAddr := fs.String("monitor", "",
@@ -160,18 +146,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		cfg.StatLayouts = []texture.TileLayout{{L2Size: 16, L1Size: 4}}
 	}
-	cfg.CollectReuse = *reusePath != ""
-
-	if *fast && !*sweep {
-		fmt.Fprintln(stderr, "texsim: -fast only applies to -sweep runs")
-		return 2
-	}
 
 	var specs []core.CacheSpec
 	if *sweep {
 		var err error
 		if specs, err = selectSpecs(*specsArg); err != nil {
 			fmt.Fprintln(stderr, err)
+			return 2
+		}
+	} else {
+		specsSet := false
+		fs.Visit(func(f *flag.Flag) { specsSet = specsSet || f.Name == "specs" })
+		if specsSet {
+			fmt.Fprintln(stderr, "texsim: -specs only applies to -sweep runs")
 			return 2
 		}
 	}
@@ -256,20 +243,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	var reuse *telemetry.ReuseHistogram
-	var modelErrs []telemetry.SpecModelError
 	simFrames := 0
 	if *sweep {
-		cfg.FastSweep = *fast
 		cmp, err := core.RunComparison(w, cfg, specs)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		reportSweep(stdout, w, cfg, specs, cmp)
-		addModeledTotals(&totals.T, cmp)
-		reuse = cmp.Reuse
-		modelErrs = cmp.ModelErrors()
 		simFrames = len(cmp.FramePixels)
 	} else {
 		res, err := core.Run(w, cfg)
@@ -278,7 +259,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		report(stdout, w, cfg, res)
-		reuse = res.Reuse
 		simFrames = len(res.Frames)
 	}
 
@@ -288,14 +268,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if *reusePath != "" {
-		if err := writeReuse(*reusePath, reuse); err != nil {
-			fmt.Fprintln(stderr, "texsim: writing reuse histogram:", err)
-			return 1
-		}
-	}
 	if *manifestPath != "" {
-		if err := writeManifest(*manifestPath, w, cfg, specs, *sweep, simFrames, totals.T, modelErrs); err != nil {
+		if err := writeManifest(*manifestPath, w, cfg, specs, *sweep, simFrames, totals.T); err != nil {
 			fmt.Fprintln(stderr, "texsim: writing manifest:", err)
 			return 1
 		}
@@ -346,24 +320,6 @@ func writeTrace(path string, tr *telemetry.Trace, out io.Writer) error {
 	return tr.Report().WriteText(out)
 }
 
-// addModeledTotals adds the end-of-run totals of every modeled spec to
-// the manifest totals: modeled results have no per-frame records, so
-// the metric stream never counted them. FrameRecords keeps counting the
-// records actually written.
-func addModeledTotals(t *telemetry.RunTotals, cmp *core.Comparison) {
-	for _, res := range cmp.Results {
-		if res.ModelFrames == 0 {
-			continue
-		}
-		c := res.Totals
-		t.TexelRefs += c.L1.Accesses
-		t.L1Misses += c.L1.Misses
-		t.HostBytes += c.HostBytes
-		t.L2ReadBytes += c.L2ReadBytes
-		t.L2WriteBytes += c.L2WriteBytes
-	}
-}
-
 // selectSpecs resolves the -specs argument against the canonical sweep.
 // An empty or unknown name is a usage error naming every valid spec, so a
 // typo cannot silently sweep nothing.
@@ -399,29 +355,11 @@ func selectSpecs(arg string) ([]core.CacheSpec, error) {
 	return specs, nil
 }
 
-// writeReuse writes the reuse-distance histogram artifact.
-func writeReuse(path string, h *telemetry.ReuseHistogram) error {
-	if h == nil {
-		return fmt.Errorf("no histogram collected")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := h.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // writeManifest records the run's identity: configuration fingerprint,
-// environment, spec list, stream totals, the phase table of the run's
-// textrace, and — for sweeps with a reuse profile — the per-spec model
-// report.
+// environment, spec list, stream totals and the phase table of the run's
+// textrace.
 func writeManifest(path string, w *workload.Workload, cfg core.Config,
-	specs []core.CacheSpec, sweep bool, frames int, totals telemetry.RunTotals,
-	model []telemetry.SpecModelError) error {
+	specs []core.CacheSpec, sweep bool, frames int, totals telemetry.RunTotals) error {
 	tool := "texsim"
 	parts := []string{
 		w.Name,
@@ -451,7 +389,6 @@ func writeManifest(path string, w *workload.Workload, cfg core.Config,
 	if rep := cfg.Trace.Report(); rep != nil {
 		m.Phases = rep.Phases
 	}
-	m.Model = model
 
 	f, err := os.Create(path)
 	if err != nil {
@@ -464,20 +401,12 @@ func writeManifest(path string, w *workload.Workload, cfg core.Config,
 	return f.Close()
 }
 
-// reportSweep prints one compact row per swept spec. When a reuse
-// profile was collected, a trailing model column distinguishes modeled
-// rows from exact replays and reports the per-spec model error where
-// both sides exist.
+// reportSweep prints one compact row per swept spec.
 func reportSweep(out io.Writer, w *workload.Workload, cfg core.Config, specs []core.CacheSpec, cmp *core.Comparison) {
 	fmt.Fprintf(out, "workload %s: %d frames at %dx%d (%v)\n",
 		w.Name, len(cmp.FramePixels), cfg.Width, cfg.Height, cfg.Mode)
-	hasModel := len(cmp.Model) > 0
-	fmt.Fprintf(out, "%-10s %10s %10s %10s %14s",
+	fmt.Fprintf(out, "%-10s %10s %10s %10s %14s\n",
 		"spec", "L1 hit", "L2 full", "TLB hit", "host MB/frame")
-	if hasModel {
-		fmt.Fprintf(out, "  %s", "model")
-	}
-	fmt.Fprintln(out)
 	for i, spec := range specs {
 		res := cmp.Results[i]
 		t := res.Totals
@@ -489,25 +418,8 @@ func reportSweep(out io.Writer, w *workload.Workload, cfg core.Config, specs []c
 				tlb = fmt.Sprintf("%.2f%%", 100*t.TLB.HitRate())
 			}
 		}
-		fmt.Fprintf(out, "%-10s %9.2f%% %10s %10s %14.3f",
+		fmt.Fprintf(out, "%-10s %9.2f%% %10s %10s %14.3f\n",
 			spec.Name, 100*t.L1.HitRate(), l2, tlb, res.AvgHostMBPerFrame())
-		if hasModel {
-			fmt.Fprintf(out, "  %s", modelNote(cmp.Model[i]))
-		}
-		fmt.Fprintln(out)
-	}
-}
-
-// modelNote summarizes one spec's standing with the analytic model.
-func modelNote(m core.SpecModel) string {
-	switch {
-	case !m.Modeled:
-		return "exact (" + m.Unreachable + ")"
-	case m.HasExact:
-		return fmt.Sprintf("err L1 %.2f%% / L2 %.2f%%",
-			100*m.Err.L1AbsErr, 100*m.Err.L2AbsErr)
-	default:
-		return "modeled"
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "sweep.json")
-	fastManifest := filepath.Join(dir, "fast.json")
 	metrics := filepath.Join(dir, "m.jsonl")
 	trace := filepath.Join(dir, "t.json")
 	tiny := []string{"-workload", "village", "-width", "64", "-height", "48", "-frames", "2"}
@@ -33,13 +32,14 @@ func TestRun(t *testing.T) {
 		{"removed -renderworkers", with("-sweep", "-renderworkers", "2"), 2, "", "-renderworkers", "", nil},
 		{"removed -replayworkers", with("-sweep", "-replayworkers", "2"), 2, "", "-replayworkers", "", nil},
 		{"removed -spans", with("-sweep", "-spans", filepath.Join(dir, "spans.jsonl")), 2, "", "-spans", "", nil},
+		{"removed -fast", with("-sweep", "-fast"), 2, "", "-fast", "", nil},
+		{"removed -reuse", with("-reuse", filepath.Join(dir, "reuse.json")), 2, "", "-reuse", "", nil},
 		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", nil},
+		{"specs without -sweep", with("-specs", "pull-2k"), 2, "", "-specs only applies to -sweep", "", nil},
 		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
 		{"monitor", with("-sweep", "-monitor", "127.0.0.1:0"), 0, "workload village", "monitor listening on http://127.0.0.1:", "", nil},
 		{"manifest", with("-sweep", "-specs", "pull-2k,l2-2m", "-manifest", manifest), 0, "l2-2m", "", manifest,
 			[]string{`"phases"`, `"name": "frame"`, `"texel_refs": [1-9]`}},
-		{"fast manifest", with("-sweep", "-fast", "-manifest", fastManifest), 0, "modeled", "", fastManifest,
-			[]string{`"model"`, `"texel_refs": [1-9]`, `"name": "frame"`, `"name": "predict"`, `"name": "eval"`, `"name": "tlb-patch"`}},
 		{"metrics", with("-sweep", "-specs", "pull-2k,l2-2m", "-metrics", metrics), 0, "l2-2m", "", metrics,
 			[]string{`"spec":"l2-2m","frame":1,`}},
 		{"trace", with("-sweep", "-trace", trace), 0, "textrace report", "", trace,

@@ -16,8 +16,8 @@
 //   - internal/workload: procedural Village and City animations tuned to
 //     the paper's published workload statistics.
 //   - internal/core: the transaction-accurate simulator, the exact sweep
-//     engine (one render fanned out to every cache configuration), the
-//     analytic -fast sweep, and trace record/replay.
+//     engine (one render fanned out to every cache configuration), and
+//     trace record/replay.
 //   - internal/model: the paper's analytic models (working set, structure
 //     sizes, fractional advantage).
 //   - internal/experiments: regenerators for every table and figure.

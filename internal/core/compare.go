@@ -37,18 +37,13 @@ type Comparison struct {
 	Results []*Results
 	// Pixels per frame (shared across specs — same stream).
 	FramePixels []int64
-	// Reuse is the rendered stream's stack-distance histogram when
-	// render.CollectReuse was set; the stream is shared across specs, so
-	// the comparison carries one histogram, not one per spec.
-	Reuse *telemetry.ReuseHistogram
-	// ReuseProfile is the full sector-aware locality profile behind
-	// Reuse (same probe, same stream), the input of the analytic model.
+	// ReuseProfile is the -fast engine's sector-aware locality profile of
+	// the rendered stream, the input of the analytic model; nil for an
+	// exact sweep.
 	ReuseProfile *telemetry.SectorProfile
-	// Model is the analytic model's per-spec report, parallel to Specs,
-	// present whenever a reuse profile was collected: the prediction for
-	// every model-reachable spec, the refusal reason for the rest, and —
-	// when that spec also has exact (replayed) results — the absolute
-	// model error on the paper's headline rates.
+	// Model is the -fast engine's per-spec report, parallel to Specs: the
+	// prediction for every model-reachable spec and the refusal reason
+	// for the rest; nil for an exact sweep.
 	Model []SpecModel
 }
 
@@ -399,7 +394,7 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 // each frame and fans every texel out to all the specs' hierarchies, so
 // the stream is rendered once and never stored (PAPER.md §3.3). A
 // non-nil probe (the -fast engine injects one carrying TLB filters)
-// overrides the CollectReuse-built probe and taps the render stream.
+// taps the render stream.
 func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
 	set := w.Scene.Textures
 	set.MustPrepare(texture.CanonicalL1())
@@ -429,9 +424,6 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 			return nil, err
 		}
 		sink.collect = collect
-	}
-	if probe == nil && render.CollectReuse {
-		probe = newReuseProbe(set)
 	}
 	sink.reuse = probe
 
@@ -499,8 +491,5 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 			int64(render.Width)*int64(render.Height))
 		cmp.Results[0].Summary = &sum
 	}
-	cmp.Reuse = sink.reuse.histogram()
-	cmp.ReuseProfile = sink.reuse.profile()
-	attachModel(cmp, specs)
 	return cmp, nil
 }

@@ -69,12 +69,6 @@ type Config struct {
 	// output. A nil Trace costs one predictable branch per event site and
 	// allocates nothing.
 	Trace *telemetry.Trace
-	// CollectReuse enables the reuse-distance probe: an LRU stack
-	// distance histogram over L2 block addresses of the rendered
-	// reference stream, attached to Results.Reuse / Comparison.Reuse.
-	// Comparison runs additionally attach the sector profile and the
-	// analytic model's per-spec report (Comparison.Model).
-	CollectReuse bool
 	// FastSweep switches RunComparison to the analytic engine: the
 	// workload is rendered once through the reuse probe and every spec
 	// the reuse model can reach (see internal/model/reusemodel) gets its
@@ -82,9 +76,10 @@ type Config struct {
 	// statistics come from exact in-probe filters. Specs outside the
 	// model's reach (direct-mapped L1s, random replacement, disabled
 	// sector mapping, off-granularity tile sizes) run on the exact engine.
-	// Modeled Results carry Totals but no per-frame breakdown.
-	// Implies CollectReuse for the comparison; incompatible with
-	// StatLayouts.
+	// Modeled Results carry Totals but no per-frame breakdown. The
+	// comparison carries the probe's profile (Comparison.ReuseProfile)
+	// and the model's per-spec report (Comparison.Model). Incompatible
+	// with StatLayouts.
 	FastSweep bool
 }
 

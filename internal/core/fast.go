@@ -121,7 +121,6 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		Results:     results,
 		FramePixels: framePixels,
 	}
-	cmp.Reuse = probe.histogram()
 	cmp.ReuseProfile = probe.profile()
 	pr := mt.Begin("predict", int64(len(specs)))
 	attachModel(cmp, specs)
@@ -163,4 +162,46 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		ev.End()
 	}
 	return cmp, nil
+}
+
+// SpecModel is one spec's entry in a -fast comparison's model report
+// (Comparison.Model, parallel to Specs).
+type SpecModel struct {
+	Spec string
+	// Modeled marks specs the reuse model reaches; Unreachable carries
+	// the typed refusal's message for the rest.
+	Modeled     bool
+	Unreachable string
+	// Pred is the model's prediction when Modeled.
+	Pred *reusemodel.Prediction
+}
+
+// modelSpec projects a sweep spec onto the reuse model's input.
+func modelSpec(s CacheSpec) reusemodel.Spec {
+	ms := reusemodel.Spec{Name: s.Name, L1Bytes: s.L1Bytes, L1Ways: s.L1Ways}
+	if s.L2 != nil {
+		ms.L2Bytes = s.L2.SizeBytes
+		ms.TileEdge = s.L2.Layout.L2Size
+		ms.Policy = s.L2.Policy
+		ms.NoSectorMapping = s.L2.NoSectorMapping
+	}
+	return ms
+}
+
+// attachModel fills cmp.Model from the comparison's reuse profile: a
+// prediction for every model-reachable spec, the refusal reason for the
+// rest.
+func attachModel(cmp *Comparison, specs []CacheSpec) {
+	cmp.Model = make([]SpecModel, len(specs))
+	for i, spec := range specs {
+		sm := &cmp.Model[i]
+		sm.Spec = spec.Name
+		pred, err := reusemodel.Predict(cmp.ReuseProfile, modelSpec(spec))
+		if err != nil {
+			sm.Unreachable = err.Error()
+			continue
+		}
+		sm.Modeled = true
+		sm.Pred = &pred
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"texcache/internal/cache"
+	"texcache/internal/model/reusemodel"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
@@ -13,17 +14,16 @@ import (
 // TestModelExactFullyAssociative pins the model's cold-miss and counter
 // accounting against the exact simulator on a configuration where the
 // model's assumptions hold exactly: a fully-associative true-LRU L1
-// (ways == lines) in front of an L2 too large to ever evict. Both sides
-// derive from the same reduced-Village render — the probe taps the very
-// stream the hierarchy simulates — so every counter must match exactly:
-// full misses are precisely the cold blocks, partial hits the cold
-// lines in warm blocks, and evictions zero.
+// (ways == lines) in front of an L2 too large to ever evict. A -fast
+// comparison and an exact one render the same reduced-Village stream,
+// so every modeled counter must match the exact one and the model's
+// rate errors must be zero: full misses are precisely the cold blocks,
+// partial hits the cold lines in warm blocks, and evictions zero.
 func TestModelExactFullyAssociative(t *testing.T) {
 	render := testCfg()
 	render.Frames = 4
-	render.CollectReuse = true
 	const l1Bytes = 2 * 1024
-	spec := CacheSpec{
+	specs := []CacheSpec{{
 		Name:    "exact",
 		L1Bytes: l1Bytes,
 		L1Ways:  l1Bytes / cache.L1LineBytes, // fully associative = true LRU
@@ -32,16 +32,24 @@ func TestModelExactFullyAssociative(t *testing.T) {
 			Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
 			Policy:    cache.Clock,
 		},
-	}
-	cmp, err := RunComparison(workload.Village(), render, []CacheSpec{spec})
+	}}
+	exact, err := RunComparison(workload.Village(), render, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmp.Model) != 1 || !cmp.Model[0].Modeled || !cmp.Model[0].HasExact {
-		t.Fatalf("model report missing: %+v", cmp.Model)
+	render.FastSweep = true
+	fast, err := RunComparison(workload.Village(), render, specs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := cmp.Model[0].Pred.Counters()
-	want := cmp.Results[0].Totals
+	if len(fast.Model) != 1 || !fast.Model[0].Modeled {
+		t.Fatalf("model report missing: %+v", fast.Model)
+	}
+	want := exact.Results[0].Totals
+	if e := reusemodel.Compare(*fast.Model[0].Pred, want); e.L1AbsErr != 0 || e.L2AbsErr != 0 {
+		t.Errorf("model rate errors = %+v, want none", e)
+	}
+	got := fast.Results[0].Totals
 	// Victim-search statistics are declared unmodeled; nothing else may
 	// differ.
 	want.L2.SearchSteps, want.L2.MaxSearch = 0, 0
@@ -51,8 +59,8 @@ func TestModelExactFullyAssociative(t *testing.T) {
 	if got.L2.Evictions != 0 {
 		t.Errorf("evictions = %d in an unevictable L2", got.L2.Evictions)
 	}
-	if cmp.ReuseProfile == nil || cmp.ReuseProfile.BlockEdge != 16 {
-		t.Fatalf("reuse profile missing or untagged: %+v", cmp.ReuseProfile)
+	if fast.ReuseProfile == nil || fast.ReuseProfile.BlockEdge != 16 {
+		t.Fatalf("reuse profile missing or untagged: %+v", fast.ReuseProfile)
 	}
 }
 
@@ -90,8 +98,8 @@ func TestFastSweepStructure(t *testing.T) {
 	// pull-2k and l2-2m are modeled; l2-random replays.
 	for _, i := range []int{0, 2} {
 		res := cmp.Results[i]
-		if !cmp.Model[i].Modeled || cmp.Model[i].HasExact {
-			t.Errorf("%s: model entry = %+v, want modeled without exact", cmp.Specs[i], cmp.Model[i])
+		if !cmp.Model[i].Modeled {
+			t.Errorf("%s: model entry = %+v, want modeled", cmp.Specs[i], cmp.Model[i])
 		}
 		if len(res.Frames) != 0 || res.ModelFrames != 4 {
 			t.Errorf("%s: frames/modelframes = %d/%d, want 0/4",
@@ -126,10 +134,6 @@ func TestFastSweepStructure(t *testing.T) {
 	if cmp.Results[0].Totals.L1.Accesses != cmp.Results[1].Totals.L1.Accesses {
 		t.Errorf("modeled accesses %d != replayed accesses %d",
 			cmp.Results[0].Totals.L1.Accesses, cmp.Results[1].Totals.L1.Accesses)
-	}
-	errs := cmp.ModelErrors()
-	if len(errs) != 3 || errs[1].Modeled || !errs[0].Modeled {
-		t.Errorf("manifest model report = %+v", errs)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"texcache/internal/raster"
 	"texcache/internal/scene"
 	"texcache/internal/stats"
-	"texcache/internal/telemetry"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
@@ -33,9 +32,6 @@ type Results struct {
 	Totals cache.Counters
 	// Summary aggregates working-set statistics when enabled.
 	Summary *stats.Summary
-	// Reuse is the reference stream's stack-distance histogram when
-	// Config.CollectReuse was set.
-	Reuse *telemetry.ReuseHistogram
 	// ModelFrames is the frame count covered by an analytically modeled
 	// result (the -fast sweep): such Results carry whole-run Totals but
 	// no per-frame breakdown, so Frames stays empty and ModelFrames
@@ -64,7 +60,6 @@ type addrSink struct {
 	l2start []uint32
 	h       *cache.Hierarchy
 	collect *stats.Collector // optional
-	reuse   *reuseProbe      // optional; concrete pointer keeps dispatch static
 }
 
 // Texel is invoked once per texel reference — hundreds of millions of
@@ -85,9 +80,6 @@ func (s *addrSink) Texel(tid texture.ID, u, v, m int) {
 	s.h.Access(ref)
 	if s.collect != nil {
 		s.collect.Texel(tid, u, v, m)
-	}
-	if s.reuse != nil {
-		s.reuse.Texel(tid, u, v, m)
 	}
 }
 
@@ -133,9 +125,6 @@ func NewSimulator(w *workload.Workload, cfg Config) (*Simulator, error) {
 			return nil, err
 		}
 		sink.collect = collect
-	}
-	if cfg.CollectReuse {
-		sink.reuse = newReuseProbe(set)
 	}
 	rast.SetSink(sink)
 
@@ -231,7 +220,6 @@ func (s *Simulator) Run() (*Results, error) {
 		sum := stats.Summarize(s.collect.Frames(), int64(s.cfg.Width)*int64(s.cfg.Height))
 		res.Summary = &sum
 	}
-	res.Reuse = s.sink.reuse.histogram()
 	return res, nil
 }
 

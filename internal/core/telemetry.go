@@ -1,6 +1,6 @@
 // Simulator-side telemetry wiring: mapping per-frame cache counters onto
-// the texscope metric stream, and the reuse-distance probe that taps the
-// texel reference stream on the hot path. The layering rule is one-way:
+// the texscope metric stream, and the -fast engine's reuse-distance probe
+// that taps the texel reference stream on the hot path. The layering rule is one-way:
 // the simulator feeds telemetry, telemetry never feeds the simulator, so
 // enabling any of it cannot perturb simulation results.
 package core
@@ -93,11 +93,12 @@ type probeFilter struct {
 	tlbs []probeTLB
 }
 
-// reuseProbe taps the texel reference stream, translating each reference
-// to its global L2 block address and feeding the sector-aware
-// stack-distance collector (plus, in -fast sweeps, the exact TLB
-// filters). It rides the rasterizer hot path behind a concrete-pointer
-// nil check, so runs without CollectReuse pay one predictable branch.
+// reuseProbe taps the texel reference stream of a -fast sweep,
+// translating each reference to its global L2 block address and feeding
+// the sector-aware stack-distance collector and the exact TLB filters.
+// It rides the exact engine's sink behind a concrete-pointer nil check
+// when the model refuses some specs, so exact sweeps pay one predictable
+// branch.
 type reuseProbe struct {
 	tilings []*texture.Tiling
 	starts  []uint32
@@ -161,8 +162,8 @@ func newReuseProbe(set *texture.Set) *reuseProbe {
 }
 
 // Texel records one reference: its L2 block and L1 sub-tile feed the
-// sector collector, and on -fast sweeps the same translated address
-// drives the exact TLB filters. The probe's measurement layout equals
+// sector collector, and the same translated address drives the exact
+// TLB filters. The probe's measurement layout equals
 // the canonical L1 layout, so one translation serves both.
 //
 // texlint:hotpath
@@ -244,23 +245,9 @@ func (p *reuseProbe) flush() {
 	}
 }
 
-// histogram snapshots the probe's block-distance histogram (the
-// pre-existing Comparison.Reuse artifact), nil-safe for runs without one.
-func (p *reuseProbe) histogram() *telemetry.ReuseHistogram {
-	if p == nil {
-		return nil
-	}
-	p.flush()
-	h := p.c.Profile().Blocks
-	return &h
-}
-
 // profile snapshots the full three-histogram sector profile the analytic
-// model consumes, nil-safe for runs without a probe.
+// model consumes.
 func (p *reuseProbe) profile() *telemetry.SectorProfile {
-	if p == nil {
-		return nil
-	}
 	p.flush()
 	pr := p.c.Profile()
 	return &pr

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"texcache/internal/cache"
+	"texcache/internal/raster"
 	"texcache/internal/telemetry"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
@@ -24,7 +26,9 @@ func telemetrySpecs() []CacheSpec {
 // TestMetricStreamDeterminism: the JSONL metric stream the engine
 // streams record by record while running is byte-identical to
 // EmitComparisonMetrics replaying the finished Comparison — the path
-// memoized experiment runs take — and to a second identical run.
+// memoized experiment runs take — and to a second identical run. The
+// -fast engine's reuse profile of the same stream is identical across
+// two runs and observes every texel reference.
 func TestMetricStreamDeterminism(t *testing.T) {
 	specs := telemetrySpecs()
 	run := func() ([]byte, []telemetry.FrameMetrics, *Comparison) {
@@ -33,7 +37,6 @@ func TestMetricStreamDeterminism(t *testing.T) {
 		cfg := testCfg()
 		cfg.Frames = 4
 		cfg.Metrics = telemetry.Tee(telemetry.NewJSONL(&out), &buf)
-		cfg.CollectReuse = true
 		cmp, err := RunComparison(workload.Village(), cfg, specs)
 		if err != nil {
 			t.Fatal(err)
@@ -50,15 +53,27 @@ func TestMetricStreamDeterminism(t *testing.T) {
 	if !bytes.Equal(replayed.Bytes(), streamed) {
 		t.Error("EmitComparisonMetrics stream not byte-identical to the streamed one")
 	}
-	again, _, cmp2 := run()
-	if !bytes.Equal(again, streamed) {
+	if again, _, _ := run(); !bytes.Equal(again, streamed) {
 		t.Error("JSONL stream differs between identical runs")
 	}
-	if !reflect.DeepEqual(cmp2.Reuse, cmp.Reuse) {
-		t.Error("reuse histogram differs between identical runs")
+
+	profile := func() *telemetry.SectorProfile {
+		cfg := testCfg()
+		cfg.Frames = 4
+		cfg.FastSweep = true
+		fast, err := RunComparison(workload.Village(), cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fast.ReuseProfile
 	}
-	if cmp.Reuse == nil || cmp.Reuse.Accesses == 0 {
-		t.Error("reuse histogram empty despite CollectReuse")
+	p := profile()
+	if !reflect.DeepEqual(profile(), p) {
+		t.Error("reuse profile differs between identical -fast runs")
+	}
+	if p == nil || p.Blocks.Accesses != cmp.Results[0].Totals.L1.Accesses {
+		t.Errorf("reuse profile %+v does not observe the %d texel references",
+			p, cmp.Results[0].Totals.L1.Accesses)
 	}
 }
 
@@ -67,7 +82,6 @@ func TestRunEmitsMetrics(t *testing.T) {
 	cfg := withL2(testCfg(), 2)
 	cfg.Frames = 3
 	cfg.Metrics = &buf
-	cfg.CollectReuse = true
 	res, err := Run(workload.City(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,27 +101,21 @@ func TestRunEmitsMetrics(t *testing.T) {
 			t.Errorf("frame %d has empty counters: %+v", f, m)
 		}
 	}
-	if res.Reuse == nil || res.Reuse.Accesses == 0 {
-		t.Fatal("reuse histogram missing")
-	}
-	// Every texel reference must have been observed by the probe.
-	if res.Reuse.Accesses != res.Totals.L1.Accesses {
-		t.Errorf("reuse accesses = %d, L1 accesses = %d",
-			res.Reuse.Accesses, res.Totals.L1.Accesses)
-	}
 }
 
-// TestRunWithoutTelemetry pins the defaults: no emitter, no trace, no
-// probe — nothing telemetry-shaped reaches the results.
+// TestRunWithoutTelemetry pins the defaults: no emitter, no trace, and
+// no reuse probe outside the -fast engine, so an exact comparison
+// carries no reuse profile and no model report.
 func TestRunWithoutTelemetry(t *testing.T) {
 	cfg := testCfg()
 	cfg.Frames = 2
-	res, err := Run(workload.Village(), cfg)
+	cmp, err := RunComparison(workload.Village(), cfg, telemetrySpecs()[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reuse != nil {
-		t.Error("reuse histogram present without CollectReuse")
+	if cmp.ReuseProfile != nil || cmp.Model != nil {
+		t.Errorf("exact comparison carries reuse profile %+v and model report %+v",
+			cmp.ReuseProfile, cmp.Model)
 	}
 }
 
@@ -128,54 +136,50 @@ func TestSweepSpans(t *testing.T) {
 	}
 }
 
-// TestEmitPathAllocFree asserts the per-texel hot path allocates nothing,
-// with the reuse probe both disabled and enabled — the ISSUE's "zero
-// allocs/op added on the per-access emit path".
+// TestEmitPathAllocFree asserts the per-texel hot paths allocate
+// nothing: the single-configuration address sink, and the -fast engine's
+// reuse probe with an L1 filter and TLB behind it.
 func TestEmitPathAllocFree(t *testing.T) {
-	w := workload.Village()
-	cfg := withL2(testCfg(), 2)
-	build := func(collectReuse bool) *addrSink {
-		c := cfg
-		c.CollectReuse = collectReuse
-		sim, err := NewSimulator(w, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim.sink
-	}
-	for name, sink := range map[string]*addrSink{
-		"disabled": build(false),
-		"enabled":  build(true),
-	} {
+	for _, tc := range emitSinks(t) {
 		u, v := 0, 0
 		if n := testing.AllocsPerRun(1000, func() {
-			sink.Texel(texture.ID(0), u, v, 0)
+			tc.sink.Texel(texture.ID(0), u, v, 0)
 			u = (u + 7) & 63
 			v = (v + 3) & 63
 		}); n != 0 {
-			t.Errorf("probe %s: %.1f allocs per texel, want 0", name, n)
+			t.Errorf("%s: %.1f allocs per texel, want 0", tc.name, n)
 		}
 	}
 }
 
-func BenchmarkTexelEmit(b *testing.B) {
+// emitSinks builds the per-texel sinks of TestEmitPathAllocFree and
+// BenchmarkTexelEmit over Village's texture set.
+func emitSinks(tb testing.TB) []struct {
+	name string
+	sink raster.Sink
+} {
 	w := workload.Village()
-	for _, collectReuse := range []bool{false, true} {
-		name := "reuse-off"
-		if collectReuse {
-			name = "reuse-on"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := withL2(testCfg(), 2)
-			cfg.CollectReuse = collectReuse
-			sim, err := NewSimulator(w, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+	sim, err := NewSimulator(w, withL2(testCfg(), 2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	probe := newReuseProbe(w.Scene.Textures)
+	probe.filters = []*probeFilter{{
+		l1:   cache.MustNewL1Assoc(2<<10, 2),
+		tlbs: []probeTLB{{tlb: cache.NewTLB(16)}},
+	}}
+	return []struct {
+		name string
+		sink raster.Sink
+	}{{"addr-sink", sim.sink}, {"reuse-probe", probe}}
+}
+
+func BenchmarkTexelEmit(b *testing.B) {
+	for _, tc := range emitSinks(b) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sim.sink.Texel(texture.ID(0), i&63, (i>>6)&63, 0)
+				tc.sink.Texel(texture.ID(0), i&63, (i>>6)&63, 0)
 			}
 		})
 	}

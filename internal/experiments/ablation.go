@@ -24,21 +24,22 @@ func (c *Context) AblationZ() error {
 				Mode:           raster.Trilinear,
 				ZBeforeTexture: zFirst,
 			}
+			order := "texture-before-z"
+			if zFirst {
+				order = "z-before-texture"
+			}
 			cmp, err := core.RunComparison(c.workloadByName(name), render,
-				[]core.CacheSpec{l2Spec("l2", 2<<10, 2, 0)})
+				[]core.CacheSpec{l2Spec(order, 2<<10, 2, 0)})
 			if err != nil {
 				return err
 			}
+			c.emitSweep(name+"/ablation-z", cmp)
 			res := cmp.Results[0]
 			var pixels int64
 			for _, p := range cmp.FramePixels {
 				pixels += p
 			}
 			frames := float64(len(res.Frames))
-			order := "texture-before-z"
-			if zFirst {
-				order = "z-before-texture"
-			}
 			c.printf("%-10s %-18s %14.2fM %14.3f %12.2f\n", name, order,
 				float64(res.Totals.L1.Accesses)/frames/1e6,
 				res.AvgHostMBPerFrame(),
@@ -82,6 +83,7 @@ func (c *Context) AblationRepl() error {
 		if err != nil {
 			return err
 		}
+		c.emitSweep(name+"/ablation-repl", cmp)
 		for i, spec := range specs {
 			res := cmp.Results[i]
 			// §5.4.2: searching the BRL active bits 16 at a time bounds
@@ -133,6 +135,7 @@ func (c *Context) AblationSector() error {
 		if err != nil {
 			return err
 		}
+		c.emitSweep(name+"/ablation-sector", cmp)
 		for i, spec := range specs {
 			res := cmp.Results[i]
 			c.printf("%-10s %-22s %14.3f %11.2f%%\n",
@@ -179,6 +182,7 @@ func (c *Context) AblationAssoc() error {
 	if err != nil {
 		return err
 	}
+	c.emitSweep("village/ablation-assoc", cmp)
 	c.printf("%-14s %10s %14s\n", "organisation", "L1 hit", "host MB/frame")
 	for i, cf := range cfgs {
 		res := cmp.Results[i]

@@ -16,10 +16,6 @@ func (c *Context) Fig9() error {
 	if err != nil {
 		return err
 	}
-	if len(cmp.Results[0].Frames) == 0 {
-		c.printf("(per-frame curves need the exact sweep; modeled -fast results carry totals only)\n")
-		return nil
-	}
 	c.printf("%6s", "frame")
 	for _, name := range l1Sweep {
 		c.printf(" %9s", name[len("pull-"):])
@@ -91,10 +87,6 @@ func (c *Context) Fig10() error {
 		cmp, err := c.sweep(name, raster.Trilinear)
 		if err != nil {
 			return err
-		}
-		if len(cmp.Results[0].Frames) == 0 {
-			c.printf("\n-- %s: per-frame curves need the exact sweep; modeled -fast results carry totals only --\n", name)
-			continue
 		}
 		c.printf("\n-- %s (MB/frame) --\n%6s", name, "frame")
 		for _, cfg := range bandwidthConfigs {

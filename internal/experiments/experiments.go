@@ -49,19 +49,16 @@ func Full() Scale {
 type Context struct {
 	Scale Scale
 	Out   io.Writer
-	// FastSweep forwards core.Config.FastSweep to every cache sweep: the
-	// analytic reuse model predicts each model-reachable spec from one
-	// instrumented render instead of replaying it. Totals-based tables
-	// remain available (within the model's error); per-frame figures
-	// (Fig9, Fig10) need the exact sweep and say so.
-	FastSweep bool
-	// Metrics, when non-nil, receives every memoized run's per-frame
-	// records. Emission happens at memoization time — once per underlying
-	// simulation, never per experiment that reads it — so the stream is a
-	// function of which runs were computed, in deterministic order even
-	// when Prefetch computed them concurrently (its merge loop emits in
-	// job order). Sweep records carry "workload/filter" as the workload
-	// label, matching the memoization key.
+	// Metrics, when non-nil, receives the per-frame records of every
+	// memoized run and every ablation comparison. A memoized run emits
+	// at memoization time — once per underlying simulation, never per
+	// experiment that reads it — so the stream is a function of which
+	// runs were computed, in deterministic order even when Prefetch
+	// computed them concurrently (its merge loop emits in job order). An
+	// ablation emits as it runs. Sweep records carry "workload/filter" as
+	// the workload label, matching the memoization key, and ablation
+	// records "workload/<experiment id>". The push experiment's runs
+	// have no cache counters and emit nothing.
 	Metrics telemetry.Emitter
 
 	workloads map[string]*workload.Workload
@@ -146,8 +143,8 @@ func (c *Context) statsRun(name string) (*core.Results, error) {
 }
 
 // relabel rewrites the workload label of a metric stream to the memo key
-// ("workload/filter"), so sweeps of the same workload under different
-// filters stay distinguishable in one stream.
+// ("workload/filter") or ablation label, so comparisons of the same
+// workload stay distinguishable in one stream.
 type relabel struct {
 	e   telemetry.Emitter
 	key string
@@ -158,7 +155,9 @@ func (r relabel) Frame(m telemetry.FrameMetrics) {
 	r.e.Frame(m)
 }
 
-// emitSweep emits a memoized sweep's metric stream under its memo key.
+// emitSweep emits a comparison's metric stream under the given workload
+// label: a memoized sweep's memo key, or an ablation's
+// "workload/<experiment id>".
 func (c *Context) emitSweep(key string, cmp *core.Comparison) {
 	if c.Metrics == nil {
 		return
@@ -208,11 +207,10 @@ func SweepSpecs() []core.CacheSpec {
 // workload x filter.
 func (c *Context) sweepConfig(name string, mode raster.SampleMode) core.Config {
 	return core.Config{
-		Width:     c.Scale.Width,
-		Height:    c.Scale.Height,
-		Frames:    c.frames(name),
-		Mode:      mode,
-		FastSweep: c.FastSweep,
+		Width:  c.Scale.Width,
+		Height: c.Scale.Height,
+		Frames: c.frames(name),
+		Mode:   mode,
 	}
 }
 
@@ -265,7 +263,6 @@ func All() []Experiment {
 		{"table56", "Tables 5-6: L1 and L2 hit rates", (*Context).Table56},
 		{"table7", "Table 7: fractional advantage of L2 caching", (*Context).Table7},
 		{"table8", "Table 8 / Figure 11: texture page table TLB hit rates", (*Context).Table8},
-		{"model", "Reuse model: predicted vs exact sweep rates", (*Context).ModelReport},
 		{"ablation-z", "Ablation A1: z-before-texture", (*Context).AblationZ},
 		{"ablation-repl", "Ablation A2: L2 replacement policies", (*Context).AblationRepl},
 		{"ablation-sector", "Ablation A3: sector mapping", (*Context).AblationSector},

@@ -38,8 +38,8 @@ func output(c *Context) string { return c.Out.(*bytes.Buffer).String() }
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Errorf("experiments = %d, want 20", len(all))
+	if len(all) != 19 {
+		t.Errorf("experiments = %d, want 19", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -56,6 +56,9 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) found")
+	}
+	if _, ok := ByID("model"); ok {
+		t.Error("ByID(model) found: the model experiment is retired")
 	}
 	if got := len(IDs()); got != len(all) {
 		t.Errorf("IDs = %d", got)

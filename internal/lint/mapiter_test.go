@@ -7,6 +7,7 @@ func TestMapiter(t *testing.T) {
 
 import (
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"sort"
@@ -108,6 +109,23 @@ func prefetchMerge(jobs []string) []string {
 		merged = append(merged, r)
 	}
 	return merged
+}
+
+type report struct {
+	out io.Writer
+}
+
+// printf is an output wrapper: its variadic args reach fmt.Fprintf
+// behind the format.
+func (r *report) printf(format string, args ...any) {
+	fmt.Fprintf(r.out, format, args...)
+}
+
+// The map-ordered key is the wrapper's second variadic argument.
+func throughPrintf(r *report, m map[string]int) {
+	for _, k := range keysOf(m) {
+		r.printf("%s %s\n", "key", k) //want emits parameter
+	}
 }
 
 // Deterministic map reads (indexing with a known key) stay clean.

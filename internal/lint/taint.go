@@ -237,31 +237,45 @@ func (tt *taintTracker) sinkCall(call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// checkCall fires onSink for tainted arguments reaching sink calls and
-// summarized sink parameters of callees.
+// checkCall fires onSink once per call, with the merged taint of every
+// argument that reaches a sink: all arguments of a sink call, and each
+// argument bound to a callee parameter summarized as a sink.
 func (tt *taintTracker) checkCall(call *ast.CallExpr) {
 	if tt.onSink == nil {
 		return
 	}
 	desc, isSink := tt.sinkCall(call)
-	var callee *types.Func
-	if tt.flow != nil {
-		callee, _ = calleeObj(tt.info, call).(*types.Func)
+	var sinks map[int]bool
+	var sig *types.Signature
+	if !isSink && tt.flow != nil {
+		if callee, ok := calleeObj(tt.info, call).(*types.Func); ok {
+			sinks = tt.flow.ParamSinks[callee]
+			sig = callee.Type().(*types.Signature)
+			desc = "call to " + callee.Name() + " (emits parameter)"
+		}
 	}
+	if !isSink && sinks == nil {
+		return
+	}
+	var t *taint
 	for ai, arg := range call.Args {
-		t := tt.exprTaint(arg)
-		if t == nil {
-			continue
-		}
-		if isSink {
-			tt.onSink(call, t, desc)
-			return
-		}
-		if callee != nil && tt.flow.ParamSinks[callee] != nil && tt.flow.ParamSinks[callee][ai] {
-			tt.onSink(call, t, "call to "+callee.Name()+" (emits parameter)")
-			return
+		if isSink || sinks[paramIndex(sig, ai)] {
+			t = mergeTaint(t, tt.exprTaint(arg))
 		}
 	}
+	if t != nil {
+		tt.onSink(call, t, desc)
+	}
+}
+
+// paramIndex maps a call's argument position to the callee parameter it
+// binds: a variadic call's trailing arguments all bind to the variadic
+// parameter.
+func paramIndex(sig *types.Signature, ai int) int {
+	if n := sig.Params().Len(); sig.Variadic() && ai >= n-1 {
+		return n - 1
+	}
+	return ai
 }
 
 // sinkStoreField returns the sink-field name if the lvalue stores into a

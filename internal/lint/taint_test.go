@@ -31,6 +31,7 @@ func TestFlowFactsMapOrderAndSinks(t *testing.T) {
 
 import (
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -60,6 +61,17 @@ func emitAll(vs []string) {
 }
 
 func passesThrough(vs []string) { emitAll(vs) }
+
+// Every argument of a sink call is sink-bound, not only the first
+// parameter-derived one.
+func printf(w io.Writer, format string, args ...any) {
+	fmt.Fprintf(w, format, args...)
+}
+
+// label and args are printf's trailing variadic arguments.
+func labelled(w io.Writer, label string, args ...any) {
+	printf(w, "%s: %v\n", label, args)
+}
 `)
 	if got := flow.MapOrdered[lookupFunc(t, pkg, "keysOf")]; !got[0] {
 		t.Errorf("keysOf result 0 not marked map-ordered: %v", got)
@@ -76,5 +88,10 @@ func passesThrough(vs []string) { emitAll(vs) }
 	}
 	if !flow.ParamSinks[lookupFunc(t, pkg, "passesThrough")][0] {
 		t.Errorf("passesThrough param 0 not marked as sink-bound (needs fixpoint)")
+	}
+	for _, fn := range []string{"printf", "labelled"} {
+		if got := flow.ParamSinks[lookupFunc(t, pkg, fn)]; !got[0] || !got[1] || !got[2] {
+			t.Errorf("%s sink-bound params = %v, want 0, 1 and 2", fn, got)
+		}
 	}
 }

@@ -120,8 +120,9 @@ func TestHitMassInterpolatedAboveFine(t *testing.T) {
 }
 
 // TestHitRateColdMisses pins the cold-miss convention: cold (compulsory)
-// misses count against the hit rate at every capacity, matching the
-// simulator, and an infinite cache hits exactly the warm references.
+// misses count against the hit rate (HitMass over Accesses) at every
+// capacity, matching the simulator, and an infinite cache hits exactly
+// the warm references.
 func TestHitRateColdMisses(t *testing.T) {
 	c := NewReuseCollector(8)
 	for _, a := range []uint32{0, 1, 2, 0, 1, 2} {
@@ -131,17 +132,18 @@ func TestHitRateColdMisses(t *testing.T) {
 	if h.Cold != 3 || h.Accesses != 6 {
 		t.Fatalf("cold = %d accesses = %d, want 3/6", h.Cold, h.Accesses)
 	}
-	if got := h.HitRate(1 << 30); got != 0.5 {
-		t.Errorf("infinite-cache HitRate = %v, want 0.5 (cold misses still count)", got)
+	if got := h.HitMass(1 << 30); got != 3 {
+		t.Errorf("infinite-cache HitMass = %v, want 3 of 6 (cold misses still count)", got)
 	}
-	if got := h.HitRate(0); got != 0 {
-		t.Errorf("HitRate(0) = %v, want 0", got)
+	if got := h.HitMass(0); got != 0 {
+		t.Errorf("HitMass(0) = %v, want 0", got)
 	}
 }
 
-// FuzzReuseHitRate checks the HitRate invariants on arbitrary streams:
-// values stay in [0, 1], the curve is monotone non-decreasing in the
-// capacity, and an infinite cache hits exactly the warm fraction.
+// FuzzReuseHitRate checks the hit-rate invariants on arbitrary streams:
+// HitMass stays in [0, warm references], the curve is monotone
+// non-decreasing in the capacity, and an infinite cache hits exactly the
+// warm references.
 func FuzzReuseHitRate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 1}, uint16(100))
 	f.Add([]byte{9, 9, 9}, uint16(1))
@@ -153,27 +155,25 @@ func FuzzReuseHitRate(f *testing.F) {
 			c.Access(uint32(b) % addrs)
 		}
 		h := c.Histogram()
+		warm := float64(h.Accesses - h.Cold)
 		prev := 0.0
 		for cap := int64(0); cap <= addrs+2; cap++ {
-			r := h.HitRate(cap)
-			if r < 0 || r > 1 || math.IsNaN(r) {
-				t.Fatalf("HitRate(%d) = %v out of [0,1]", cap, r)
+			r := h.HitMass(cap)
+			if r < 0 || r > warm || math.IsNaN(r) {
+				t.Fatalf("HitMass(%d) = %v out of [0,%v]", cap, r, warm)
 			}
 			if r < prev {
-				t.Fatalf("HitRate not monotone: HitRate(%d) = %v < %v", cap, r, prev)
+				t.Fatalf("HitMass not monotone: HitMass(%d) = %v < %v", cap, r, prev)
 			}
 			prev = r
 		}
 		// Arbitrary larger capacity, derived from the fuzzed seed.
 		big := int64(capSeed) + addrs
-		if r := h.HitRate(big); r < prev || r > 1 {
-			t.Fatalf("HitRate(%d) = %v breaks monotonicity past the address space", big, r)
+		if r := h.HitMass(big); r < prev || r > warm {
+			t.Fatalf("HitMass(%d) = %v breaks monotonicity past the address space", big, r)
 		}
-		if h.Accesses > 0 {
-			warm := float64(h.Accesses-h.Cold) / float64(h.Accesses)
-			if r := h.HitRate(1 << 40); math.Abs(r-warm) > 1e-12 {
-				t.Fatalf("infinite-cache HitRate = %v, want warm fraction %v", r, warm)
-			}
+		if r := h.HitMass(1 << 40); r != warm {
+			t.Fatalf("infinite-cache HitMass = %v, want the %v warm references", r, warm)
 		}
 	})
 }

@@ -25,32 +25,11 @@ type Manifest struct {
 	Frames     int    `json:"frames"`
 	// Specs lists the cache configurations of a comparison run.
 	Specs []string `json:"specs,omitempty"`
-	// Totals aggregates the run's metric stream, plus the end-of-run
-	// totals of modeled specs, which have no per-frame records.
+	// Totals aggregates the run's metric stream.
 	Totals RunTotals `json:"totals"`
-	// Model carries the per-spec analytic-model report of a sweep run
-	// that collected a reuse profile: which specs the model covered,
-	// and its absolute error where an exact replay ran alongside.
-	Model []SpecModelError `json:"model,omitempty"`
 	// Phases is the per-phase span table of the run's textrace
 	// (Trace.Report().Phases): wall-clock sidecar data.
 	Phases []PhaseStat `json:"phases,omitempty"`
-}
-
-// SpecModelError is one sweep spec's entry in the manifest's model
-// report. Modeled marks specs whose counters came from the analytic
-// reuse model (the -fast sweep); Unreachable names why the model could
-// not cover a spec; the error fields compare model against exact replay
-// when both ran (HasExact), in absolute rate terms.
-type SpecModelError struct {
-	Spec        string  `json:"spec"`
-	Modeled     bool    `json:"modeled"`
-	Unreachable string  `json:"unreachable,omitempty"`
-	HasExact    bool    `json:"has_exact"`
-	L1HitAbsErr float64 `json:"l1_hit_abs_err"`
-	// L2FullHitAbsErr compares full-hit rates conditioned on an L1 miss,
-	// the paper's reporting convention.
-	L2FullHitAbsErr float64 `json:"l2_full_hit_abs_err"`
 }
 
 // NewManifest returns a manifest pre-filled with the environment: the

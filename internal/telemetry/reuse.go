@@ -22,11 +22,7 @@
 // fineLimit are histogram-exact rather than log2-bucket approximations.
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"math/bits"
-)
+import "math/bits"
 
 // reuseBuckets is the number of log2 histogram buckets: bucket 0 counts
 // distance 0, bucket b >= 1 counts distances in [2^(b-1), 2^b). 2^32
@@ -363,6 +359,8 @@ func (c *ReuseCollector) Histogram() ReuseHistogram {
 // bucket's count instead of silently dropping it (the pre-fix HitRate
 // counted a partially covered bucket as all misses, which at
 // non-power-of-two capacities was wrong by up to the full bucket mass).
+// HitMass(N) / Accesses is the hit rate of such a cache, cold misses
+// counted against it.
 func (h ReuseHistogram) HitMass(blocks int64) float64 {
 	if blocks <= 0 {
 		return 0
@@ -393,49 +391,4 @@ func (h ReuseHistogram) HitMass(blocks int64) float64 {
 		}
 	}
 	return mass
-}
-
-// HitRate returns the fraction of all references a fully-associative
-// LRU cache of the given block count would hit (cold misses count
-// against it). It answers "how big must the L2 be" directly from the
-// histogram; see HitMass for the exact-below/interpolated-above
-// semantics.
-func (h ReuseHistogram) HitRate(blocks int64) float64 {
-	if h.Accesses == 0 {
-		return 0
-	}
-	return h.HitMass(blocks) / float64(h.Accesses)
-}
-
-// WriteJSON writes the histogram as a single JSON document with a fixed
-// field order.
-func (h ReuseHistogram) WriteJSON(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "{\n  \"accesses\": %d,\n  \"cold\": %d,\n  \"block_edge\": %d,\n  \"fine_limit\": %d,\n  \"fine\": [",
-		h.Accesses, h.Cold, h.BlockEdge, h.FineLimit); err != nil {
-		return err
-	}
-	for i, n := range h.Fine {
-		sep := ","
-		if i == len(h.Fine)-1 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(w, "%d%s", n, sep); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprint(w, "],\n  \"buckets\": ["); err != nil {
-		return err
-	}
-	for i, b := range h.Buckets {
-		sep := ","
-		if i == len(h.Buckets)-1 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(w, "\n    {\"lo\": %d, \"hi\": %d, \"count\": %d}%s",
-			b.Lo, b.Hi, b.Count, sep); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprint(w, "\n  ]\n}\n")
-	return err
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -89,21 +88,24 @@ func TestReuseHistogram(t *testing.T) {
 	}
 }
 
+// TestReuseHitRate reads a fully associative LRU cache's hits off the
+// histogram: its hit rate is HitMass over Accesses.
 func TestReuseHitRate(t *testing.T) {
 	c := NewReuseCollector(8)
 	for _, a := range []uint32{0, 1, 0, 1, 0, 1} {
 		c.Access(a)
 	}
 	h := c.Histogram()
-	// 4 re-references at distance 1: a 2-block LRU hits all of them.
-	if got := h.HitRate(2); got != 4.0/6.0 {
-		t.Errorf("HitRate(2) = %v, want %v", got, 4.0/6.0)
+	// 4 re-references at distance 1: a 2-block LRU hits all of them, 4
+	// of the 6 accesses.
+	if got := h.HitMass(2); got != 4 || h.Accesses != 6 {
+		t.Errorf("HitMass(2) = %v of %d accesses, want 4 of 6", got, h.Accesses)
 	}
-	if got := h.HitRate(1); got != 0 {
-		t.Errorf("HitRate(1) = %v, want 0", got)
+	if got := h.HitMass(1); got != 0 {
+		t.Errorf("HitMass(1) = %v, want 0", got)
 	}
-	if got := (ReuseHistogram{}).HitRate(4); got != 0 {
-		t.Errorf("empty HitRate = %v, want 0", got)
+	if got := (ReuseHistogram{}).HitMass(4); got != 0 {
+		t.Errorf("empty HitMass = %v, want 0", got)
 	}
 }
 
@@ -112,23 +114,6 @@ func TestReuseBucketBoundaries(t *testing.T) {
 	for d, want := range cases {
 		if got := reuseBucket(d); got != want {
 			t.Errorf("reuseBucket(%d) = %d, want %d", d, got, want)
-		}
-	}
-}
-
-func TestReuseWriteJSON(t *testing.T) {
-	c := NewReuseCollector(8)
-	for _, a := range []uint32{0, 1, 0} {
-		c.Access(a)
-	}
-	var sb strings.Builder
-	if err := c.Histogram().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"accesses": 3`, `"cold": 2`, `{"lo": 1, "hi": 1, "count": 1}`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }
