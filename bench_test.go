@@ -168,8 +168,9 @@ func BenchmarkVillageFrame(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Sweep benchmarks: the full 13-spec cache sweep of the Village at bench
-// scale, on the exact engine (every texel fanned out to 13 hierarchies in
-// one goroutine) and on the analytic -fast engine.
+// scale, on the exact engine (the stream rendered and filtered on one
+// goroutine, the 13 hierarchies simulated on the caller's) and on the
+// analytic -fast engine.
 // ---------------------------------------------------------------------------
 
 func benchSweep(b *testing.B, fast bool) {
@@ -191,7 +192,7 @@ func benchSweep(b *testing.B, fast bool) {
 	}
 }
 
-// BenchmarkSweepSerial is the exact single-goroutine engine.
+// BenchmarkSweepSerial is the exact engine.
 func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepFast is the analytic engine: one instrumented render

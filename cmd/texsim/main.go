@@ -48,6 +48,7 @@ import (
 	"texcache/internal/core"
 	"texcache/internal/experiments"
 	"texcache/internal/raster"
+	"texcache/internal/stats"
 	"texcache/internal/telemetry"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
@@ -421,6 +422,7 @@ func reportSweep(out io.Writer, w *workload.Workload, cfg core.Config, specs []c
 		fmt.Fprintf(out, "%-10s %9.2f%% %10s %10s %14.3f\n",
 			spec.Name, 100*t.L1.HitRate(), l2, tlb, res.AvgHostMBPerFrame())
 	}
+	reportWorkingSet(out, cmp.Results[0].Summary)
 }
 
 func report(out io.Writer, w *workload.Workload, cfg core.Config, res *core.Results) {
@@ -458,30 +460,36 @@ func report(out io.Writer, w *workload.Workload, cfg core.Config, res *core.Resu
 	fmt.Fprintf(out, "  at 30 Hz, host bandwidth = %.1f MB/s\n",
 		float64(t.HostBytes)/n*30/(1<<20))
 
-	if res.Summary != nil {
-		s := res.Summary
-		fmt.Fprintf(out, "\nworking set (point of view of §4):\n")
-		fmt.Fprintf(out, "  depth complexity  %6.2f\n", s.DepthComplexity)
-		ls, ok := s.Layout(texture.TileLayout{L2Size: 16, L1Size: 4})
-		if ok {
-			fmt.Fprintf(out, "  16x16 blocks/frame %8.0f (%.2f MB), %.0f new (%.0f KB)\n",
-				ls.AvgBlocks, ls.AvgBytes/(1<<20),
-				ls.AvgNewBlocks, ls.AvgNewBytes/1024)
-			fmt.Fprintf(out, "  block utilization  %8.2f\n", ls.Utilization)
-		}
-		fmt.Fprintf(out, "  min push memory    %8.2f MB avg, %.2f MB peak\n",
-			s.AvgPushBytes/(1<<20), float64(s.MaxPushBytes)/(1<<20))
-		var total int64
-		for _, n := range s.LevelRefs {
-			total += n
-		}
-		if total > 0 {
-			fmt.Fprintf(out, "  MIP level histogram:\n")
-			for m, refs := range s.LevelRefs {
-				if refs > 0 {
-					fmt.Fprintf(out, "    level %2d %6.1f%%\n",
-						m, 100*float64(refs)/float64(total))
-				}
+	reportWorkingSet(out, res.Summary)
+}
+
+// reportWorkingSet prints the §4 working-set statistics, if any were
+// collected (-stats).
+func reportWorkingSet(out io.Writer, s *stats.Summary) {
+	if s == nil {
+		return
+	}
+	fmt.Fprintf(out, "\nworking set (point of view of §4):\n")
+	fmt.Fprintf(out, "  depth complexity  %6.2f\n", s.DepthComplexity)
+	ls, ok := s.Layout(texture.TileLayout{L2Size: 16, L1Size: 4})
+	if ok {
+		fmt.Fprintf(out, "  16x16 blocks/frame %8.0f (%.2f MB), %.0f new (%.0f KB)\n",
+			ls.AvgBlocks, ls.AvgBytes/(1<<20),
+			ls.AvgNewBlocks, ls.AvgNewBytes/1024)
+		fmt.Fprintf(out, "  block utilization  %8.2f\n", ls.Utilization)
+	}
+	fmt.Fprintf(out, "  min push memory    %8.2f MB avg, %.2f MB peak\n",
+		s.AvgPushBytes/(1<<20), float64(s.MaxPushBytes)/(1<<20))
+	var total int64
+	for _, n := range s.LevelRefs {
+		total += n
+	}
+	if total > 0 {
+		fmt.Fprintf(out, "  MIP level histogram:\n")
+		for m, refs := range s.LevelRefs {
+			if refs > 0 {
+				fmt.Fprintf(out, "    level %2d %6.1f%%\n",
+					m, 100*float64(refs)/float64(total))
 			}
 		}
 	}

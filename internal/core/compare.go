@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sort"
 
 	"texcache/internal/cache"
@@ -51,7 +53,7 @@ type Comparison struct {
 type layoutXlate struct {
 	tilings []*texture.Tiling
 	starts  []uint32
-	// per-texel scratch, refreshed by multiSink.lookup on an L2-backed miss.
+	// per-texel scratch, refreshed by fanout.access on an L2-backed miss.
 	pt  uint32
 	sub uint8
 }
@@ -72,133 +74,300 @@ type specState struct {
 // the hierarchies of every spec with that size and associativity share.
 type l1Group struct {
 	l1      *cache.L1Cache
-	members []int // indices into multiSink.specs
+	members []int // indices into fanout.specs
 	backed  bool  // some member has an L2
 }
 
 // l1Chain holds the groups of one associativity, smallest first, whose
-// L1s one cache.L1Chain looks up, and the chain's MRU filter: mru[s] is
-// the key of the line referenced last in set s of the smallest cache,
-// whose set mask is mask. A reference to that line is a hit, already
-// the most recent of its set, in every cache of the chain, so it is
-// counted in batched instead of looked up.
+// L1s one cache.L1Chain looks up.
 type l1Chain struct {
-	l1      *cache.L1Chain
-	groups  []l1Group
+	l1     *cache.L1Chain
+	groups []l1Group
+}
+
+// maxChains bounds the distinct L1 associativities of one sweep: a
+// record names the chains that look it up in one 32-bit mask.
+const maxChains = 32
+
+// The ring between the two stages: ringBlocks blocks of blockRecords
+// records each (4 x 2048 x 32 B = 256 KB), allocated once per run. A
+// block amortizes the two channel operations of its hand-off over 2048
+// references that reach a chain; the spare blocks let the render stage
+// run up to three blocks ahead of the cache stage.
+const (
+	blockRecords = 2048
+	ringBlocks   = 4
+)
+
+// record is one reference the render stage hands the cache stage: one
+// that reached the lookup of at least one chain. It carries the L1
+// address the render stage computed, and the texel for the L2 layout
+// translation a miss needs.
+type record struct {
+	tag    uint64
+	set    uint32
+	tid    texture.ID
+	u, v   int32
+	chains uint32 // bit c set: chain c looks the reference up
+	m      uint8
+}
+
+// frameEnd is the marker that closes a frame's records: what the render
+// stage measured of the frame.
+type frameEnd struct {
+	pixels int64
+	pst    scene.FrameStats
+	// batched[c] counts the hits chain c books without a lookup: the
+	// repeats of the last line, and the chain's hits on the most recent
+	// line of a set (mruFilter.recent).
+	batched []int64
+	// stats is the collector's frame, when one rides the render stage.
+	stats stats.Frame
+}
+
+// block is one slot of the ring: n records and, when last is set, the
+// marker of the frame they close.
+type block struct {
+	recs [blockRecords]record
+	n    int
+	last bool
+	end  frameEnd
+}
+
+// newBlock allocates one block of the ring, its marker sized for the
+// given number of chains.
+func newBlock(chains int) *block {
+	return &block{end: frameEnd{batched: make([]int64, chains)}}
+}
+
+// mruFilter is one chain's MRU filter: mru[s] is the key of the line
+// referenced last in set s of the chain's smallest cache, whose set mask
+// is mask. A reference to that line is a hit, already the most recent
+// of its set, in every cache of the chain, so it is counted in batched
+// instead of looked up. It depends on the reference stream alone, not on
+// cache state.
+type mruFilter struct {
 	mru     []uint64
 	mask    uint32
 	batched int64
 }
 
 // recent reports whether key names the line referenced last in its set
-// of the chain's smallest cache, counting that hit for settle, and
-// otherwise records key as the set's most recent line.
+// of the chain's smallest cache, counting that hit, and otherwise
+// records key as the set's most recent line.
 //
 // texlint:hotpath
-func (ch *l1Chain) recent(set uint32, key uint64) bool {
-	mru := &ch.mru[set&ch.mask]
+func (f *mruFilter) recent(set uint32, key uint64) bool {
+	mru := &f.mru[set&f.mask]
 	if *mru == key {
-		ch.batched++
+		f.batched++
 		return true
 	}
 	*mru = key
 	return false
 }
 
-// multiSink fans one texel reference stream out to several hierarchies.
-// It looks each distinct L1 geometry up at most once per reference,
-// chaining the geometries of one associativity so that a lookup stops at
-// the first (smallest) L1 that hits, translates the L2 layouts only when
-// an L2-backed group misses, and accesses each distinct L2 of a group
-// once per miss. It books as batched hits, before any translation, a
-// repeat of the last line, and in each chain a reference to the line its
-// set referenced last (l1Chain.recent). Lines are keyed as
-// <tid, mip, u/4, v/4>; every L1 tile is 4x4, so a key names one L1 line.
-type multiSink struct {
+// streamFilter is the render stage of the exact engine: the rasterizer's
+// sink, run on its own goroutine. It does everything that depends on the
+// reference stream alone. It counts a repeat of the last line, computes
+// the set hash, applies each chain's MRU filter and computes the
+// canonical tag, and writes a record only for a reference some chain
+// must look up. The working-set collector and the reuse probe ride it.
+// Lines are keyed as <tid, mip, u/4, v/4>; every L1 tile is 4x4, so a key
+// names one L1 line.
+type streamFilter struct {
 	canon   []*texture.Tiling
-	layouts []*layoutXlate
-	specs   []specState
-	chains  []l1Chain
+	filters []mruFilter
 	collect *stats.Collector
 	reuse   *reuseProbe
-	// lastKey is the line referenced last; batched counts the repeats of
-	// it settle has yet to book in every chain.
+	// lastKey is the line referenced last; repeats counts the references
+	// to it since the last frame's marker.
 	lastKey uint64
-	batched int64
+	repeats int64
+	// blk is the block being filled. full and free are the ring's two
+	// directions, and done closes when the caller leaves RunComparison.
+	blk        *block
+	full, free chan *block
+	done       <-chan struct{}
 }
 
-// Texel presents one reference to every hierarchy and optional collector.
+// newStreamFilter builds the render stage for fan: one MRU filter per
+// chain, sized to the chain's smallest cache.
+func newStreamFilter(set *texture.Set, fan *fanout) *streamFilter {
+	r := &streamFilter{
+		canon:   set.Tilings(texture.CanonicalL1()),
+		filters: make([]mruFilter, len(fan.chains)),
+		lastKey: ^uint64(0),
+		blk:     newBlock(len(fan.chains)),
+	}
+	for c := range fan.chains {
+		f := &r.filters[c]
+		f.mru = make([]uint64, fan.chains[c].groups[0].l1.Sets())
+		for i := range f.mru {
+			f.mru[i] = ^uint64(0)
+		}
+		f.mask = uint32(len(f.mru) - 1)
+	}
+	return r
+}
+
+// Texel presents one reference to the chains and the optional collector
+// and probe.
 //
 // texlint:hotpath
-func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
-	s.ref(tid, u, v, m)
-	if s.collect != nil {
-		s.collect.Texel(tid, u, v, m)
+func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
+	r.ref(tid, u, v, m)
+	if r.collect != nil {
+		r.collect.Texel(tid, u, v, m)
 	}
-	if s.reuse != nil {
-		s.reuse.Texel(tid, u, v, m)
+	if r.reuse != nil {
+		r.reuse.Texel(tid, u, v, m)
 	}
 }
 
 // Quad implements raster.QuadSink: it presents a bilinear footprint, its
 // texels in Texel order. A footprint inside one L1 line is one reference
 // and three repeats of it, unless a collector or reuse probe rides the
-// sink and must see every texel; any other footprint goes through Texel.
+// stage and must see every texel; any other footprint goes through Texel.
 //
 // texlint:hotpath
-func (s *multiSink) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
-	if s.collect == nil && s.reuse == nil && u0>>2 == u1>>2 && v0>>2 == v1>>2 {
-		s.ref(tid, u0, v0, m)
-		s.batched += 3
+func (r *streamFilter) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
+	if r.collect == nil && r.reuse == nil && u0>>2 == u1>>2 && v0>>2 == v1>>2 {
+		r.ref(tid, u0, v0, m)
+		r.repeats += 3
 		return
 	}
-	s.Texel(tid, u0, v0, m)
-	s.Texel(tid, u1, v0, m)
-	s.Texel(tid, u0, v1, m)
-	s.Texel(tid, u1, v1, m)
+	r.Texel(tid, u0, v0, m)
+	r.Texel(tid, u1, v0, m)
+	r.Texel(tid, u0, v1, m)
+	r.Texel(tid, u1, v1, m)
 }
 
-// ref presents one reference to the hierarchies, counting a repeat of
-// the last line without computing its set.
+// ref counts a repeat of the last line without computing its set, and
+// otherwise records the reference for every chain whose MRU filter
+// cannot settle it.
 //
 // texlint:hotpath
-func (s *multiSink) ref(tid texture.ID, u, v, m int) {
+func (r *streamFilter) ref(tid texture.ID, u, v, m int) {
 	key := uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
-	if key == s.lastKey {
-		s.batched++
+	if key == r.lastKey {
+		r.repeats++
 		return
 	}
-	s.lastKey = key
-	s.lookup(tid, u, v, m, key)
+	r.lastKey = key
+	set := cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid))
+	var chains uint32
+	for c := range r.filters {
+		if !r.filters[c].recent(set, key) {
+			chains |= 1 << c
+		}
+	}
+	if chains == 0 {
+		return
+	}
+	a := r.canon[tid].Addr(u, v, m)
+	b := r.blk
+	b.recs[b.n] = record{
+		tag: cache.PackTag(uint32(tid), a.L2, a.L1), set: set,
+		tid: tid, u: int32(u), v: int32(v), chains: chains, m: uint8(m),
+	}
+	b.n++
+	if b.n == blockRecords {
+		r.hand()
+	}
 }
 
-// lookup looks a reference to a line other than the last one up in each
-// chain whose MRU filter cannot settle it, presenting a miss to every
-// member of each group that missed. The canonical address is translated
-// for the first such chain, the L2 layouts for the first L2-backed group
-// that misses. Members sharing an L2 book its first member's result.
+// endFrame closes the frame in the current block: it moves the hits
+// booked without a lookup since the last marker into the block's.
+func (r *streamFilter) endFrame() {
+	b := r.blk
+	for c := range r.filters {
+		f := &r.filters[c]
+		b.end.batched[c] = r.repeats + f.batched
+		f.batched = 0
+	}
+	r.repeats = 0
+	b.last = true
+}
+
+// hand gives the current block to the cache stage and takes a free one.
+// If the caller has left RunComparison meanwhile, it ends the goroutine
+// instead, from inside the rasterizer.
+func (r *streamFilter) hand() {
+	r.full <- r.blk // never blocks: full has room for every block
+	select {
+	case r.blk = <-r.free:
+	case <-r.done:
+		runtime.Goexit()
+	}
+	r.blk.n, r.blk.last = 0, false
+}
+
+// run renders every frame, handing over each frame's records and its
+// marker, and closes full when it returns.
+func (r *streamFilter) run(w *workload.Workload, render Config, rast *raster.Rasterizer) {
+	defer close(r.full)
+	pipeline := scene.NewPipeline(rast)
+	aspect := float64(render.Width) / float64(render.Height)
+	for f := 0; f < render.Frames; f++ {
+		if r.collect != nil {
+			r.collect.BeginFrame()
+		}
+		pst := pipeline.RenderFrame(w.Scene, w.Camera(aspect, f, render.Frames))
+		end := &r.blk.end
+		end.pixels, end.pst = rast.Pixels(), pst
+		if r.collect != nil {
+			r.collect.AddPixels(rast.Pixels())
+			end.stats = r.collect.EndFrame()
+		}
+		r.endFrame()
+		r.hand()
+	}
+}
+
+// fanout is the cache stage of the exact engine, run on the calling
+// goroutine: the hierarchies of every spec, and everything that reads or
+// writes their state. It looks each distinct L1 geometry up at most once
+// per record, chaining the geometries of one associativity so that a
+// lookup stops at the first (smallest) L1 that hits, translates the L2
+// layouts only when an L2-backed group misses, and accesses each
+// distinct L2 of a group once per miss.
+type fanout struct {
+	layouts []*layoutXlate
+	specs   []specState
+	chains  []l1Chain
+}
+
+// take runs a block's records through the hierarchies and settles the
+// frame the block closes, if it closes one.
+func (s *fanout) take(b *block) {
+	for i := range b.recs[:b.n] {
+		s.access(&b.recs[i])
+	}
+	if b.last {
+		s.settle(b.end.batched)
+	}
+}
+
+// access looks a record up in each chain it names, presenting a miss to
+// every member of each group that missed. The L2 layouts are translated
+// for the first L2-backed group that misses. Members sharing an L2 book
+// its first member's result.
 //
 // texlint:hotpath
-func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
-	l1 := cache.L1Ref{Set: cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid))}
-	tagged, translated := false, false
-	for ci := range s.chains {
-		ch := &s.chains[ci]
-		if ch.recent(l1.Set, key) {
-			continue
-		}
-		if !tagged {
-			a := s.canon[tid].Addr(u, v, m)
-			l1.Tag = cache.PackTag(uint32(tid), a.L2, a.L1)
-			tagged = true
-		}
+func (s *fanout) access(rec *record) {
+	l1 := cache.L1Ref{Tag: rec.tag, Set: rec.set}
+	translated := false
+	for chains := rec.chains; chains != 0; chains &= chains - 1 {
+		ch := &s.chains[bits.TrailingZeros32(chains)]
 		missed := ch.groups[:ch.l1.Lookup(l1)]
 		for gi := range missed {
 			g := &missed[gi]
 			if g.backed && !translated {
+				u, v, m := int(rec.u), int(rec.v), int(rec.m)
 				for _, lx := range s.layouts {
-					b := lx.tilings[tid].Addr(u, v, m)
-					lx.pt, lx.sub = lx.starts[tid]+b.L2, uint8(b.L1)
+					b := lx.tilings[rec.tid].Addr(u, v, m)
+					lx.pt, lx.sub = lx.starts[rec.tid]+b.L2, uint8(b.L1)
 				}
 				translated = true
 			}
@@ -219,18 +388,17 @@ func (s *multiSink) lookup(tid texture.ID, u, v, m int, key uint64) {
 	}
 }
 
-// settle books what the L1 counters owe before each frame's counter
-// read: the batched hits, and the hits each chain's lookups skipped.
+// settle books what the L1 counters owe before a frame's counter read:
+// batched[c] hits chain c proved without a lookup, and the hits each
+// chain's lookups skipped.
 //
 // texlint:hotpath
-func (s *multiSink) settle() {
-	for i := range s.chains {
-		ch := &s.chains[i]
-		ch.l1.RecordHits(s.batched + ch.batched)
+func (s *fanout) settle(batched []int64) {
+	for c := range s.chains {
+		ch := &s.chains[c]
+		ch.l1.RecordHits(batched[c])
 		ch.l1.Book()
-		ch.batched = 0
 	}
-	s.batched = 0
 }
 
 // specConfig merges one CacheSpec into the render configuration, yielding
@@ -250,9 +418,14 @@ func specConfig(render Config, spec CacheSpec) Config {
 // render.StatLayouts is non-empty, working-set statistics are gathered once
 // and attached to the first spec's results.
 //
-// The exact engine is one goroutine: every texel is pushed through all
-// hierarchies as it is rendered (runComparisonSerial). render.FastSweep
-// selects the analytic engine instead (fast.go).
+// The exact engine (runExact) runs in two stages joined by a ring of
+// record blocks. A goroutine it starts renders each frame and filters the
+// stream: it books repeats and hits on a set's most recent line as
+// counts, and hands over only the references some L1 must look up. The
+// calling goroutine simulates the caches, and records the results, the
+// metric stream and the trace, so they are those of one goroutine doing
+// both. That goroutine has exited when RunComparison returns or panics.
+// render.FastSweep selects the analytic engine instead (fast.go).
 func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Comparison, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no cache specs")
@@ -269,24 +442,22 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if render.FastSweep {
 		return runComparisonFast(w, render, specs)
 	}
-	return runComparisonSerial(w, render, specs, nil)
+	return runExact(w, render, specs, nil)
 }
 
-// buildMultiSink builds the fan-out sink the exact engine drives: one
-// hierarchy per spec (readable through sink.specs, parallel to specs),
-// with one L1 per distinct L1 geometry shared by its specs' hierarchies,
-// the geometries of each associativity chained smallest first, one L2
-// per distinct L2 configuration within a geometry, and one translator
-// per distinct L2 layout, however many specs use it.
-func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
-	sink := &multiSink{
-		canon:   set.Tilings(texture.CanonicalL1()),
-		lastKey: ^uint64(0),
-	}
-	sink.specs = make([]specState, 0, len(specs))
+// buildFanout builds the exact engine's cache stage: one hierarchy per
+// spec (readable through fan.specs, parallel to specs), with one L1 per
+// distinct L1 geometry shared by its specs' hierarchies, the geometries
+// of each associativity chained smallest first, one L2 per distinct L2
+// configuration within a geometry, and one translator per distinct L2
+// layout, however many specs use it.
+func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
+	set.MustPrepare(texture.CanonicalL1())
+	fan := &fanout{}
+	fan.specs = make([]specState, 0, len(specs))
 	// Every spec contributes at most one layout, group and chain, so
 	// len(specs) bounds each deduplicated table.
-	sink.layouts = make([]*layoutXlate, 0, len(specs))
+	fan.layouts = make([]*layoutXlate, 0, len(specs))
 	groups := make([]l1Group, 0, len(specs))
 	layoutIndex := map[texture.TileLayout]int{}
 	groupIndex := map[[2]int]int{} // keyed by L1 bytes and ways
@@ -327,8 +498,8 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 				for i := range starts {
 					starts[i] = set.Start(l2cfg.Layout, texture.ID(i))
 				}
-				idx = len(sink.layouts)
-				sink.layouts = append(sink.layouts, &layoutXlate{
+				idx = len(fan.layouts)
+				fan.layouts = append(fan.layouts, &layoutXlate{
 					tilings: set.Tilings(l2cfg.Layout),
 					starts:  starts,
 				})
@@ -338,7 +509,7 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 			key := l2Key{gi, l2cfg}
 			if owner, ok := l2Owner[key]; ok {
 				st.owner = owner
-				hier.L2 = sink.specs[owner].hier.L2
+				hier.L2 = fan.specs[owner].hier.L2
 			} else {
 				l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
 				if err != nil {
@@ -351,24 +522,24 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 				hier.TLB = cache.NewTLB(spec.TLBEntries)
 			}
 		}
-		sink.specs = append(sink.specs, st)
+		fan.specs = append(fan.specs, st)
 	}
 
 	// Chain the groups of each associativity, in order of first
 	// appearance, smallest L1 first.
-	sink.chains = make([]l1Chain, 0, len(groups))
+	fan.chains = make([]l1Chain, 0, len(groups))
 	chainIndex := map[int]int{} // keyed by ways
 	for _, g := range groups {
 		ci, ok := chainIndex[g.l1.Ways()]
 		if !ok {
-			ci = len(sink.chains)
-			sink.chains = append(sink.chains, l1Chain{groups: make([]l1Group, 0, len(groups))})
+			ci = len(fan.chains)
+			fan.chains = append(fan.chains, l1Chain{groups: make([]l1Group, 0, len(groups))})
 			chainIndex[g.l1.Ways()] = ci
 		}
-		sink.chains[ci].groups = append(sink.chains[ci].groups, g)
+		fan.chains[ci].groups = append(fan.chains[ci].groups, g)
 	}
-	for ci := range sink.chains {
-		ch := &sink.chains[ci]
+	for ci := range fan.chains {
+		ch := &fan.chains[ci]
 		sort.Slice(ch.groups, func(a, b int) bool {
 			return ch.groups[a].l1.SizeBytes() < ch.groups[b].l1.SizeBytes()
 		})
@@ -381,28 +552,26 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		ch.l1 = l1
-		ch.mru = make([]uint64, l1s[0].Sets())
-		for i := range ch.mru {
-			ch.mru[i] = ^uint64(0)
-		}
-		ch.mask = uint32(len(ch.mru) - 1)
 	}
-	return sink, nil
+	if len(fan.chains) > maxChains {
+		return nil, fmt.Errorf("core: %d L1 associativities in one sweep, at most %d", len(fan.chains), maxChains)
+	}
+	return fan, nil
 }
 
-// runComparisonSerial is the exact sweep engine: one goroutine renders
-// each frame and fans every texel out to all the specs' hierarchies, so
-// the stream is rendered once and never stored (PAPER.md §3.3). A
-// non-nil probe (the -fast engine injects one carrying TLB filters)
-// taps the render stream.
-func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
+// runExact is the exact sweep engine: the stream is rendered once and
+// never stored (PAPER.md §3.3). A goroutine renders each frame and
+// filters it (streamFilter), and the calling goroutine simulates the
+// caches (fanout) and records every result, metric and trace event. A
+// non-nil probe (the -fast engine injects one carrying TLB filters) taps
+// the render stream.
+func runExact(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
 	set := w.Scene.Textures
-	set.MustPrepare(texture.CanonicalL1())
-
-	sink, err := buildMultiSink(set, specs)
+	fan, err := buildFanout(set, specs)
 	if err != nil {
 		return nil, err
 	}
+	rs := newStreamFilter(set, fan)
 
 	cmp := &Comparison{
 		Workload:    w.Name,
@@ -418,14 +587,13 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 		})
 	}
 
+	var collect *stats.Collector
 	if len(render.StatLayouts) > 0 {
-		collect, err := stats.NewCollector(set, render.StatLayouts...)
-		if err != nil {
+		if collect, err = stats.NewCollector(set, render.StatLayouts...); err != nil {
 			return nil, err
 		}
-		sink.collect = collect
 	}
-	sink.reuse = probe
+	rs.collect, rs.reuse = collect, probe
 
 	rast, err := raster.New(raster.Config{
 		Width: render.Width, Height: render.Height,
@@ -435,39 +603,55 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 	if err != nil {
 		return nil, err
 	}
-	rast.SetSink(sink)
-	pipeline := scene.NewPipeline(rast)
+	rast.SetSink(rs)
 
-	// textrace: "render" frame spans on the engine's one track, and
-	// per-spec "replayed/" progress samples for the live monitor.
+	// Both channels hold every block of the ring, so only a receive
+	// blocks: the cache stage waiting for records, or the render stage
+	// for a free block, which it also leaves when done closes.
+	full := make(chan *block, ringBlocks)
+	free := make(chan *block, ringBlocks)
+	done := make(chan struct{})
+	for i := 1; i < ringBlocks; i++ {
+		free <- newBlock(len(fan.chains))
+	}
+	rs.full, rs.free, rs.done = full, free, done
+	go rs.run(w, render, rast)
+	defer func() {
+		close(done)
+		for range full { // wait for the render stage to leave
+		}
+	}()
+
+	// textrace: "render" frame spans on the caller's track, and per-spec
+	// "replayed/" progress samples for the live monitor.
 	tk := render.Trace.Track("render")
 	replayed := make([]*telemetry.Counter, len(specs))
 	for i, spec := range specs {
 		replayed[i] = render.Trace.Counter("replayed/" + spec.Name)
 	}
 
-	aspect := float64(render.Width) / float64(render.Height)
 	prev := make([]cache.Counters, len(specs))
 	for f := 0; f < render.Frames; f++ {
 		fspan := tk.Begin("frame", int64(f))
-		if sink.collect != nil {
-			sink.collect.BeginFrame()
+		b := <-full
+		for ; !b.last; b = <-full {
+			fan.take(b)
+			free <- b
 		}
-		pst := pipeline.RenderFrame(w.Scene, w.Camera(aspect, f, render.Frames))
-		sink.settle() // the counter reads below must see the batched hits
+		fan.take(b) // the counter reads below must see the settled frame
 		fspan.End()
-		cmp.FramePixels = append(cmp.FramePixels, rast.Pixels())
+		end := &b.end
+		cmp.FramePixels = append(cmp.FramePixels, end.pixels)
 		var sf *stats.Frame
-		if sink.collect != nil {
-			sink.collect.AddPixels(rast.Pixels())
-			v := sink.collect.EndFrame()
+		if collect != nil {
+			v := end.stats
 			sf = &v
 		}
-		for i := range sink.specs {
-			cur := sink.specs[i].hier.Counters()
+		for i := range fan.specs {
+			cur := fan.specs[i].hier.Counters()
 			fr := FrameResult{
-				Pipeline: pst,
-				Pixels:   rast.Pixels(),
+				Pipeline: end.pst,
+				Pixels:   end.pixels,
 				Counters: cur.Sub(prev[i]),
 			}
 			if i == 0 {
@@ -482,12 +666,15 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 			replayed[i].Sample(int64(f) + 1)
 			cmp.Results[i].Frames = append(cmp.Results[i].Frames, fr)
 		}
+		free <- b
 	}
-	for i := range sink.specs {
-		cmp.Results[i].Totals = sink.specs[i].hier.Counters()
+	for i := range fan.specs {
+		cmp.Results[i].Totals = fan.specs[i].hier.Counters()
 	}
-	if sink.collect != nil {
-		sum := stats.Summarize(sink.collect.Frames(),
+	if collect != nil {
+		// The last frame's marker orders every collector write before
+		// this read.
+		sum := stats.Summarize(collect.Frames(),
 			int64(render.Width)*int64(render.Height))
 		cmp.Results[0].Summary = &sum
 	}

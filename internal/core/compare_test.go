@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"texcache/internal/cache"
+	"texcache/internal/telemetry"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
@@ -103,6 +106,54 @@ func TestRunComparisonWithStats(t *testing.T) {
 	}
 }
 
+// faultyEmitter panics on the metric record of frame 1: a fault in the
+// cache stage, which runs on RunComparison's calling goroutine.
+type faultyEmitter struct{}
+
+func (faultyEmitter) Frame(m telemetry.FrameMetrics) {
+	if m.Frame == 1 {
+		panic("core: injected cache-stage fault")
+	}
+}
+
+// TestRunComparisonLeavesNoGoroutine: the render stage's goroutine is
+// gone after RunComparison returns, with or without working-set
+// statistics, and after a panic in the cache stage, where the render
+// stage may be waiting for a block the caller will never free.
+func TestRunComparisonLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	run := func(cfg Config) {
+		cfg.Frames = 4
+		if _, err := RunComparison(workload.Village(), cfg, telemetrySpecs()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(testCfg())
+	withStats := testCfg()
+	withStats.StatLayouts = []texture.TileLayout{{L2Size: 16, L1Size: 4}}
+	run(withStats)
+	faulty := testCfg()
+	faulty.Metrics = faultyEmitter{}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the cache-stage fault did not reach the caller")
+			}
+		}()
+		run(faulty)
+	}()
+	run(testCfg())
+
+	// A goroutine exits just after its last deferred call; give it a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("RunComparison leaked goroutines: %d running, %d before", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestRunComparisonErrors(t *testing.T) {
 	if _, err := RunComparison(workload.Village(), testCfg(), nil); err == nil {
 		t.Error("empty specs accepted")
@@ -110,5 +161,19 @@ func TestRunComparisonErrors(t *testing.T) {
 	bad := []CacheSpec{{Name: "bad", L1Bytes: 100}}
 	if _, err := RunComparison(workload.Village(), testCfg(), bad); err == nil {
 		t.Error("invalid L1 size accepted")
+	}
+	// Fully associative L1s of 1 to maxChains+1 lines: one chain each,
+	// one more than a record's chain mask can name.
+	var wide []CacheSpec
+	for ways := 1; ways <= maxChains+1; ways++ {
+		wide = append(wide, CacheSpec{Name: "full", L1Bytes: ways * cache.L1LineBytes, L1Ways: ways})
+	}
+	one := testCfg()
+	one.Frames = 1
+	if _, err := RunComparison(workload.Village(), one, wide); err == nil {
+		t.Errorf("%d L1 associativities accepted", len(wide))
+	}
+	if _, err := RunComparison(workload.Village(), one, wide[:maxChains]); err != nil {
+		t.Errorf("%d L1 associativities: %v", maxChains, err)
 	}
 }

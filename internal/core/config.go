@@ -50,7 +50,7 @@ type Config struct {
 	// Parallelism, RenderWorkers and ReplayWorkers selected the retired
 	// parallel sweep engines.
 	//
-	// Deprecated: ignored. Every exact sweep runs on the one serial
+	// Deprecated: ignored. Every exact sweep runs on the one exact
 	// engine; the fields stay only so existing callers keep compiling.
 	Parallelism, RenderWorkers, ReplayWorkers int
 	// Metrics, when non-nil, receives one telemetry record per simulated

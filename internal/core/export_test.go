@@ -21,22 +21,23 @@ type FanoutShape struct {
 	L1Of, L2Of []int
 }
 
-// FanoutShapeOf builds the exact engine's sink over specs and reports its
-// structure.
+// FanoutShapeOf builds the exact engine's two stages over specs and
+// reports their structure.
 func FanoutShapeOf(set *texture.Set, specs []CacheSpec) (FanoutShape, error) {
-	sink, err := buildMultiSink(set, specs)
+	sink, err := buildFanout(set, specs)
 	if err != nil {
 		return FanoutShape{}, err
 	}
+	rs := newStreamFilter(set, sink)
 	var sh FanoutShape
-	for _, ch := range sink.chains {
+	for c, ch := range sink.chains {
 		sizes := make([]int, 0, len(ch.groups))
 		for _, g := range ch.groups {
 			sizes = append(sizes, g.l1.SizeBytes())
 		}
 		sh.Ways = append(sh.Ways, ch.groups[0].l1.Ways())
 		sh.Sizes = append(sh.Sizes, sizes)
-		sh.FilterSets = append(sh.FilterSets, len(ch.mru))
+		sh.FilterSets = append(sh.FilterSets, len(rs.filters[c].mru))
 	}
 	first := func(same func(a, b *specState) bool, i int) int {
 		for j := range sink.specs[:i] {

@@ -180,15 +180,18 @@ func (s *fanoutStream) run(prog []byte) {
 	s.endOfFrame()
 }
 
-// FuzzFanoutMatchesPerSpec drives the exact engine's fan-out sink and, as
+// FuzzFanoutMatchesPerSpec drives the exact engine's two stages and, as
 // the oracle, one unshared addrSink hierarchy per spec with the same
 // texel stream, and requires equal counters for every spec at every
-// frame boundary. The spec list is any non-empty subset of
-// fanoutSpecPool, so L1 sharing, L1 chains, L2 sharing, lazy L2
-// translation, the batching of repeats and of hits on a set's most
-// recent line, and the quad route that takes a footprint inside one line
-// whole all meet arbitrary stream shapes. The oracle sees a footprint as
-// its four texels.
+// frame boundary. The render stage's sink filters each call's references
+// into its block, and the cache stage takes that block at once, as the
+// engine's caller takes blocks from the ring, so both stages run through
+// the engine's own functions on one goroutine. The spec list is any
+// non-empty subset of fanoutSpecPool, so L1 sharing, L1 chains, L2
+// sharing, lazy L2 translation, the batching of repeats and of hits on a
+// set's most recent line, and the quad route that takes a footprint
+// inside one line whole all meet arbitrary stream shapes. The oracle
+// sees a footprint as its four texels.
 func FuzzFanoutMatchesPerSpec(f *testing.F) {
 	long := []byte{opRepeat, 255, opRepeat, 255, opStep, 0x1B, opRepeat, 200, opFrame, 0}
 	sameSet := []byte{opPingSet, 30, opStep, 0x12, opPingSet, 31, opPingSet, 0, opFrame, 0,
@@ -273,9 +276,16 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 		if len(specs) == 0 {
 			specs = pool
 		}
-		sink, err := buildMultiSink(set, specs)
+		sink, err := buildFanout(set, specs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		rs := newStreamFilter(set, sink)
+		// take hands the render stage's block to the cache stage. A call
+		// adds at most four records, so the block never fills.
+		take := func() {
+			sink.take(rs.blk)
+			rs.blk.n, rs.blk.last = 0, false
 		}
 		oracle := make([]*addrSink, len(specs))
 		for i, spec := range specs {
@@ -287,13 +297,15 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 		s := &fanoutStream{
 			set: set,
 			emit: func(tid texture.ID, u, v, m int) {
-				sink.Texel(tid, u, v, m)
+				rs.Texel(tid, u, v, m)
+				take()
 				for _, o := range oracle {
 					o.Texel(tid, u, v, m)
 				}
 			},
 			quad: func(tid texture.ID, u0, v0, u1, v1, m int) {
-				sink.Quad(tid, u0, v0, u1, v1, m)
+				rs.Quad(tid, u0, v0, u1, v1, m)
+				take()
 				for _, o := range oracle {
 					o.Texel(tid, u0, v0, m)
 					o.Texel(tid, u1, v0, m)
@@ -302,8 +314,10 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 				}
 			},
 			endOfFrame: func() {
-				// The engine's order: settle the batch, then read counters.
-				sink.settle()
+				// The engine's order: close the frame, settle it, then read
+				// counters.
+				rs.endFrame()
+				take()
 				for i, o := range oracle {
 					got, want := sink.specs[i].hier.Counters(), o.h.Counters()
 					if got != want {

@@ -84,7 +84,7 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 	if len(replaySpecs) > 0 {
 		sub := render
 		sub.FastSweep = false
-		cmp, err := runComparisonSerial(w, sub, replaySpecs, probe)
+		cmp, err := runExact(w, sub, replaySpecs, probe)
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,8 @@ func sweepTrace(t *testing.T, clock telemetry.Clock) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceDeterminism: the engine records from one goroutine, so under
+// TestTraceDeterminism: the engine records from one goroutine, its
+// caller's (the render stage's goroutine records nothing), so under
 // FakeClock the export — the "render" frame spans and per-spec
 // "replayed/" samples, with their clock readings — is a pure function
 // of the work, and two runs of the same sweep export identical bytes.

@@ -67,8 +67,9 @@ type FrameMetrics struct {
 }
 
 // Emitter consumes the per-frame metric stream. Implementations need not
-// be safe for concurrent use: the simulator guarantees single-goroutine
-// emission in a deterministic frame-major, spec-minor order.
+// be safe for concurrent use: the simulator emits from one goroutine, in
+// a deterministic frame-major, spec-minor order. The exact sweep engine
+// renders on a goroutine of its own but emits only from its caller's.
 type Emitter interface {
 	Frame(m FrameMetrics)
 }

@@ -7,7 +7,8 @@
 // Perfetto or chrome://tracing opens directly.
 //
 // Events carry the injected clock's timestamps. Every engine records
-// from one goroutine, so under a FakeClock the readings — and with them
+// from one goroutine (the exact engine renders on a second one, which
+// records nothing), so under a FakeClock the readings — and with them
 // the exported bytes — are a pure function of the work performed; the
 // mutexes exist for readers (the live monitor, a mid-run export) that
 // run beside the recorder.
