@@ -41,20 +41,33 @@ func PackTag(tid uint32, l2 uint32, l1 uint16) uint64 {
 // "6D blocked representation" placement Hakura suggests: spatially adjacent
 // tiles land in distinct sets, so a bilinear/trilinear footprint never
 // self-conflicts; level and texture id are folded in to spread MIP levels
-// and co-rendered textures.
+// and co-rendered textures. It is small enough to inline into the exact
+// engine's render stage, which hashes every line that misses its last-line
+// check.
 //
 // texlint:hotpath
 func SetHash(tileU, tileV int32, level uint8, tid uint32) uint32 {
-	h := interleave8(uint32(tileU)&0xFF, uint32(tileV)&0xFF)
+	h := interleave8(uint32(tileU), uint32(tileV))
 	h ^= (uint32(tileU) >> 8 * 0x9E37) ^ (uint32(tileV) >> 8 * 0x79B9)
 	h += uint32(level) * 37
 	h += tid * 131
 	return h
 }
 
+// spreadTable[b] is spread8(b): one load in place of three shift-and-mask
+// steps per coordinate.
+var spreadTable = func() (t [256]uint16) {
+	for b := range t {
+		t[b] = uint16(spread8(uint32(b)))
+	}
+	return t
+}()
+
 // interleave8 interleaves the low 8 bits of a and b (Morton order).
+//
+// texlint:hotpath
 func interleave8(a, b uint32) uint32 {
-	return spread8(a) | spread8(b)<<1
+	return uint32(spreadTable[a&0xFF]) | uint32(spreadTable[b&0xFF])<<1
 }
 
 // spread8 spaces the low 8 bits of v into the even bit positions.

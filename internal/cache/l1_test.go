@@ -172,6 +172,81 @@ func TestSetHashDistribution(t *testing.T) {
 	}
 }
 
+// TestInterleaveTableMatchesSpread pins the table interleave to the
+// shift-and-mask spread8 form it is built from, for every pair of bytes,
+// and spread8 itself to a bit-by-bit Morton spread.
+func TestInterleaveTableMatchesSpread(t *testing.T) {
+	for v := uint32(0); v < 256; v++ {
+		var want uint32
+		for i := 0; i < 8; i++ {
+			want |= (v >> i & 1) << (2 * i)
+		}
+		if got := spread8(v); got != want {
+			t.Fatalf("spread8(%#x) = %#x, want %#x", v, got, want)
+		}
+	}
+	for a := uint32(0); a < 256; a++ {
+		for b := uint32(0); b < 256; b++ {
+			want := spread8(a) | spread8(b)<<1
+			if got := interleave8(a, b); got != want {
+				t.Fatalf("interleave8(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
+			// Only the low byte of each coordinate enters.
+			if got := interleave8(a|0x300, b|0xFF00); got != want {
+				t.Fatalf("interleave8(%#x, %#x) = %#x, want %#x", a|0x300, b|0xFF00, got, want)
+			}
+		}
+	}
+}
+
+// refSetHash is SetHash's expression with the interleave in its
+// shift-and-mask form.
+func refSetHash(tileU, tileV int32, level uint8, tid uint32) uint32 {
+	u, v := uint32(tileU), uint32(tileV)
+	h := spread8(u&0xFF) | spread8(v&0xFF)<<1
+	h ^= (u >> 8 * 0x9E37) ^ (v >> 8 * 0x79B9)
+	return h + uint32(level)*37 + tid*131
+}
+
+// TestSetHashMatchesReference pins SetHash's bits: literal values for
+// each term, and the reference expression on tile coordinates at and
+// above 256, where the XOR terms of the high bits enter.
+func TestSetHashMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		u, v  int32
+		level uint8
+		tid   uint32
+		want  uint32
+	}{
+		{0, 0, 0, 0, 0},
+		{0xFF, 0, 0, 0, 0x5555},
+		{0, 0xFF, 0, 0, 0xAAAA},
+		{256, 0, 0, 0, 0x9E37},
+		{0, 256, 0, 0, 0x79B9},
+		{0, 0, 1, 1, 37 + 131},
+		{257, 258, 0, 0, 0x9 ^ 0x9E37 ^ 0x79B9},
+	} {
+		if got := SetHash(c.u, c.v, c.level, c.tid); got != c.want {
+			t.Errorf("SetHash(%d, %d, %d, %d) = %#x, want %#x", c.u, c.v, c.level, c.tid, got, c.want)
+		}
+	}
+	coords := []int32{0, 1, 255, 256, 257, 383, 511, 512, 1000, 4095, 4096, 65535, 1<<20 - 1, -1}
+	for u := int32(240); u < 800; u += 7 {
+		coords = append(coords, u)
+	}
+	for _, u := range coords {
+		for _, v := range coords {
+			for _, level := range []uint8{0, 3, 15} {
+				for _, tid := range []uint32{0, 1, 411, 0xFFFF} {
+					if got, want := SetHash(u, v, level, tid), refSetHash(u, v, level, tid); got != want {
+						t.Fatalf("SetHash(%d, %d, %d, %d) = %#x, want %#x", u, v, level, tid, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestL1StatsSub(t *testing.T) {
 	a := L1Stats{Accesses: 100, Misses: 10}
 	b := L1Stats{Accesses: 40, Misses: 4}

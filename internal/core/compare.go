@@ -90,7 +90,7 @@ type l1Chain struct {
 const maxChains = 32
 
 // The ring between the two stages: ringBlocks blocks of blockRecords
-// records each (4 x 2048 x 32 B = 256 KB), allocated once per run. A
+// records each (4 x 2048 x 16 B = 128 KB), allocated once per run. A
 // block amortizes the two channel operations of its hand-off over 2048
 // references that reach a chain; the spare blocks let the render stage
 // run up to three blocks ahead of the cache stage.
@@ -100,16 +100,47 @@ const (
 )
 
 // record is one reference the render stage hands the cache stage: one
-// that reached the lookup of at least one chain. It carries the L1
-// address the render stage computed, and the texel for the L2 layout
-// translation a miss needs.
+// that reached the lookup of at least one chain. Its line key is its L1
+// tag, and names the texel the L2 layout translation of a miss needs.
 type record struct {
-	tag    uint64
+	key    uint64
 	set    uint32
-	tid    texture.ID
-	u, v   int32
 	chains uint32 // bit c set: chain c looks the reference up
-	m      uint8
+}
+
+// The bounds of a texture set lineKey names exactly: tid < 2^16 and u/4,
+// v/4 < 2^20. A texture at most 2^22 texels on a side has at most 23
+// levels, so m < 2^8 follows.
+const (
+	maxTextures    = 1 << 16
+	maxTextureEdge = 1 << 22
+)
+
+// lineKey names the L1 line of texel <u, v> of level m of texture tid as
+// <tid, m, u/4, v/4>. Every L1 tile is 4x4, so it names one line in every
+// L1, and the exact engine uses it as the L1 tag. buildFanout rejects a
+// texture set it cannot name exactly. It is never all ones, the L1's
+// invalid tag and an empty MRU filter slot, which would need m = 255.
+//
+// texlint:hotpath
+func lineKey(tid texture.ID, u, v, m int) uint64 {
+	return uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
+}
+
+// lineTexel inverts lineKey: the texture, level and first texel of the
+// line key names. Every L2 tile and sub-block is a multiple of 4 texels,
+// so that texel has the L2 address of every texel of the line.
+//
+// texlint:hotpath
+func lineTexel(key uint64) (tid texture.ID, u, v, m int) {
+	return texture.ID(key >> 48), int(key>>20&0xFFFFF) << 2, int(key&0xFFFFF) << 2, int(key >> 40 & 0xFF)
+}
+
+// lineSet is the L1 set hash of the line holding texel <u, v>.
+//
+// texlint:hotpath
+func lineSet(tid texture.ID, u, v, m int) uint32 {
+	return cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid))
 }
 
 // frameEnd is the marker that closes a frame's records: what the render
@@ -170,13 +201,10 @@ func (f *mruFilter) recent(set uint32, key uint64) bool {
 // streamFilter is the render stage of the exact engine: the rasterizer's
 // sink, run on its own goroutine. It does everything that depends on the
 // reference stream alone. It counts a repeat of the last line, computes
-// the set hash, applies each chain's MRU filter and computes the
-// canonical tag, and writes a record only for a reference some chain
-// must look up. The working-set collector and the reuse probe ride it.
-// Lines are keyed as <tid, mip, u/4, v/4>; every L1 tile is 4x4, so a key
-// names one L1 line.
+// the set hash, applies each chain's MRU filter, and writes a record only
+// for a reference some chain must look up. The working-set collector and
+// the reuse probe ride it. Lines are keyed by lineKey.
 type streamFilter struct {
-	canon   []*texture.Tiling
 	filters []mruFilter
 	collect *stats.Collector
 	reuse   *reuseProbe
@@ -193,9 +221,8 @@ type streamFilter struct {
 
 // newStreamFilter builds the render stage for fan: one MRU filter per
 // chain, sized to the chain's smallest cache.
-func newStreamFilter(set *texture.Set, fan *fanout) *streamFilter {
+func newStreamFilter(fan *fanout) *streamFilter {
 	r := &streamFilter{
-		canon:   set.Tilings(texture.CanonicalL1()),
 		filters: make([]mruFilter, len(fan.chains)),
 		lastKey: ^uint64(0),
 		blk:     newBlock(len(fan.chains)),
@@ -216,7 +243,12 @@ func newStreamFilter(set *texture.Set, fan *fanout) *streamFilter {
 //
 // texlint:hotpath
 func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
-	r.ref(tid, u, v, m)
+	if key := lineKey(tid, u, v, m); key == r.lastKey {
+		r.repeats++
+	} else {
+		r.lastKey = key
+		r.filter(key, lineSet(tid, u, v, m))
+	}
 	if r.collect != nil {
 		r.collect.Texel(tid, u, v, m)
 	}
@@ -226,36 +258,72 @@ func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
 }
 
 // Quad implements raster.QuadSink: it presents a bilinear footprint, its
-// texels in Texel order. A footprint inside one L1 line is one reference
-// and three repeats of it, unless a collector or reuse probe rides the
-// stage and must see every texel; any other footprint goes through Texel.
+// texels in Texel order, to the chains, and whole to the collector. The
+// reuse probe takes it as four Texel calls.
+//
+// The chains see what four Texel calls would show them, with each
+// distinct line hashed once. In Texel order the texels' lines read A A A
+// A inside one line, A A C C across a v edge, A B A B across a u edge and
+// A B C D across a corner. Only A can repeat the line before the
+// footprint, and no later line repeats the one before it, so the second
+// A and B of A B A B go to the MRU filters with the sets already
+// computed.
 //
 // texlint:hotpath
 func (r *streamFilter) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
-	if r.collect == nil && r.reuse == nil && u0>>2 == u1>>2 && v0>>2 == v1>>2 {
-		r.ref(tid, u0, v0, m)
-		r.repeats += 3
-		return
+	ka := lineKey(tid, u0, v0, m)
+	if u0>>2 == u1>>2 {
+		if ka == r.lastKey {
+			r.repeats++
+		} else {
+			r.filter(ka, lineSet(tid, u0, v0, m))
+		}
+		if v0>>2 == v1>>2 { // A A A A
+			r.repeats += 3
+			r.lastKey = ka
+		} else { // A A C C
+			kc := lineKey(tid, u0, v1, m)
+			r.filter(kc, lineSet(tid, u0, v1, m))
+			r.repeats += 2
+			r.lastKey = kc
+		}
+	} else {
+		sa := lineSet(tid, u0, v0, m)
+		if ka == r.lastKey {
+			r.repeats++
+		} else {
+			r.filter(ka, sa)
+		}
+		kb, sb := lineKey(tid, u1, v0, m), lineSet(tid, u1, v0, m)
+		r.filter(kb, sb)
+		if v0>>2 == v1>>2 { // A B A B
+			r.filter(ka, sa)
+			r.filter(kb, sb)
+			r.lastKey = kb
+		} else { // A B C D
+			r.filter(lineKey(tid, u0, v1, m), lineSet(tid, u0, v1, m))
+			kd := lineKey(tid, u1, v1, m)
+			r.filter(kd, lineSet(tid, u1, v1, m))
+			r.lastKey = kd
+		}
 	}
-	r.Texel(tid, u0, v0, m)
-	r.Texel(tid, u1, v0, m)
-	r.Texel(tid, u0, v1, m)
-	r.Texel(tid, u1, v1, m)
+	if r.collect != nil {
+		r.collect.Quad(tid, u0, v0, u1, v1, m)
+	}
+	if r.reuse != nil {
+		r.reuse.Texel(tid, u0, v0, m)
+		r.reuse.Texel(tid, u1, v0, m)
+		r.reuse.Texel(tid, u0, v1, m)
+		r.reuse.Texel(tid, u1, v1, m)
+	}
 }
 
-// ref counts a repeat of the last line without computing its set, and
-// otherwise records the reference for every chain whose MRU filter
-// cannot settle it.
+// filter presents a reference to a line other than the last one to each
+// chain's MRU filter, and records it for the chains that cannot settle
+// it.
 //
 // texlint:hotpath
-func (r *streamFilter) ref(tid texture.ID, u, v, m int) {
-	key := uint64(tid)<<48 | uint64(m)<<40 | uint64(u>>2)<<20 | uint64(v>>2)
-	if key == r.lastKey {
-		r.repeats++
-		return
-	}
-	r.lastKey = key
-	set := cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid))
+func (r *streamFilter) filter(key uint64, set uint32) {
 	var chains uint32
 	for c := range r.filters {
 		if !r.filters[c].recent(set, key) {
@@ -265,12 +333,8 @@ func (r *streamFilter) ref(tid texture.ID, u, v, m int) {
 	if chains == 0 {
 		return
 	}
-	a := r.canon[tid].Addr(u, v, m)
 	b := r.blk
-	b.recs[b.n] = record{
-		tag: cache.PackTag(uint32(tid), a.L2, a.L1), set: set,
-		tid: tid, u: int32(u), v: int32(v), chains: chains, m: uint8(m),
-	}
+	b.recs[b.n] = record{key: key, set: set, chains: chains}
 	b.n++
 	if b.n == blockRecords {
 		r.hand()
@@ -356,7 +420,7 @@ func (s *fanout) take(b *block) {
 //
 // texlint:hotpath
 func (s *fanout) access(rec *record) {
-	l1 := cache.L1Ref{Tag: rec.tag, Set: rec.set}
+	l1 := cache.L1Ref{Tag: rec.key, Set: rec.set}
 	translated := false
 	for chains := rec.chains; chains != 0; chains &= chains - 1 {
 		ch := &s.chains[bits.TrailingZeros32(chains)]
@@ -364,10 +428,10 @@ func (s *fanout) access(rec *record) {
 		for gi := range missed {
 			g := &missed[gi]
 			if g.backed && !translated {
-				u, v, m := int(rec.u), int(rec.v), int(rec.m)
+				tid, u, v, m := lineTexel(rec.key)
 				for _, lx := range s.layouts {
-					b := lx.tilings[rec.tid].Addr(u, v, m)
-					lx.pt, lx.sub = lx.starts[rec.tid]+b.L2, uint8(b.L1)
+					b := lx.tilings[tid].Addr(u, v, m)
+					lx.pt, lx.sub = lx.starts[tid]+b.L2, uint8(b.L1)
 				}
 				translated = true
 			}
@@ -452,7 +516,16 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 // configuration within a geometry, and one translator per distinct L2
 // layout, however many specs use it.
 func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
-	set.MustPrepare(texture.CanonicalL1())
+	// The line key is the L1 tag, so it must name every line exactly.
+	if set.Len() > maxTextures {
+		return nil, fmt.Errorf("core: %d textures, at most %d", set.Len(), maxTextures)
+	}
+	for _, t := range set.All() {
+		if t.Width() > maxTextureEdge || t.Height() > maxTextureEdge {
+			return nil, fmt.Errorf("core: texture %q is %dx%d texels, at most %d on a side",
+				t.Name, t.Width(), t.Height(), maxTextureEdge)
+		}
+	}
 	fan := &fanout{}
 	fan.specs = make([]specState, 0, len(specs))
 	// Every spec contributes at most one layout, group and chain, so
@@ -571,7 +644,7 @@ func runExact(w *workload.Workload, render Config, specs []CacheSpec, probe *reu
 	if err != nil {
 		return nil, err
 	}
-	rs := newStreamFilter(set, fan)
+	rs := newStreamFilter(fan)
 
 	cmp := &Comparison{
 		Workload:    w.Name,

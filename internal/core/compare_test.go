@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -89,10 +90,14 @@ func TestRunComparisonSharedLayouts(t *testing.T) {
 	}
 }
 
+// TestRunComparisonWithStats: the working-set statistics the render
+// stage collects, taking each footprint whole, are those core.Run
+// collects texel by texel.
 func TestRunComparisonWithStats(t *testing.T) {
 	render := testCfg()
 	render.Frames = 4
-	render.StatLayouts = []texture.TileLayout{{L2Size: 16, L1Size: 4}}
+	render.StatLayouts = []texture.TileLayout{{L2Size: 4, L1Size: 4},
+		{L2Size: 16, L1Size: 4}, {L2Size: 32, L1Size: 4}}
 	cmp, err := RunComparison(workload.Village(), render,
 		[]CacheSpec{{Name: "pull", L1Bytes: 2 * 1024}})
 	if err != nil {
@@ -103,6 +108,16 @@ func TestRunComparisonWithStats(t *testing.T) {
 	}
 	if len(cmp.FramePixels) != 4 {
 		t.Errorf("frame pixels = %d entries", len(cmp.FramePixels))
+	}
+	cfg := render
+	cfg.L1Bytes = 2 * 1024
+	want, err := Run(workload.Village(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cmp.Results[0]; !reflect.DeepEqual(got.Frames, want.Frames) ||
+		!reflect.DeepEqual(got.Summary, want.Summary) {
+		t.Errorf("working set differs from core.Run's:\ncomparison %+v\nindividual %+v", got.Summary, want.Summary)
 	}
 }
 
@@ -175,5 +190,26 @@ func TestRunComparisonErrors(t *testing.T) {
 	}
 	if _, err := RunComparison(workload.Village(), one, wide[:maxChains]); err != nil {
 		t.Errorf("%d L1 associativities: %v", maxChains, err)
+	}
+	// Texture sets at and one past the bounds of the line key.
+	pull := []CacheSpec{{Name: "pull-2k", L1Bytes: 2 << 10}}
+	for _, c := range []struct {
+		n, w, h int
+		ok      bool
+	}{
+		{1, maxTextureEdge, 1, true},
+		{1, 1, maxTextureEdge, true},
+		{1, 2 * maxTextureEdge, 1, false},
+		{1, 1, 2 * maxTextureEdge, false},
+		{maxTextures, 1, 1, true},
+		{maxTextures + 1, 1, 1, false},
+	} {
+		set := texture.NewSet()
+		for i := 0; i < c.n; i++ {
+			set.Register(texture.MustNew("t", c.w, c.h, texture.L8, nil))
+		}
+		if _, err := buildFanout(set, pull); (err == nil) != c.ok {
+			t.Errorf("%d textures of %dx%d: error %v, want accepted %v", c.n, c.w, c.h, err, c.ok)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func FanoutShapeOf(set *texture.Set, specs []CacheSpec) (FanoutShape, error) {
 	if err != nil {
 		return FanoutShape{}, err
 	}
-	rs := newStreamFilter(set, sink)
+	rs := newStreamFilter(sink)
 	var sh FanoutShape
 	for c, ch := range sink.chains {
 		sizes := make([]int, 0, len(ch.groups))

@@ -208,17 +208,46 @@ func (c *Collector) AddPixels(n int64) { c.pixels += n }
 //
 // texlint:hotpath
 func (c *Collector) Texel(tid texture.ID, u, v, m int) {
-	c.texels++
+	c.count(tid, m, 1)
+	for _, t := range c.trackers {
+		t.texel(tid, u, v, m, c.frame)
+	}
+}
+
+// Quad records a bilinear footprint: the texels (u0,v0), (u1,v0), (u0,v1)
+// and (u1,v1) of level m, wrapped as for Texel. Its frame statistics are
+// those of the four Texel calls. A tracker books a block once per frame,
+// so when the four texels share one of its blocks it is given one.
+//
+// texlint:hotpath
+func (c *Collector) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
+	c.count(tid, m, 4)
+	// Non-negative coordinates share every bit from log2(L2Size) up, and
+	// so one block column (row), exactly when their XOR is below L2Size.
+	span := (u0 ^ u1) | (v0 ^ v1)
+	for _, t := range c.trackers {
+		t.texel(tid, u0, v0, m, c.frame)
+		if span >= t.layout.L2Size {
+			t.texel(tid, u1, v0, m, c.frame)
+			t.texel(tid, u0, v1, m, c.frame)
+			t.texel(tid, u1, v1, m, c.frame)
+		}
+	}
+}
+
+// count books n references to level m of texture tid: the texel and
+// level counts, and the texture's first touch this frame.
+//
+// texlint:hotpath
+func (c *Collector) count(tid texture.ID, m int, n int64) {
+	c.texels += n
 	if lvl := min(m, MaxLevels-1); lvl >= 0 {
-		c.levels[lvl]++
+		c.levels[lvl] += n
 	}
 	if c.texSeen[tid] != int32(c.frame) {
 		c.texSeen[tid] = int32(c.frame)
 		c.texTouched++
 		c.pushBytes += c.set.ByID(tid).HostBytes()
-	}
-	for _, t := range c.trackers {
-		t.texel(tid, u, v, m, c.frame)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 
 	"texcache/internal/texture"
@@ -306,5 +307,57 @@ func TestSummaryLevelHistogram(t *testing.T) {
 	s := Summarize(c.Frames(), 1)
 	if s.LevelRefs[0] != 1 || s.LevelRefs[2] != 2 {
 		t.Errorf("summary LevelRefs = %v", s.LevelRefs[:4])
+	}
+}
+
+// TestCollectorQuadMatchesTexels requires a collector fed bilinear
+// footprints through Quad to report, frame by frame, what one fed the
+// same footprints as four Texel calls reports. The footprints sit inside
+// a block, across a u, a v or a corner edge of every tracked block size,
+// across a level's wrap edge, and on the 2x2 and 1x1 levels; each frame
+// skips a different third of them, so blocks go and come back.
+func TestCollectorQuadMatchesTexels(t *testing.T) {
+	set := texture.NewSet()
+	set.Register(texture.MustNew("square", 64, 64, texture.RGBA8888, nil))
+	set.Register(texture.MustNew("wide", 128, 16, texture.RGB565, nil))
+	layouts := []texture.TileLayout{{L2Size: 4, L1Size: 4}, {L2Size: 8, L1Size: 4},
+		{L2Size: 16, L1Size: 4}, {L2Size: 32, L1Size: 4}, {L2Size: 8, L1Size: 8}}
+	quad := MustNewCollector(set, layouts...)
+	texels := MustNewCollector(set, layouts...)
+	// From anchor a the footprint's second column (row) is a+1: a is inside
+	// every block for a = 1, and the last texel before a 4, 8, 16, 32 or 64
+	// texel edge for the rest. Wrapped into a level narrower than a+1, the
+	// footprint crosses the level's wrap edge.
+	anchors := []int{1, 3, 7, 15, 31, 63}
+	for frame := 0; frame < 4; frame++ {
+		quad.BeginFrame()
+		texels.BeginFrame()
+		for _, tex := range set.All() {
+			for m, l := range tex.Levels {
+				for i, au := range anchors {
+					for j, av := range anchors {
+						if (i+j+m+frame)%3 == 0 {
+							continue
+						}
+						u0, v0 := texture.WrapTexel(au, l.Width), texture.WrapTexel(av, l.Height)
+						u1, v1 := texture.WrapTexel(u0+1, l.Width), texture.WrapTexel(v0+1, l.Height)
+						quad.Quad(tex.ID, u0, v0, u1, v1, m)
+						texels.Texel(tex.ID, u0, v0, m)
+						texels.Texel(tex.ID, u1, v0, m)
+						texels.Texel(tex.ID, u0, v1, m)
+						texels.Texel(tex.ID, u1, v1, m)
+					}
+				}
+			}
+		}
+		quad.AddPixels(int64(frame))
+		texels.AddPixels(int64(frame))
+		got, want := quad.EndFrame(), texels.EndFrame()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d:\nQuad   %+v\nTexels %+v", frame, got, want)
+		}
+	}
+	if !reflect.DeepEqual(quad.Frames(), texels.Frames()) {
+		t.Fatal("Frames differ")
 	}
 }
