@@ -196,9 +196,7 @@ func benchSweep(b *testing.B, fast bool) {
 func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepFast is the analytic engine: one instrumented render
-// feeds the reuse model, which predicts every model-reachable spec's
-// counters — for the canonical sweep the replay set is empty, so no
-// trace is recorded or replayed at all.
+// feeds the reuse model, which predicts every spec's counters.
 func BenchmarkSweepFast(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkReplaySingleSpecSerial replays one recorded Village stream
@@ -236,7 +234,7 @@ func BenchmarkReplaySingleSpecSerial(b *testing.B) {
 
 // BenchmarkTraceRecordReplay measures the trace encode+decode round trip:
 // each iteration records two City frames into memory and decodes them
-// back through trace.Replay.
+// back through trace.ReplayFrames.
 func BenchmarkTraceRecordReplay(b *testing.B) {
 	w := workload.City()
 	cfg := core.Config{
@@ -252,7 +250,7 @@ func BenchmarkTraceRecordReplay(b *testing.B) {
 		if _, err := core.RecordTrace(w, cfg, &buf); err != nil {
 			b.Fatal(err)
 		}
-		frames, err := trace.Replay(bytes.NewReader(buf.Bytes()), discardEvents{})
+		frames, err := trace.ReplayFrames(bytes.NewReader(buf.Bytes()), discardEvents{}, 0)
 		if err != nil || frames != cfg.Frames {
 			b.Fatalf("replayed %d of %d frames: %v", frames, cfg.Frames, err)
 		}

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -153,35 +152,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var totals telemetry.Totals
 	runs := &streamRuns{frames: map[string]int{}}
 	emitters := []telemetry.Emitter{&totals, runs}
-	var flushMetrics func() error
+	var closeMetrics func() error
 	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
+		sink, closeSink, err := telemetry.CreateMetrics(*metricsPath)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		bw := bufio.NewWriter(f)
-		var sink telemetry.Emitter
-		var sinkErr func() error
-		if strings.HasSuffix(*metricsPath, ".csv") {
-			s := telemetry.NewCSV(bw)
-			sink, sinkErr = s, s.Err
-		} else {
-			s := telemetry.NewJSONL(bw)
-			sink, sinkErr = s, s.Err
-		}
-		emitters = append(emitters, sink)
-		flushMetrics = func() error {
-			if err := sinkErr(); err != nil {
-				_ = f.Close()
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				_ = f.Close()
-				return err
-			}
-			return f.Close()
-		}
+		emitters, closeMetrics = append(emitters, sink), closeSink
 	}
 	if *metricsPath != "" || *manifestPath != "" {
 		ctx.Metrics = telemetry.Tee(emitters...)
@@ -219,8 +197,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return rc
 	}
 
-	if flushMetrics != nil {
-		if err := flushMetrics(); err != nil {
+	if closeMetrics != nil {
+		if err := closeMetrics(); err != nil {
 			fmt.Fprintln(stderr, "experiments: writing metrics:", err)
 			return 1
 		}

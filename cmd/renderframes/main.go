@@ -32,16 +32,9 @@ func main() {
 	format := flag.String("format", "png", "png | ppm")
 	flag.Parse()
 
-	var w *workload.Workload
-	switch *wl {
-	case "village":
-		w = workload.Village()
-	case "city":
-		w = workload.City()
-	case "mall":
-		w = workload.Mall()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+	w, err := workload.ByName(*wl)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *format != "png" && *format != "ppm" {

@@ -32,7 +32,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -94,16 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var w *workload.Workload
-	switch *wl {
-	case "village":
-		w = workload.Village()
-	case "city":
-		w = workload.City()
-	case "mall":
-		w = workload.Mall()
-	default:
-		fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
+	w, err := workload.ByName(*wl)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -150,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var specs []core.CacheSpec
 	if *sweep {
-		var err error
 		if specs, err = selectSpecs(*specsArg); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -164,43 +155,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Telemetry plumbing: the metric stream goes to -metrics, totals
-	// accumulate for the manifest, and -trace, -monitor and -manifest
-	// share one wall-clock textrace whose phase table rides along in the
-	// manifest as sidecar data.
+	// Telemetry plumbing: the finished run's metric stream goes to
+	// -metrics, totals accumulate for the manifest, and -trace, -monitor
+	// and -manifest share one wall-clock textrace whose phase table rides
+	// along in the manifest as sidecar data.
 	var totals telemetry.Totals
-	emitters := []telemetry.Emitter{&totals}
-	var flushMetrics func() error
+	metrics := telemetry.Emitter(&totals)
+	var closeMetrics func() error
 	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
+		sink, closeSink, err := telemetry.CreateMetrics(*metricsPath)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		bw := bufio.NewWriter(f)
-		var sink telemetry.Emitter
-		var sinkErr func() error
-		if strings.HasSuffix(*metricsPath, ".csv") {
-			s := telemetry.NewCSV(bw)
-			sink, sinkErr = s, s.Err
-		} else {
-			s := telemetry.NewJSONL(bw)
-			sink, sinkErr = s, s.Err
-		}
-		emitters = append(emitters, sink)
-		flushMetrics = func() error {
-			if err := sinkErr(); err != nil {
-				_ = f.Close()
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				_ = f.Close()
-				return err
-			}
-			return f.Close()
-		}
+		metrics, closeMetrics = telemetry.Tee(&totals, sink), closeSink
 	}
-	cfg.Metrics = telemetry.Tee(emitters...)
 	if *tracePath != "" || *monitorAddr != "" || *manifestPath != "" {
 		cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	}
@@ -251,6 +220,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
+		core.EmitComparisonMetrics(metrics, cmp)
 		reportSweep(stdout, w, cfg, specs, cmp)
 		simFrames = len(cmp.FramePixels)
 	} else {
@@ -259,12 +229,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
+		core.EmitMetrics(metrics, res, "")
 		report(stdout, w, cfg, res)
 		simFrames = len(res.Frames)
 	}
 
-	if flushMetrics != nil {
-		if err := flushMetrics(); err != nil {
+	if closeMetrics != nil {
+		if err := closeMetrics(); err != nil {
 			fmt.Fprintln(stderr, "texsim: writing metrics:", err)
 			return 1
 		}

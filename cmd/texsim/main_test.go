@@ -13,6 +13,8 @@ func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "sweep.json")
 	metrics := filepath.Join(dir, "m.jsonl")
+	runMetrics := filepath.Join(dir, "run.jsonl")
+	csvMetrics := filepath.Join(dir, "m.csv")
 	trace := filepath.Join(dir, "t.json")
 	tiny := []string{"-workload", "village", "-width", "64", "-height", "48", "-frames", "2"}
 	with := func(extra ...string) []string { return append(append([]string(nil), tiny...), extra...) }
@@ -34,6 +36,7 @@ func TestRun(t *testing.T) {
 		{"removed -spans", with("-sweep", "-spans", filepath.Join(dir, "spans.jsonl")), 2, "", "-spans", "", nil},
 		{"removed -fast", with("-sweep", "-fast"), 2, "", "-fast", "", nil},
 		{"removed -reuse", with("-reuse", filepath.Join(dir, "reuse.json")), 2, "", "-reuse", "", nil},
+		{"unknown workload", []string{"-workload", "bogus"}, 2, "", `unknown workload "bogus"; valid workloads: village, city, mall`, "", nil},
 		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", nil},
 		{"specs without -sweep", with("-specs", "pull-2k"), 2, "", "-specs only applies to -sweep", "", nil},
 		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
@@ -43,6 +46,11 @@ func TestRun(t *testing.T) {
 			[]string{`"phases"`, `"name": "frame"`, `"texel_refs": [1-9]`}},
 		{"metrics", with("-sweep", "-specs", "pull-2k,l2-2m", "-metrics", metrics), 0, "l2-2m", "", metrics,
 			[]string{`"spec":"l2-2m","frame":1,`}},
+		// Without -sweep the stream holds one unlabelled record per frame.
+		{"metrics without -sweep", with("-metrics", runMetrics), 0, "L1 cache", "", runMetrics,
+			[]string{`^\{"workload":"village","spec":"","frame":0,[^\n]*\}\n\{"workload":"village","spec":"","frame":1,[^\n]*\}\n$`}},
+		{"metrics as csv", with("-sweep", "-specs", "pull-2k,l2-2m", "-metrics", csvMetrics), 0, "l2-2m", "", csvMetrics,
+			[]string{`^workload,spec,frame,pixels,`, `\nvillage,l2-2m,1,[0-9]`}},
 		{"trace", with("-sweep", "-trace", trace), 0, "textrace report", "", trace,
 			[]string{`"thread_name","args":\{"name":"render"\}`, `"ph":"C",[^}]*"name":"replayed/`}},
 	}

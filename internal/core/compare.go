@@ -44,8 +44,7 @@ type Comparison struct {
 	// exact sweep.
 	ReuseProfile *telemetry.SectorProfile
 	// Model is the -fast engine's per-spec report, parallel to Specs: the
-	// prediction for every model-reachable spec and the refusal reason
-	// for the rest; nil for an exact sweep.
+	// model's prediction for each spec; nil for an exact sweep.
 	Model []SpecModel
 }
 
@@ -202,12 +201,11 @@ func (f *mruFilter) recent(set uint32, key uint64) bool {
 // sink, run on its own goroutine. It does everything that depends on the
 // reference stream alone. It counts a repeat of the last line, computes
 // the set hash, applies each chain's MRU filter, and writes a record only
-// for a reference some chain must look up. The working-set collector and
-// the reuse probe ride it. Lines are keyed by lineKey.
+// for a reference some chain must look up. The working-set collector
+// rides it. Lines are keyed by lineKey.
 type streamFilter struct {
 	filters []mruFilter
 	collect *stats.Collector
-	reuse   *reuseProbe
 	// lastKey is the line referenced last; repeats counts the references
 	// to it since the last frame's marker.
 	lastKey uint64
@@ -238,8 +236,7 @@ func newStreamFilter(fan *fanout) *streamFilter {
 	return r
 }
 
-// Texel presents one reference to the chains and the optional collector
-// and probe.
+// Texel presents one reference to the chains and the optional collector.
 //
 // texlint:hotpath
 func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
@@ -252,14 +249,10 @@ func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
 	if r.collect != nil {
 		r.collect.Texel(tid, u, v, m)
 	}
-	if r.reuse != nil {
-		r.reuse.Texel(tid, u, v, m)
-	}
 }
 
 // Quad implements raster.QuadSink: it presents a bilinear footprint, its
-// texels in Texel order, to the chains, and whole to the collector. The
-// reuse probe takes it as four Texel calls.
+// texels in Texel order, to the chains, and whole to the collector.
 //
 // The chains see what four Texel calls would show them, with each
 // distinct line hashed once. In Texel order the texels' lines read A A A
@@ -309,12 +302,6 @@ func (r *streamFilter) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
 	}
 	if r.collect != nil {
 		r.collect.Quad(tid, u0, v0, u1, v1, m)
-	}
-	if r.reuse != nil {
-		r.reuse.Texel(tid, u0, v0, m)
-		r.reuse.Texel(tid, u1, v0, m)
-		r.reuse.Texel(tid, u0, v1, m)
-		r.reuse.Texel(tid, u1, v1, m)
 	}
 }
 
@@ -486,10 +473,11 @@ func specConfig(render Config, spec CacheSpec) Config {
 // record blocks. A goroutine it starts renders each frame and filters the
 // stream: it books repeats and hits on a set's most recent line as
 // counts, and hands over only the references some L1 must look up. The
-// calling goroutine simulates the caches, and records the results, the
-// metric stream and the trace, so they are those of one goroutine doing
-// both. That goroutine has exited when RunComparison returns or panics.
-// render.FastSweep selects the analytic engine instead (fast.go).
+// calling goroutine simulates the caches, and records the results and
+// the trace, so they are those of one goroutine doing both. That
+// goroutine has exited when RunComparison returns or panics.
+// render.FastSweep selects the analytic engine instead (fast.go), which
+// never enters this one.
 func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Comparison, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no cache specs")
@@ -506,7 +494,7 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if render.FastSweep {
 		return runComparisonFast(w, render, specs)
 	}
-	return runExact(w, render, specs, nil)
+	return runExact(w, render, specs)
 }
 
 // buildFanout builds the exact engine's cache stage: one hierarchy per
@@ -635,10 +623,8 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 // runExact is the exact sweep engine: the stream is rendered once and
 // never stored (PAPER.md §3.3). A goroutine renders each frame and
 // filters it (streamFilter), and the calling goroutine simulates the
-// caches (fanout) and records every result, metric and trace event. A
-// non-nil probe (the -fast engine injects one carrying TLB filters) taps
-// the render stream.
-func runExact(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
+// caches (fanout) and records every result and trace event.
+func runExact(w *workload.Workload, render Config, specs []CacheSpec) (*Comparison, error) {
 	set := w.Scene.Textures
 	fan, err := buildFanout(set, specs)
 	if err != nil {
@@ -666,7 +652,7 @@ func runExact(w *workload.Workload, render Config, specs []CacheSpec, probe *reu
 			return nil, err
 		}
 	}
-	rs.collect, rs.reuse = collect, probe
+	rs.collect = collect
 
 	rast, err := raster.New(raster.Config{
 		Width: render.Width, Height: render.Height,
@@ -731,11 +717,6 @@ func runExact(w *workload.Workload, render Config, specs []CacheSpec, probe *reu
 				fr.Stats = sf
 			}
 			prev[i] = cur
-			// Streamed frame-major, spec-minor: the canonical metric order
-			// EmitComparisonMetrics reproduces for memoized comparisons.
-			if render.Metrics != nil {
-				render.Metrics.Frame(metricsFrame(w.Name, cmp.Specs[i], f, &fr))
-			}
 			replayed[i].Sample(int64(f) + 1)
 			cmp.Results[i].Frames = append(cmp.Results[i].Frames, fr)
 		}

@@ -121,14 +121,17 @@ func TestRunComparisonWithStats(t *testing.T) {
 	}
 }
 
-// faultyEmitter panics on the metric record of frame 1: a fault in the
-// cache stage, which runs on RunComparison's calling goroutine.
-type faultyEmitter struct{}
+// faultyClock panics on its nth reading: a fault in the cache stage,
+// since only RunComparison's calling goroutine reads the trace's clock
+// (the render stage's goroutine records nothing).
+type faultyClock struct{ reads, n int }
 
-func (faultyEmitter) Frame(m telemetry.FrameMetrics) {
-	if m.Frame == 1 {
+func (c *faultyClock) Now() int64 {
+	c.reads++
+	if c.reads == c.n {
 		panic("core: injected cache-stage fault")
 	}
+	return int64(c.reads)
 }
 
 // TestRunComparisonLeavesNoGoroutine: the render stage's goroutine is
@@ -147,8 +150,11 @@ func TestRunComparisonLeavesNoGoroutine(t *testing.T) {
 	withStats := testCfg()
 	withStats.StatLayouts = []texture.TileLayout{{L2Size: 16, L1Size: 4}}
 	run(withStats)
+	// Each frame reads the clock at its span's Begin and End and at one
+	// replayed/ sample per spec: fail at frame 1's first sample, after
+	// the frame's blocks are taken and before its last one is freed.
 	faulty := testCfg()
-	faulty.Metrics = faultyEmitter{}
+	faulty.Trace = telemetry.NewTrace(&faultyClock{n: 2 + len(telemetrySpecs()) + 3})
 	func() {
 		defer func() {
 			if recover() == nil {

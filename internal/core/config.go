@@ -5,9 +5,9 @@
 // L1+L2 for the proposed architecture), gathering per-frame transaction
 // counts, bandwidths, and working-set statistics.
 //
-// It also records and replays binary reference traces, decoupling the
-// (expensive) rendering from (cheap) cache simulation, which is how the
-// paper sweeps cache parameters over fixed animations.
+// It also records and replays binary reference traces (traceio.go). The
+// sweep engines do not use them: they render the stream once and store
+// nothing.
 package core
 
 import (
@@ -53,16 +53,10 @@ type Config struct {
 	// Deprecated: ignored. Every exact sweep runs on the one exact
 	// engine; the fields stay only so existing callers keep compiling.
 	Parallelism, RenderWorkers, ReplayWorkers int
-	// Metrics, when non-nil, receives one telemetry record per simulated
-	// frame (and per cache spec in comparison runs) in a deterministic
-	// frame-major, spec-minor order. Emission happens outside the
-	// per-texel hot path; a nil Metrics costs nothing.
-	Metrics telemetry.Emitter
-	// Trace, when non-nil, is the textrace registry of comparison runs:
-	// span tracks ("render" frames of the exact engine, "fast-probe"
-	// frames and the "model" track's predict, tlb-patch and eval phases
-	// of the -fast engine), per-spec "replayed/<spec>" progress counters,
-	// and instant events for model refusals. Export it with
+	// Trace, when non-nil, is the textrace registry of an exact
+	// comparison run: the "render" track's frame spans and per-spec
+	// "replayed/<spec>" progress counters, recorded by the calling
+	// goroutine. The -fast engine records nothing. Export it with
 	// WriteChromeTrace for Perfetto/chrome://tracing, aggregate it with
 	// Report, or serve it live through telemetry.NewMonitor. Span timings
 	// are observational sidecar data and never feed back into simulation
@@ -71,15 +65,15 @@ type Config struct {
 	Trace *telemetry.Trace
 	// FastSweep switches RunComparison to the analytic engine: the
 	// workload is rendered once through the reuse probe and every spec
-	// the reuse model can reach (see internal/model/reusemodel) gets its
-	// counters predicted from the profile instead of replayed — TLB
-	// statistics come from exact in-probe filters. Specs outside the
-	// model's reach (direct-mapped L1s, random replacement, disabled
-	// sector mapping, off-granularity tile sizes) run on the exact engine.
-	// Modeled Results carry Totals but no per-frame breakdown. The
-	// comparison carries the probe's profile (Comparison.ReuseProfile)
-	// and the model's per-spec report (Comparison.Model). Incompatible
-	// with StatLayouts.
+	// gets its counters predicted from the profile by the reuse model
+	// (see internal/model/reusemodel) instead of simulated — TLB
+	// statistics come from exact in-probe filters. A spec outside the
+	// model's reach (a direct-mapped L1, random replacement, disabled
+	// sector mapping, an off-granularity tile size) is an error. Modeled
+	// Results carry Totals but no per-frame breakdown. The comparison
+	// carries the probe's profile (Comparison.ReuseProfile) and the
+	// model's per-spec report (Comparison.Model). Incompatible with
+	// StatLayouts.
 	FastSweep bool
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -64,20 +64,17 @@ func TestModelExactFullyAssociative(t *testing.T) {
 	}
 }
 
-// TestFastSweepStructure checks the -fast engine's partitioning: modeled
-// specs carry Totals and ModelFrames but no per-frame results,
-// unreachable specs (here: random replacement) are replayed exactly, and
-// spec order, names and frame pixels survive the reassembly.
+// TestFastSweepStructure checks the -fast engine's report: every spec
+// is modeled and carries Totals and ModelFrames but no per-frame
+// results, and spec order, names and frame pixels survive.
 func TestFastSweepStructure(t *testing.T) {
 	render := testCfg()
 	render.Frames = 4
 	render.FastSweep = true
 
-	random := l2spec("l2-random", 2*1024, 2, 0)
-	random.L2.Policy = cache.Random
 	specs := []CacheSpec{
 		{Name: "pull-2k", L1Bytes: 2 * 1024},
-		random,
+		l2spec("l2-4m", 2*1024, 4, 0),
 		l2spec("l2-2m", 2*1024, 2, 16),
 	}
 	cmp, err := RunComparison(workload.Village(), render, specs)
@@ -88,15 +85,14 @@ func TestFastSweepStructure(t *testing.T) {
 		t.Fatalf("results/model = %d/%d entries", len(cmp.Results), len(cmp.Model))
 	}
 	for i, spec := range specs {
-		if cmp.Specs[i] != spec.Name {
-			t.Errorf("spec %d = %q, want %q", i, cmp.Specs[i], spec.Name)
+		if cmp.Specs[i] != spec.Name || cmp.Model[i].Spec != spec.Name {
+			t.Errorf("spec %d = %q, model entry %q, want %q", i, cmp.Specs[i], cmp.Model[i].Spec, spec.Name)
 		}
 	}
 	if len(cmp.FramePixels) != 4 {
 		t.Errorf("frame pixels = %d entries", len(cmp.FramePixels))
 	}
-	// pull-2k and l2-2m are modeled; l2-random replays.
-	for _, i := range []int{0, 2} {
+	for i := range specs {
 		res := cmp.Results[i]
 		if !cmp.Model[i].Modeled {
 			t.Errorf("%s: model entry = %+v, want modeled", cmp.Specs[i], cmp.Model[i])
@@ -112,28 +108,28 @@ func TestFastSweepStructure(t *testing.T) {
 			t.Errorf("%s: AvgHostMBPerFrame = %v", cmp.Specs[i], res.AvgHostMBPerFrame())
 		}
 	}
-	if m := cmp.Model[1]; m.Modeled || !strings.Contains(m.Unreachable, "random") {
-		t.Errorf("random-policy model entry = %+v, want unreachable", m)
-	}
-	if res := cmp.Results[1]; len(res.Frames) != 4 {
-		t.Errorf("replayed spec frames = %d, want 4", len(res.Frames))
-	}
-	// The fallback is the exact engine with the probe riding its render
-	// pass, so it matches an exact sweep of the refused spec alone.
-	exactRender := render
-	exactRender.FastSweep = false
-	exact, err := RunComparison(workload.Village(), exactRender, []CacheSpec{random})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cmp.Results[1], exact.Results[0]; got.Totals != want.Totals ||
-		!reflect.DeepEqual(got.Frames, want.Frames) {
-		t.Errorf("fallback results differ from the exact sweep:\nfast  %+v\nexact %+v", got.Totals, want.Totals)
-	}
-	// All specs saw the same stream, whether modeled or replayed.
-	if cmp.Results[0].Totals.L1.Accesses != cmp.Results[1].Totals.L1.Accesses {
-		t.Errorf("modeled accesses %d != replayed accesses %d",
-			cmp.Results[0].Totals.L1.Accesses, cmp.Results[1].Totals.L1.Accesses)
+}
+
+// TestFastSweepRefusesUnreachableSpecs: a spec outside the model's reach
+// fails the whole -fast sweep with an error that names it, beside a
+// spec the model reaches.
+func TestFastSweepRefusesUnreachableSpecs(t *testing.T) {
+	render := testCfg()
+	render.Frames = 1
+	render.FastSweep = true
+	direct := CacheSpec{Name: "pull-direct", L1Bytes: 2 * 1024, L1Ways: 1}
+	random := l2spec("l2-random", 2*1024, 2, 0)
+	random.L2.Policy = cache.Random
+	whole := l2spec("l2-nosector", 2*1024, 2, 0)
+	whole.L2.NoSectorMapping = true
+	tile8 := l2spec("l2-tile8", 2*1024, 2, 0)
+	tile8.L2.Layout.L2Size = 8
+	for _, bad := range []CacheSpec{direct, random, whole, tile8} {
+		specs := []CacheSpec{l2spec("l2-2m", 2*1024, 2, 16), bad}
+		cmp, err := RunComparison(workload.Village(), render, specs)
+		if cmp != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad.Name)) {
+			t.Errorf("%s: comparison %v, error %v; want only an error naming the spec", bad.Name, cmp, err)
+		}
 	}
 }
 
@@ -160,7 +156,7 @@ func TestFastSweepTLBExact(t *testing.T) {
 	}
 	for i := range specs {
 		if !fcmp.Model[i].Modeled {
-			t.Fatalf("%s not modeled: %s", specs[i].Name, fcmp.Model[i].Unreachable)
+			t.Fatalf("%s not modeled", specs[i].Name)
 		}
 		got, want := fcmp.Results[i].Totals.TLB, ecmp.Results[i].Totals.TLB
 		if got != want {

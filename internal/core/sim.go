@@ -210,9 +210,6 @@ func (s *Simulator) Run() (*Results, error) {
 		cur := s.hier.Counters()
 		fr.Counters = cur.Sub(prev)
 		prev = cur
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.Frame(metricsFrame(res.Workload, "", f, &fr))
-		}
 		res.Frames = append(res.Frames, fr)
 	}
 	res.Totals = prev

@@ -1,8 +1,9 @@
-// Simulator-side telemetry wiring: mapping per-frame cache counters onto
-// the texscope metric stream, and the -fast engine's reuse-distance probe
-// that taps the texel reference stream on the hot path. The layering rule is one-way:
-// the simulator feeds telemetry, telemetry never feeds the simulator, so
-// enabling any of it cannot perturb simulation results.
+// Simulator-side telemetry wiring: replaying finished runs' per-frame
+// cache counters into the texscope metric stream, and the -fast engine's
+// reuse-distance probe, the rasterizer's sink in that engine. The
+// layering rule is one-way: the simulator feeds telemetry, telemetry
+// never feeds the simulator, so enabling any of it cannot perturb
+// simulation results.
 package core
 
 import (
@@ -36,9 +37,8 @@ func metricsFrame(workload, spec string, frame int, fr *FrameResult) telemetry.F
 }
 
 // EmitMetrics replays a completed run's per-frame counters into e under
-// the given spec label. It is how memoized or deferred results (the
-// experiment runner caches Results across experiments) reach a metric
-// stream after the fact; a nil emitter is a no-op.
+// the given spec label, in frame order. It is the one way a run's
+// records reach a metric stream; a nil emitter is a no-op.
 func EmitMetrics(e telemetry.Emitter, res *Results, spec string) {
 	if e == nil || res == nil {
 		return
@@ -49,9 +49,8 @@ func EmitMetrics(e telemetry.Emitter, res *Results, spec string) {
 }
 
 // EmitComparisonMetrics replays a completed comparison into e in the
-// canonical stream order: frame-major, spec-minor — the order the exact
-// engine streams records in while running, so a memoized comparison
-// replays byte-identically to the live stream.
+// canonical stream order: frame-major, spec-minor. It is the one way a
+// comparison's records reach a metric stream; a nil emitter is a no-op.
 func EmitComparisonMetrics(e telemetry.Emitter, cmp *Comparison) {
 	if e == nil || cmp == nil {
 		return
@@ -93,12 +92,10 @@ type probeFilter struct {
 	tlbs []probeTLB
 }
 
-// reuseProbe taps the texel reference stream of a -fast sweep,
-// translating each reference to its global L2 block address and feeding
-// the sector-aware stack-distance collector and the exact TLB filters.
-// It rides the exact engine's sink behind a concrete-pointer nil check
-// when the model refuses some specs, so exact sweeps pay one predictable
-// branch.
+// reuseProbe is the rasterizer's sink in a -fast sweep, which renders
+// into it alone: it translates each texel reference to its global L2
+// block address and feeds the sector-aware stack-distance collector and
+// the exact TLB filters.
 type reuseProbe struct {
 	tilings []*texture.Tiling
 	starts  []uint32

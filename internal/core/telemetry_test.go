@@ -23,37 +23,38 @@ func telemetrySpecs() []CacheSpec {
 	}
 }
 
-// TestMetricStreamDeterminism: the JSONL metric stream the engine
-// streams record by record while running is byte-identical to
-// EmitComparisonMetrics replaying the finished Comparison — the path
-// memoized experiment runs take — and to a second identical run. The
+// TestMetricStreamDeterminism: the JSONL metric stream
+// EmitComparisonMetrics replays from a finished Comparison holds one
+// record per frame and spec, frame-major and spec-minor, each the
+// frame's results, and is byte-identical across two identical runs. The
 // -fast engine's reuse profile of the same stream is identical across
 // two runs and observes every texel reference.
 func TestMetricStreamDeterminism(t *testing.T) {
 	specs := telemetrySpecs()
 	run := func() ([]byte, []telemetry.FrameMetrics, *Comparison) {
-		var out bytes.Buffer
-		var buf telemetry.Buffer
 		cfg := testCfg()
 		cfg.Frames = 4
-		cfg.Metrics = telemetry.Tee(telemetry.NewJSONL(&out), &buf)
 		cmp, err := RunComparison(workload.Village(), cfg, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var out bytes.Buffer
+		var buf telemetry.Buffer
+		EmitComparisonMetrics(telemetry.Tee(telemetry.NewJSONL(&out), &buf), cmp)
 		return out.Bytes(), buf.Records, cmp
 	}
 
-	streamed, recs, cmp := run()
+	replayed, recs, cmp := run()
 	if want := 4 * len(specs); len(recs) != want {
 		t.Fatalf("emitted %d records, want %d", len(recs), want)
 	}
-	var replayed bytes.Buffer
-	EmitComparisonMetrics(telemetry.NewJSONL(&replayed), cmp)
-	if !bytes.Equal(replayed.Bytes(), streamed) {
-		t.Error("EmitComparisonMetrics stream not byte-identical to the streamed one")
+	for n, m := range recs {
+		f, i := n/len(specs), n%len(specs)
+		if want := metricsFrame("village", specs[i].Name, f, &cmp.Results[i].Frames[f]); m != want {
+			t.Errorf("record %d = %+v, want %+v", n, m, want)
+		}
 	}
-	if again, _, _ := run(); !bytes.Equal(again, streamed) {
+	if again, _, _ := run(); !bytes.Equal(again, replayed) {
 		t.Error("JSONL stream differs between identical runs")
 	}
 
@@ -77,15 +78,17 @@ func TestMetricStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunEmitsMetrics: EmitMetrics replays a finished core.Run as one
+// record per frame, in frame order.
 func TestRunEmitsMetrics(t *testing.T) {
-	var buf telemetry.Buffer
 	cfg := withL2(testCfg(), 2)
 	cfg.Frames = 3
-	cfg.Metrics = &buf
 	res, err := Run(workload.City(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf telemetry.Buffer
+	EmitMetrics(&buf, res, "")
 	if len(buf.Records) != 3 {
 		t.Fatalf("emitted %d records, want 3", len(buf.Records))
 	}
@@ -103,9 +106,9 @@ func TestRunEmitsMetrics(t *testing.T) {
 	}
 }
 
-// TestRunWithoutTelemetry pins the defaults: no emitter, no trace, and
-// no reuse probe outside the -fast engine, so an exact comparison
-// carries no reuse profile and no model report.
+// TestRunWithoutTelemetry pins the defaults: no trace, and no reuse
+// probe outside the -fast engine, so an exact comparison carries no
+// reuse profile and no model report.
 func TestRunWithoutTelemetry(t *testing.T) {
 	cfg := testCfg()
 	cfg.Frames = 2

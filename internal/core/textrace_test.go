@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"texcache/internal/telemetry"
@@ -43,72 +42,6 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 	if got := sweepTrace(t, &telemetry.FakeClock{Step: 7}); !bytes.Equal(got, base) {
 		t.Errorf("trace differs between identical runs (%d vs %d bytes)", len(got), len(base))
-	}
-}
-
-// TestTraceFastSweepDeterminism extends the byte-identity contract to
-// the analytic engine with an exact fallback beside the modeled specs.
-func TestTraceFastSweepDeterminism(t *testing.T) {
-	// pull-16k with 1-way L1 is outside the model's reach, forcing the
-	// exact-fallback path next to the modeled specs.
-	specs := telemetrySpecs()
-	specs[3].L1Ways = 1
-	run := func() []byte {
-		cfg := testCfg()
-		cfg.Frames = 3
-		cfg.FastSweep = true
-		cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 7})
-		if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	base := run()
-	for _, want := range []string{
-		`"name":"exact-fallback"`, `"name":"eval"`, `"name":"tlb-patch"`, `"name":"predict"`,
-		`"name":"model"`, `"name":"render"`,
-	} {
-		if !bytes.Contains(base, []byte(want)) {
-			t.Fatalf("fast export missing %s:\n%s", want, base)
-		}
-	}
-	if got := run(); !bytes.Equal(got, base) {
-		t.Error("fast trace differs between identical runs")
-	}
-}
-
-// TestTraceFastProbePhase covers the all-modeled branch: the bare
-// instrumented render records its frames on the "fast-probe" track, and
-// the "model" track times the predictions, the TLB patch and each
-// spec's evaluation — the phases a -fast manifest lists.
-func TestTraceFastProbePhase(t *testing.T) {
-	specs := []CacheSpec{l2spec("l2-2m", 2*1024, 2, 16), l2spec("l2-4m", 2*1024, 4, 16)}
-	cfg := testCfg()
-	cfg.Frames = 3
-	cfg.FastSweep = true
-	cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 7})
-	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"thread_name","args":{"name":"fast-probe"}`)) {
-		t.Fatalf("all-modeled fast sweep missing fast-probe track:\n%s", buf.Bytes())
-	}
-	rep := cfg.Trace.Report()
-	phases := map[string]int{}
-	for _, p := range rep.Phases {
-		phases[p.Name] = p.Count
-	}
-	want := map[string]int{"frame": 3, "predict": 1, "tlb-patch": 1, "eval": 2}
-	if !reflect.DeepEqual(phases, want) {
-		t.Errorf("fast sweep phases = %v, want %v", phases, want)
 	}
 }
 

@@ -87,16 +87,9 @@ func (c *Context) workloadByName(name string) *workload.Workload {
 	if w, ok := c.workloads[name]; ok {
 		return w
 	}
-	var w *workload.Workload
-	switch name {
-	case "village":
-		w = workload.Village()
-	case "city":
-		w = workload.City()
-	case "mall":
-		w = workload.Mall()
-	default:
-		panic("experiments: unknown workload " + name)
+	w, err := workload.ByName(name)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
 	c.workloads[name] = w
 	return w

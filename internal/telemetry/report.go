@@ -94,14 +94,14 @@ func (t *Trace) Report() *TraceReport {
 				lo = ev.start
 			}
 			end := ev.start + ev.dur
-			if ev.kind != evSpan || ev.dur < 0 {
+			if ev.dur < 0 {
 				end = ev.start
 			}
 			if !seen || end > hi {
 				hi = end
 			}
 			seen = true
-			if ev.kind != evSpan || ev.dur < 0 {
+			if ev.dur < 0 {
 				continue
 			}
 			closed++

@@ -31,8 +31,11 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 )
 
 // FrameMetrics is one frame of one cache configuration, flattened to
@@ -67,9 +70,9 @@ type FrameMetrics struct {
 }
 
 // Emitter consumes the per-frame metric stream. Implementations need not
-// be safe for concurrent use: the simulator emits from one goroutine, in
-// a deterministic frame-major, spec-minor order. The exact sweep engine
-// renders on a goroutine of its own but emits only from its caller's.
+// be safe for concurrent use: the simulator replays each finished run
+// into it from one goroutine, in a deterministic frame-major,
+// spec-minor order.
 type Emitter interface {
 	Frame(m FrameMetrics)
 }
@@ -156,6 +159,39 @@ func (s *CSV) Frame(m FrameMetrics) {
 
 // Err returns the first write error, if any.
 func (s *CSV) Err() error { return s.err }
+
+// CreateMetrics creates the metric stream file at path, as the CLIs'
+// -metrics flag names it: CSV when the path ends in ".csv", JSONL
+// otherwise, written through a buffer. The returned close function
+// reports, in order, the sink's first write error, the flush's and the
+// file's close; it closes the file in every case.
+func CreateMetrics(path string) (Emitter, func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	bw := bufio.NewWriter(f)
+	var sink Emitter
+	var sinkErr func() error
+	if strings.HasSuffix(path, ".csv") {
+		s := NewCSV(bw)
+		sink, sinkErr = s, s.Err
+	} else {
+		s := NewJSONL(bw)
+		sink, sinkErr = s, s.Err
+	}
+	return sink, func() error {
+		if err := sinkErr(); err != nil {
+			_ = f.Close()
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			_ = f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
 
 // Buffer records the stream in memory; tests use it to assert on emitted
 // records directly.

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,6 +103,70 @@ func TestStickyErrors(t *testing.T) {
 	c2.Frame(FrameMetrics{})
 	if c2.Err() == nil {
 		t.Error("CSV did not surface the header write error")
+	}
+}
+
+// TestCreateMetrics: the -metrics file holds the CSV or JSONL sink's
+// bytes by the path's suffix, and every write, flush or create failure
+// is reported.
+func TestCreateMetrics(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		sink func(io.Writer) Emitter
+	}{
+		{"m.csv", func(w io.Writer) Emitter { return NewCSV(w) }},
+		{"m.jsonl", func(w io.Writer) Emitter { return NewJSONL(w) }},
+		{"m.csv.json", func(w io.Writer) Emitter { return NewJSONL(w) }},
+	} {
+		path := filepath.Join(dir, tc.name)
+		e, closeMetrics, err := CreateMetrics(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		ref := tc.sink(&want)
+		for _, m := range sampleMetrics() {
+			e.Frame(m)
+			ref.Frame(m)
+		}
+		if err := closeMetrics(); err != nil {
+			t.Fatalf("%s: close: %v", tc.name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.String() {
+			t.Errorf("%s holds:\n%s\nwant:\n%s", tc.name, got, want.String())
+		}
+	}
+
+	if _, _, err := CreateMetrics(filepath.Join(dir, "missing", "m.jsonl")); err == nil {
+		t.Error("a metrics path in a missing directory was accepted")
+	}
+
+	// On a full disk the error surfaces from the flush of a short
+	// stream, and from the sink itself once a long one overflows the
+	// buffer.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("/dev/full: %v", err)
+	}
+	for _, records := range []int{1, 1000} {
+		e, closeMetrics, err := CreateMetrics("/dev/full")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < records; i++ {
+			e.Frame(sampleMetrics()[0])
+		}
+		sinkErr := e.(*JSONL).Err()
+		if (sinkErr != nil) != (records > 1) {
+			t.Errorf("%d records: sink error %v", records, sinkErr)
+		}
+		if err := closeMetrics(); err == nil || sinkErr != nil && err != sinkErr {
+			t.Errorf("%d records on a full disk: close returned %v, sink error %v", records, err, sinkErr)
+		}
 	}
 }
 

@@ -1,17 +1,16 @@
-// textrace: the run's one tracing registry. It records what every
-// engine track is doing (the exact engine's "render" frames, the fast
-// sweep's "fast-probe" frames and "model" phases) — nestable span
-// tracks, counter tracks, and instant events for protocol edges (model
-// refusals) — aggregates them into a per-phase Report (report.go), and
-// exports the whole run as Chrome trace_event JSON (traceevent.go) that
-// Perfetto or chrome://tracing opens directly.
+// textrace: the run's one tracing registry. It records what the exact
+// engine is doing (its "render" track's frames and its per-spec
+// "replayed/" counters) in nestable span tracks and counter tracks,
+// aggregates them into a per-phase Report (report.go), and exports the
+// whole run as Chrome trace_event JSON (traceevent.go) that Perfetto or
+// chrome://tracing opens directly.
 //
-// Events carry the injected clock's timestamps. Every engine records
-// from one goroutine (the exact engine renders on a second one, which
-// records nothing), so under a FakeClock the readings — and with them
-// the exported bytes — are a pure function of the work performed; the
-// mutexes exist for readers (the live monitor, a mid-run export) that
-// run beside the recorder.
+// Events carry the injected clock's timestamps. The engine records from
+// one goroutine (it renders on a second one, which records nothing), so
+// under a FakeClock the readings — and with them the exported bytes —
+// are a pure function of the work performed; the mutexes exist for
+// readers (the live monitor, a mid-run export) that run beside the
+// recorder.
 //
 // Every type is nil-safe: a nil *Trace yields nil *Track and *Counter
 // handles whose methods do nothing and allocate nothing, so instrumented
@@ -25,9 +24,8 @@ import (
 )
 
 // Trace is the registry of span tracks and counter tracks for one run.
-// Track and Counter return one shared instance per name, so engine
-// layers that cannot see each other (the exact engine, the fast
-// sweep's probe and model) still land on the same timeline.
+// Track and Counter return one shared instance per name, so code that
+// cannot see each other's handles still lands on the same timeline.
 type Trace struct {
 	clockMu sync.Mutex
 	clock   Clock
@@ -97,20 +95,12 @@ func (t *Trace) Counter(name string) *Counter {
 	return c
 }
 
-// Event kinds within a track.
-const (
-	evSpan uint8 = iota
-	evInstant
-)
-
-// traceEvent is one recorded span or instant. seq is the event's
-// position in the engine's work (typically a frame or spec index); arg
-// is an optional label. dur is -1 while a span is open.
+// traceEvent is one recorded span. seq is the span's position in the
+// engine's work (typically a frame or spec index). dur is -1 while the
+// span is open.
 type traceEvent struct {
-	kind  uint8
 	depth int
 	name  string
-	arg   string
 	seq   int64
 	start int64
 	dur   int64
@@ -147,7 +137,6 @@ func (k *Track) Begin(name string, seq int64) Region {
 	k.mu.Lock()
 	idx := len(k.events)
 	k.events = append(k.events, traceEvent{
-		kind:  evSpan,
 		depth: len(k.open),
 		name:  name,
 		seq:   seq,
@@ -185,26 +174,6 @@ func (r Region) End() {
 	r.k.mu.Unlock()
 }
 
-// Instant records a zero-duration event (a protocol edge, such as a
-// model refusal). seq follows Begin's contract; arg is an optional
-// detail label. No-op on a nil track.
-func (k *Track) Instant(name string, seq int64, arg string) {
-	if k == nil {
-		return
-	}
-	start := k.tr.now()
-	k.mu.Lock()
-	k.events = append(k.events, traceEvent{
-		kind:  evInstant,
-		depth: len(k.open),
-		name:  name,
-		arg:   arg,
-		seq:   seq,
-		start: start,
-	})
-	k.mu.Unlock()
-}
-
 // snapshotEvents copies the track's recorded events.
 func (k *Track) snapshotEvents() []traceEvent {
 	k.mu.Lock()
@@ -218,7 +187,7 @@ func (k *Track) snapshotEvents() []traceEvent {
 func (k *Track) status() (spans int, busy int64, open string) {
 	k.mu.Lock()
 	for i := range k.events {
-		if k.events[i].kind == evSpan && k.events[i].dur >= 0 {
+		if k.events[i].dur >= 0 {
 			spans++
 		}
 	}

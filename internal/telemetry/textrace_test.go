@@ -28,7 +28,6 @@ func TestTextraceNilSafety(t *testing.T) {
 	}
 	r := k.Begin("frame", 0)
 	r.End()
-	k.Instant("exact-fallback", 1, "x")
 	c.Sample(1)
 	if c.Value() != 0 {
 		t.Fatal("nil counter Value should be 0")
@@ -53,7 +52,6 @@ func TestTextraceDisabledAllocFree(t *testing.T) {
 	c := tr.Counter("frames")
 	allocs := testing.AllocsPerRun(1000, func() {
 		r := k.Begin("frame", 3)
-		k.Instant("exact-fallback", 3, "")
 		_ = c.Value()
 		c.Sample(4)
 		r.End()
@@ -115,7 +113,6 @@ func TestTextraceConcurrentRecording(t *testing.T) {
 			for i := 0; i < spans; i++ {
 				r := k.Begin("frame", int64(i))
 				shared.Sample(int64(i) + 1)
-				k.Instant("edge", int64(i), "x")
 				tr.Counter("late").Sample(int64(i))
 				r.End()
 			}
@@ -280,13 +277,12 @@ func TestReportEmptyTrace(t *testing.T) {
 // parses as the trace_event JSON-object shape Perfetto expects.
 func TestChromeTraceGolden(t *testing.T) {
 	tr := NewTrace(&FakeClock{Step: 700})
-	tr.Track("idle")                                          // no events: skipped
-	tr.Track("model").Instant("exact-fallback", 1, "pull-2k") // at=0
-	r := tr.Track("render").Begin("frame", 0)                 // start=700
-	r.End()                                                   // end=1400
+	tr.Track("idle")                          // no events: skipped
+	r := tr.Track("render").Begin("frame", 0) // start=0
+	r.End()                                   // end=700
 	c := tr.Counter("replayed/pull-2k")
-	c.Sample(1)         // at=2100
-	c.Sample(2)         // at=2800
+	c.Sample(1)         // at=1400
+	c.Sample(2)         // at=2100
 	tr.Counter("empty") // no samples: skipped
 
 	var buf bytes.Buffer
@@ -295,12 +291,10 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	want := `{"traceEvents":[
 {"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"textrace"}},
-{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"model"}},
-{"ph":"i","pid":1,"tid":1,"ts":0.000,"s":"t","name":"exact-fallback","args":{"seq":1,"detail":"pull-2k"}},
-{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"render"}},
-{"ph":"X","pid":1,"tid":2,"ts":0.700,"dur":0.700,"name":"frame","args":{"seq":0}},
-{"ph":"C","pid":1,"tid":0,"ts":2.100,"name":"replayed/pull-2k","args":{"value":1}},
-{"ph":"C","pid":1,"tid":0,"ts":2.800,"name":"replayed/pull-2k","args":{"value":2}}
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"render"}},
+{"ph":"X","pid":1,"tid":1,"ts":0.000,"dur":0.700,"name":"frame","args":{"seq":0}},
+{"ph":"C","pid":1,"tid":0,"ts":1.400,"name":"replayed/pull-2k","args":{"value":1}},
+{"ph":"C","pid":1,"tid":0,"ts":2.100,"name":"replayed/pull-2k","args":{"value":2}}
 ],"displayTimeUnit":"ms"}
 `
 	if got := buf.String(); got != want {
@@ -318,8 +312,7 @@ func TestChromeTraceWallGolden(t *testing.T) {
 	r := k.Begin("frame", 0)               // start=0
 	r.End()                                // end=500
 	k.Begin("frame", 1)                    // start=1000, left open: mid-run
-	k.Instant("edge", 1, "")               // at=1500
-	tr.Counter("replayed/l2-2m").Sample(1) // at=2000
+	tr.Counter("replayed/l2-2m").Sample(1) // at=1500
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -330,8 +323,7 @@ func TestChromeTraceWallGolden(t *testing.T) {
 {"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"render"}},
 {"ph":"X","pid":1,"tid":1,"ts":0.000,"dur":0.500,"name":"frame","args":{"seq":0}},
 {"ph":"X","pid":1,"tid":1,"ts":1.000,"dur":0.000,"name":"frame","args":{"seq":1}},
-{"ph":"i","pid":1,"tid":1,"ts":1.500,"s":"t","name":"edge","args":{"seq":1}},
-{"ph":"C","pid":1,"tid":0,"ts":2.000,"name":"replayed/l2-2m","args":{"value":1}}
+{"ph":"C","pid":1,"tid":0,"ts":1.500,"name":"replayed/l2-2m","args":{"value":1}}
 ],"displayTimeUnit":"ms"}
 `
 	if got := buf.String(); got != want {
@@ -376,10 +368,6 @@ func validateChromeShape(t *testing.T, data []byte) {
 			}
 			if _, ok := ev["dur"].(float64); !ok {
 				t.Fatalf("X event %d missing dur: %v", i, ev)
-			}
-		case "i":
-			if s, _ := ev["s"].(string); s != "t" && s != "p" && s != "g" {
-				t.Fatalf("instant event %d has scope %q: %v", i, s, ev)
 			}
 		case "C":
 			args, ok := ev["args"].(map[string]interface{})

@@ -68,11 +68,7 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 		cw.emitf(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":%q}}`,
 			tid, k.name)
 		for _, ev := range events {
-			if ev.kind == evInstant {
-				cw.emitInstant(tid, ev.start, ev.name, ev.arg, ev.seq)
-			} else {
-				cw.emitSpan(tid, ev.start, ev.dur, ev.name, ev.arg, ev.seq)
-			}
+			cw.emitSpan(tid, ev.start, ev.dur, ev.name, ev.seq)
 		}
 	}
 	for _, c := range t.snapshotCounters() {
@@ -91,26 +87,10 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 // emitSpan writes one complete ("X") event. Open spans export with zero
 // duration rather than being dropped: a live monitor snapshot should
 // still show them.
-func (cw *chromeWriter) emitSpan(tid int, ts, dur int64, name, arg string, seq int64) {
+func (cw *chromeWriter) emitSpan(tid int, ts, dur int64, name string, seq int64) {
 	if dur < 0 {
 		dur = 0
 	}
-	if arg != "" {
-		cw.emitf(`{"ph":"X","pid":1,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":{"seq":%d,"detail":%q}}`,
-			tid, usec(ts), usec(dur), name, seq, arg)
-		return
-	}
 	cw.emitf(`{"ph":"X","pid":1,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":{"seq":%d}}`,
 		tid, usec(ts), usec(dur), name, seq)
-}
-
-// emitInstant writes one thread-scoped instant ("i") event.
-func (cw *chromeWriter) emitInstant(tid int, ts int64, name, arg string, seq int64) {
-	if arg != "" {
-		cw.emitf(`{"ph":"i","pid":1,"tid":%d,"ts":%s,"s":"t","name":%q,"args":{"seq":%d,"detail":%q}}`,
-			tid, usec(ts), name, seq, arg)
-		return
-	}
-	cw.emitf(`{"ph":"i","pid":1,"tid":%d,"ts":%s,"s":"t","name":%q,"args":{"seq":%d}}`,
-		tid, usec(ts), name, seq)
 }

@@ -32,7 +32,7 @@ func Example() {
 		panic(err)
 	}
 
-	frames, err := trace.Replay(&buf, printHandler{})
+	frames, err := trace.ReplayFrames(&buf, printHandler{}, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -99,7 +99,7 @@ func FuzzRoundTrip(f *testing.F) {
 				got = append(got, ev{tid, u, v, m})
 			},
 		}
-		if _, err := Replay(bytes.NewReader(data), h); err != nil {
+		if _, err := ReplayFrames(bytes.NewReader(data), h, 0); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {

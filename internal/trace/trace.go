@@ -32,12 +32,6 @@ const (
 // magic identifies trace streams; the trailing byte is the version.
 var magic = []byte{'T', 'X', 'T', 'R', 1}
 
-// Event is one decoded texel reference.
-type Event struct {
-	TID     uint32
-	U, V, M int
-}
-
 // Writer encodes a reference stream.
 type Writer struct {
 	w        *bufio.Writer
@@ -199,14 +193,9 @@ func handlerErr(h Handler) error {
 // an unfinished second one, 1 + 2*binary.MaxVarintLen64 bytes.
 const bufSize = 4096
 
-// Replay decodes a stream from r, invoking h for each event. It returns
-// the number of frames replayed.
-func Replay(r io.Reader, h Handler) (frames int, err error) {
-	return ReplayFrames(r, h, 0)
-}
-
-// ReplayFrames is Replay bounded to the first maxFrames frames of the
-// stream (0 or negative means no limit). Decoding stops cleanly at the
+// ReplayFrames decodes a stream from r, invoking h for each event of the
+// first maxFrames frames (0 or negative means no limit), and returns the
+// number of frames replayed. Decoding stops cleanly at the
 // closing frame boundary, so a bounded replay never decodes past its last
 // frame's data. The stream is read through one fixed buffer: each refill
 // first moves the undecoded tail (at most one operation) to the front, so
@@ -244,8 +233,8 @@ func ReplayFrames(r io.Reader, h Handler, maxFrames int) (frames int, err error)
 
 // ReplayBytes decodes an in-memory stream, invoking h for each event. It
 // runs the decode loop once over the whole slice, with no copy and no
-// io.Reader round trip. Semantics are identical to Replay, including
-// FailingHandler aborts.
+// io.Reader round trip. Semantics are identical to an unbounded
+// ReplayFrames, including FailingHandler aborts.
 func ReplayBytes(data []byte, h Handler) (frames int, err error) {
 	if err := checkHeader(data); err != nil {
 		return 0, err

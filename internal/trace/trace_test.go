@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// Event is one decoded texel reference.
+type Event struct {
+	TID     uint32
+	U, V, M int
+}
+
 // recorder collects replayed events for comparison.
 type recorder struct {
 	frames  [][]Event
@@ -41,7 +47,7 @@ func TestRoundTripSimple(t *testing.T) {
 	}
 
 	var r recorder
-	frames, err := Replay(&buf, &r)
+	frames, err := ReplayFrames(&buf, &r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestRoundTripRandomized(t *testing.T) {
 	}
 
 	var r recorder
-	frames, err := Replay(&buf, &r)
+	frames, err := ReplayFrames(&buf, &r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +168,10 @@ func TestWriterMisuse(t *testing.T) {
 
 func TestReplayBadMagic(t *testing.T) {
 	var r recorder
-	if _, err := Replay(strings.NewReader("NOTATRACE"), &r); err == nil {
+	if _, err := ReplayFrames(strings.NewReader("NOTATRACE"), &r, 0); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := Replay(strings.NewReader("TX"), &r); err == nil {
+	if _, err := ReplayFrames(strings.NewReader("TX"), &r, 0); err == nil {
 		t.Error("short header accepted")
 	}
 }
@@ -183,7 +189,7 @@ func TestReplayTruncated(t *testing.T) {
 	// Cut inside the frame body.
 	cut := full[:len(full)-3]
 	var r recorder
-	if _, err := Replay(bytes.NewReader(cut), &r); err == nil {
+	if _, err := ReplayFrames(bytes.NewReader(cut), &r, 0); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -192,7 +198,7 @@ func TestReplayUnknownOpcode(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{'T', 'X', 'T', 'R', 1, 0xEE})
 	var r recorder
-	if _, err := Replay(&buf, &r); err == nil {
+	if _, err := ReplayFrames(&buf, &r, 0); err == nil {
 		t.Error("unknown opcode accepted")
 	}
 }
@@ -212,7 +218,7 @@ func TestNegativeDeltasAcrossFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r recorder
-	if _, err := Replay(&buf, &r); err != nil {
+	if _, err := ReplayFrames(&buf, &r, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.frames[1][0] != (Event{0, 1, 2, 3}) {
@@ -300,7 +306,7 @@ func TestCloseMidFrameFlushesCompleteFrames(t *testing.T) {
 		t.Errorf("pixels = %v", r.pixels)
 	}
 	var r2 recorder
-	frames, err = Replay(bytes.NewReader(buf.Bytes()), &r2)
+	frames, err = ReplayFrames(bytes.NewReader(buf.Bytes()), &r2, 0)
 	if err == nil || frames != 2 {
 		t.Errorf("unbounded replay = (%d, %v), want (2, truncation error)", frames, err)
 	}
@@ -383,7 +389,7 @@ func TestFailingHandlerAbortsReplay(t *testing.T) {
 	data := buf.Bytes()
 
 	h := &latchingHandler{failAfter: 2}
-	frames, err := Replay(bytes.NewReader(data), h)
+	frames, err := ReplayFrames(bytes.NewReader(data), h, 0)
 	if err != errFull {
 		t.Fatalf("err = %v, want the handler's error", err)
 	}

@@ -15,6 +15,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 
 	"texcache/internal/scene"
@@ -32,6 +33,20 @@ type Workload struct {
 	Frames int
 	// EyeHeightUp biases the look-at up vector; both workloads use +Y.
 	Up vecmath.Vec3
+}
+
+// ByName builds the named workload: "village", "city" or "mall", as the
+// commands' -workload flag names them.
+func ByName(name string) (*Workload, error) {
+	switch name {
+	case "village":
+		return Village(), nil
+	case "city":
+		return City(), nil
+	case "mall":
+		return Mall(), nil
+	}
+	return nil, fmt.Errorf("workload: unknown workload %q; valid workloads: village, city, mall", name)
 }
 
 // Camera returns the camera for frame f of n, with the given projection

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"texcache/internal/raster"
@@ -208,5 +209,21 @@ func TestWorkloadCameraUsesPathEndpoints(t *testing.T) {
 	last := w.Camera(1, 99, 100).Eye
 	if first.Sub(last).Len() < 50 {
 		t.Error("fly-through endpoints too close; path may be degenerate")
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, name := range []string{"village", "city", "mall"} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Name != name {
+			t.Errorf("ByName(%q) built %q", name, w.Name)
+		}
+	}
+	w, err := ByName("Village")
+	if w != nil || err == nil || !strings.Contains(err.Error(), `"Village"; valid workloads: village, city, mall`) {
+		t.Errorf("ByName(%q) = %v, %v; want an error listing the workloads", "Village", w, err)
 	}
 }
