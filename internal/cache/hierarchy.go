@@ -14,6 +14,8 @@ type Ref struct {
 // traffic of Figure 7: HostBytes crosses AGP/system memory (the pull
 // architecture's scarce resource), L2WriteBytes is host->L2 downloads and
 // L2ReadBytes is L2->L1 fills, both absorbed by accelerator-local memory.
+// The simulator is transaction-accurate, so each byte count is a fixed
+// multiple of a transaction count, and Hierarchy.Counters derives them.
 type Counters struct {
 	L1           L1Stats
 	L2           L2Stats
@@ -49,20 +51,23 @@ func (c Counters) Sub(o Counters) Counters {
 // driven through Access, which would look the reference up again.
 //
 // Hierarchies that share an L1 may also share an L2 of one configuration,
-// each keeping its own TLB and byte counters. An L2's state depends only
-// on its configuration and its miss stream, which the shared L1 makes the
-// same for every sharer, and no TLB feeds back into it. The first sharer
-// is presented each miss through Miss, which accesses the L2 and returns
-// its result; every other sharer is then presented the same miss through
-// MissShared with that result, which it books without touching the L2.
+// each keeping its own TLB. An L2's state depends only on its
+// configuration and its miss stream, which the shared L1 makes the same
+// for every sharer, and no TLB feeds back into it. The first sharer is
+// presented each miss through Miss, which accesses the L2; every other
+// sharer is then presented the same miss through MissShared, which looks
+// the page up in its own TLB and leaves the L2 untouched. Every sharer's
+// byte counts are then the first one's, since they derive from the
+// shared caches' counters.
+//
+// Under the pull architecture, and for a sharer without a TLB, a miss
+// changes no state of the hierarchy's own: its counters follow from the
+// caches it shares. The caller may skip presenting it such misses unless
+// Sanitizing is set.
 type Hierarchy struct {
 	L1  *L1Cache
 	L2  *L2Cache
 	TLB *TLB
-
-	hostBytes    int64
-	l2ReadBytes  int64
-	l2WriteBytes int64
 
 	// san is the texsan invariant sanitizer; empty unless built with
 	// -tags texsan (see sanitize_on.go).
@@ -70,7 +75,7 @@ type Hierarchy struct {
 }
 
 // Access runs one texel reference through the hierarchy, following the
-// control flow of Figure 7, and accounts the bytes moved.
+// control flow of Figure 7.
 //
 // texlint:hotpath
 func (h *Hierarchy) Access(ref Ref) {
@@ -78,89 +83,74 @@ func (h *Hierarchy) Access(ref Ref) {
 	if !hit {
 		h.accessMiss(ref)
 	}
-	if sanitizing {
+	if Sanitizing {
 		h.sanAccess(ref, hit)
 	}
 }
 
 // Miss is Access below the L1 lookup, for a reference that has already
-// missed in (and been filled into) a shared h.L1. It returns the L2's
-// result for the hierarchies sharing h.L2 to book through MissShared;
-// without an L2 the result means nothing.
+// missed in (and been filled into) a shared h.L1.
 //
 // texlint:hotpath
-func (h *Hierarchy) Miss(ref Ref) L2Result {
-	r := h.accessMiss(ref)
-	if sanitizing {
+func (h *Hierarchy) Miss(ref Ref) {
+	h.accessMiss(ref)
+	if Sanitizing {
 		h.sanAccess(ref, false)
 	}
-	return r
 }
 
 // MissShared is Miss for a hierarchy that shares h.L2 with the one just
-// presented the same miss, whose L2 access returned r: it looks the page
-// up in h's own TLB and books r's bytes, leaving the L2 untouched.
+// presented the same miss: it looks the page up in h's own TLB, leaving
+// the L2 untouched.
 //
 // texlint:hotpath
-func (h *Hierarchy) MissShared(ref Ref, r L2Result) {
-	h.bookL2(ref, r)
-	if sanitizing {
+func (h *Hierarchy) MissShared(ref Ref) {
+	if h.TLB != nil {
+		h.TLB.Lookup(ref.PTIndex)
+	}
+	if Sanitizing {
 		h.sanAccess(ref, false)
 	}
 }
 
-// accessMiss services an L1 miss: a host download under the pull
-// architecture, otherwise an L2 access booked by bookL2.
+// accessMiss services an L1 miss: nothing to do under the pull
+// architecture, whose host download Counters derives from the L1 misses,
+// otherwise the L2 access and the TLB lookup of its page.
 //
 // texlint:hotpath
-func (h *Hierarchy) accessMiss(ref Ref) L2Result {
+func (h *Hierarchy) accessMiss(ref Ref) {
 	if h.L2 == nil {
-		// Pull architecture: download the L1 tile from system memory.
-		h.hostBytes += L1LineBytes
-		return L2FullMiss
+		return
 	}
-	r := h.L2.Access(ref.PTIndex, ref.Sub)
-	h.bookL2(ref, r)
-	return r
-}
-
-// bookL2 applies Figure 7's rules to an L1 miss whose L2 access returned
-// r: the TLB lookup of its page, and the bytes r moves.
-//
-// texlint:hotpath
-func (h *Hierarchy) bookL2(ref Ref, r L2Result) {
+	h.L2.Access(ref.PTIndex, ref.Sub)
 	if h.TLB != nil {
 		h.TLB.Lookup(ref.PTIndex)
 	}
-	switch r {
-	case L2FullHit:
-		// Load the L1 sub-block from L2 cache memory into L1.
-		h.l2ReadBytes += L1LineBytes
-	case L2PartialHit, L2FullMiss:
-		// Download from system memory into L2 and, in parallel, into
-		// L1 (step F removes the latency of a second hop).
-		dl := int64(L1LineBytes)
-		if h.L2.Config().NoSectorMapping {
-			dl = int64(h.L2.Config().Layout.L2BlockBytes())
-		}
-		h.hostBytes += dl
-		h.l2WriteBytes += dl
-	}
 }
 
-// Counters returns a snapshot of all counters.
+// Counters returns a snapshot of all counters, with the bytes of Figure 7
+// derived from the transactions that move them. Under the pull
+// architecture every L1 miss downloads its line from host memory. With an
+// L2, a full hit reads the line from the L2, and a partial hit or full
+// miss downloads it from host memory into the L2 and, in parallel, into
+// the L1 (step F removes the latency of a second hop); without sector
+// mapping the download is the whole L2 block.
 func (h *Hierarchy) Counters() Counters {
-	c := Counters{
-		L1:           h.L1.Stats(),
-		HostBytes:    h.hostBytes,
-		L2ReadBytes:  h.l2ReadBytes,
-		L2WriteBytes: h.l2WriteBytes,
-	}
-	if h.L2 != nil {
-		c.L2 = h.L2.Stats()
-	}
+	c := Counters{L1: h.L1.Stats()}
 	if h.TLB != nil {
 		c.TLB = h.TLB.Stats()
 	}
+	if h.L2 == nil {
+		c.HostBytes = c.L1.Misses * L1LineBytes
+		return c
+	}
+	c.L2 = h.L2.Stats()
+	dl := int64(L1LineBytes)
+	if cfg := h.L2.Config(); cfg.NoSectorMapping {
+		dl = int64(cfg.Layout.L2BlockBytes())
+	}
+	c.L2ReadBytes = c.L2.FullHits * L1LineBytes
+	c.L2WriteBytes = (c.L2.PartialHits + c.L2.FullMisses) * dl
+	c.HostBytes = c.L2WriteBytes
 	return c
 }

@@ -3,8 +3,9 @@
 // Texsan is the runtime invariant sanitizer for the cache hierarchy,
 // compiled in with `go test -tags texsan ./...`. It shadows the
 // hierarchy's architectural state and re-derives, after every access, the
-// counter-conservation and byte-accounting identities the simulator's
-// results rest on; every sanPeriod accesses it additionally cross-checks
+// counter-conservation identities the simulator's results rest on (the
+// byte counts hold by construction: Counters derives them from the
+// transaction counts); every sanPeriod accesses it additionally cross-checks
 // the full page table, block replacement list, free list and the weak
 // L1/L2 inclusion property. "Weak" because the paper forgoes
 // back-invalidation (§5.3.2 footnote): an L1 line may legally outlive the
@@ -27,8 +28,8 @@ package cache
 
 import "fmt"
 
-// sanitizing reports whether the texsan invariant sanitizer is compiled in.
-const sanitizing = true
+// Sanitizing reports whether the texsan invariant sanitizer is compiled in.
+const Sanitizing = true
 
 // sanPeriod is the access interval between full structural scans.
 const sanPeriod = 4096
@@ -103,41 +104,20 @@ func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool) {
 	}
 }
 
-// sanCounters replays the byte-accounting and counter-conservation
-// identities from the raw counters; it runs after every access.
+// sanCounters replays the counter-conservation identities from the raw
+// counters; it runs after every access.
 func (h *Hierarchy) sanCounters() {
 	l1 := &h.L1.stats
 	if l1.Misses > l1.Accesses {
 		panic("texsan: L1 misses exceed accesses")
 	}
 	if h.L2 == nil {
-		// Pull architecture: every L1 miss downloads one line from host
-		// memory and nothing else moves.
-		if want := l1.Misses * L1LineBytes; h.hostBytes != want {
-			panic(fmt.Sprintf("texsan: pull host bytes %d != misses*line %d", h.hostBytes, want))
-		}
-		if h.l2ReadBytes != 0 || h.l2WriteBytes != 0 {
-			panic("texsan: pull architecture recorded L2 traffic")
-		}
 		return
 	}
 	l2 := &h.L2.stats
 	acc := l2.FullHits + l2.PartialHits + l2.FullMisses
 	if acc != l1.Misses {
 		panic(fmt.Sprintf("texsan: %d L2 accesses != %d L1 misses", acc, l1.Misses))
-	}
-	if want := l2.FullHits * L1LineBytes; h.l2ReadBytes != want {
-		panic(fmt.Sprintf("texsan: L2 read bytes %d != full hits * line = %d", h.l2ReadBytes, want))
-	}
-	dl := int64(L1LineBytes)
-	if h.L2.cfg.NoSectorMapping {
-		dl = int64(h.L2.cfg.Layout.L2BlockBytes())
-	}
-	if want := (l2.PartialHits + l2.FullMisses) * dl; h.l2WriteBytes != want {
-		panic(fmt.Sprintf("texsan: L2 write bytes %d != downloads * %d = %d", h.l2WriteBytes, dl, want))
-	}
-	if h.hostBytes != h.l2WriteBytes {
-		panic(fmt.Sprintf("texsan: host bytes %d != L2 write bytes %d", h.hostBytes, h.l2WriteBytes))
 	}
 	if l2.Evictions > l2.FullMisses {
 		panic("texsan: more evictions than full misses")

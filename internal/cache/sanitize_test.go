@@ -95,8 +95,8 @@ func TestSanitizerCleanAcrossDeleteTexture(t *testing.T) {
 func TestSanitizerDetectsCounterDrift(t *testing.T) {
 	h := newSanHierarchy(t)
 	drive(h, 100)
-	h.hostBytes++ // simulate a lost download
-	expectPanic(t, "host bytes", func() { drive(h, 1) })
+	h.L2.stats.FullHits++ // an L2 access no L1 miss led to
+	expectPanic(t, "L2 accesses", func() { drive(h, 1) })
 }
 
 func TestSanitizerDetectsOwnerCorruption(t *testing.T) {

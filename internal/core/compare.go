@@ -65,16 +65,19 @@ type specState struct {
 	// owner is the index of the spec whose hierarchy accesses the L2
 	// this one shares, or -1 when this one accesses its own L2.
 	owner int
-	// result is this spec's last L2 result, which its sharers book.
-	result cache.L2Result
 }
 
 // l1Group is one distinct L1 geometry of a sweep: a single L1 cache that
 // the hierarchies of every spec with that size and associativity share.
 type l1Group struct {
-	l1      *cache.L1Cache
-	members []int // indices into fanout.specs
-	backed  bool  // some member has an L2
+	l1 *cache.L1Cache
+	// misses holds the members a miss does work for, as indices into
+	// fanout.specs in spec order: each L2's first member, and the other
+	// members with a TLB. A pull member's counters, and a TLB-less L2
+	// sharer's, follow from the caches it shares, so it is presented
+	// misses only when texsan is compiled in, to check them.
+	misses []int
+	backed bool // some member has an L2
 }
 
 // l1Chain holds the groups of one associativity, smallest first, whose
@@ -89,13 +92,14 @@ type l1Chain struct {
 const maxChains = 32
 
 // The ring between the two stages: ringBlocks blocks of blockRecords
-// records each (4 x 2048 x 16 B = 128 KB), allocated once per run. A
+// records each (32 x 2048 x 16 B = 1 MB), allocated once per run. A
 // block amortizes the two channel operations of its hand-off over 2048
 // references that reach a chain; the spare blocks let the render stage
-// run up to three blocks ahead of the cache stage.
+// run up to 31 blocks ahead of the cache stage, so that a burst of misses
+// does not stall it (DESIGN §7 gives the measured waits).
 const (
 	blockRecords = 2048
-	ringBlocks   = 4
+	ringBlocks   = 32
 )
 
 // record is one reference the render stage hands the cache stage: one
@@ -354,6 +358,24 @@ func (r *streamFilter) hand() {
 	r.blk.n, r.blk.last = 0, false
 }
 
+// start runs the render stage on a goroutine of its own, over a ring of
+// ringBlocks blocks whose two channels it returns, until it has handed
+// over every frame or done closes. Both channels hold every block of the
+// ring, so only a receive blocks: the cache stage waiting for records, or
+// the render stage for a free block, which it also leaves when done
+// closes. It closes full when it returns.
+func (r *streamFilter) start(w *workload.Workload, render Config, rast *raster.Rasterizer,
+	done <-chan struct{}) (full <-chan *block, free chan<- *block) {
+	r.full = make(chan *block, ringBlocks)
+	r.free = make(chan *block, ringBlocks)
+	r.done = done
+	for i := 1; i < ringBlocks; i++ {
+		r.free <- newBlock(len(r.filters))
+	}
+	go r.run(w, render, rast)
+	return r.full, r.free
+}
+
 // run renders every frame, handing over each frame's records and its
 // marker, and closes full when it returns.
 func (r *streamFilter) run(w *workload.Workload, render Config, rast *raster.Rasterizer) {
@@ -401,9 +423,9 @@ func (s *fanout) take(b *block) {
 }
 
 // access looks a record up in each chain it names, presenting a miss to
-// every member of each group that missed. The L2 layouts are translated
-// for the first L2-backed group that misses. Members sharing an L2 book
-// its first member's result.
+// the members of each group that missed: one L2 access per distinct L2
+// and one lookup per TLB. The L2 layouts are translated for the first
+// L2-backed group that misses.
 //
 // texlint:hotpath
 func (s *fanout) access(rec *record) {
@@ -422,7 +444,7 @@ func (s *fanout) access(rec *record) {
 				}
 				translated = true
 			}
-			for _, i := range g.members {
+			for _, i := range g.misses {
 				sp := &s.specs[i]
 				ref := cache.Ref{L1: l1}
 				if sp.layoutIdx >= 0 {
@@ -430,9 +452,9 @@ func (s *fanout) access(rec *record) {
 					ref.PTIndex, ref.Sub = lx.pt, lx.sub
 				}
 				if sp.owner < 0 {
-					sp.result = sp.hier.Miss(ref)
+					sp.hier.Miss(ref)
 				} else {
-					sp.hier.MissShared(ref, s.specs[sp.owner].result)
+					sp.hier.MissShared(ref)
 				}
 			}
 		}
@@ -545,7 +567,6 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 			groupIndex[geom] = gi
 		}
 		g := &groups[gi]
-		g.members = append(g.members, i)
 		hier := &cache.Hierarchy{L1: g.l1}
 		st := specState{hier: hier, layoutIdx: -1, owner: -1}
 		if spec.L2 != nil {
@@ -582,6 +603,9 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 			if spec.TLBEntries > 0 {
 				hier.TLB = cache.NewTLB(spec.TLBEntries)
 			}
+		}
+		if hier.L2 != nil && (st.owner < 0 || hier.TLB != nil) || cache.Sanitizing {
+			g.misses = append(g.misses, i)
 		}
 		fan.specs = append(fan.specs, st)
 	}
@@ -664,17 +688,8 @@ func runExact(w *workload.Workload, render Config, specs []CacheSpec) (*Comparis
 	}
 	rast.SetSink(rs)
 
-	// Both channels hold every block of the ring, so only a receive
-	// blocks: the cache stage waiting for records, or the render stage
-	// for a free block, which it also leaves when done closes.
-	full := make(chan *block, ringBlocks)
-	free := make(chan *block, ringBlocks)
 	done := make(chan struct{})
-	for i := 1; i < ringBlocks; i++ {
-		free <- newBlock(len(fan.chains))
-	}
-	rs.full, rs.free, rs.done = full, free, done
-	go rs.run(w, render, rast)
+	full, free := rs.start(w, render, rast, done)
 	defer func() {
 		close(done)
 		for range full { // wait for the render stage to leave

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"texcache/internal/raster"
 	"texcache/internal/texture"
+	"texcache/internal/workload"
 )
 
 // FanoutShape is the structure of the exact engine's sink over a spec
@@ -57,9 +59,72 @@ func FanoutShapeOf(set *texture.Set, specs []CacheSpec) (FanoutShape, error) {
 			owner = l2
 		}
 		if sp.owner != owner {
-			return sh, fmt.Errorf("spec %d books the L2 results of spec %d but uses spec %d's L2", i, sp.owner, l2)
+			return sh, fmt.Errorf("spec %d shares the L2 of spec %d but uses spec %d's L2", i, sp.owner, l2)
 		}
 		sh.L2Of = append(sh.L2Of, l2)
 	}
 	return sh, nil
+}
+
+// Stages runs the exact engine's two stages apart over one sweep, so a
+// benchmark can time each alone.
+type Stages struct {
+	w      *workload.Workload
+	render Config
+	specs  []CacheSpec
+	// blocks holds a copy of every block one render handed over, in
+	// order, for the cache stage to take.
+	blocks []*block
+}
+
+// NewStages prepares the two stages of a sweep of specs over w, rendered
+// under render (whose Frames must be set).
+func NewStages(w *workload.Workload, render Config, specs []CacheSpec) *Stages {
+	return &Stages{w: w, render: render, specs: specs}
+}
+
+// Render runs the render stage over every frame against a consumer that
+// only returns each block to the ring. With keep set it also keeps a copy
+// of each block for CacheStage.
+func (st *Stages) Render(keep bool) error {
+	fan, err := buildFanout(st.w.Scene.Textures, st.specs)
+	if err != nil {
+		return err
+	}
+	rs := newStreamFilter(fan)
+	rast, err := raster.New(raster.Config{
+		Width: st.render.Width, Height: st.render.Height,
+		Mode:           st.render.Mode,
+		ZBeforeTexture: st.render.ZBeforeTexture,
+	})
+	if err != nil {
+		return err
+	}
+	rast.SetSink(rs)
+	done := make(chan struct{})
+	defer close(done)
+	full, free := rs.start(st.w, st.render, rast, done)
+	for b := range full {
+		if keep {
+			c := *b
+			c.end.batched = append([]int64(nil), b.end.batched...)
+			st.blocks = append(st.blocks, &c)
+		}
+		free <- b
+	}
+	return nil
+}
+
+// CacheStage builds a fresh cache stage and returns a function that takes
+// every block the last Render(true) kept.
+func (st *Stages) CacheStage() (func(), error) {
+	fan, err := buildFanout(st.w.Scene.Textures, st.specs)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		for _, b := range st.blocks {
+			fan.take(b)
+		}
+	}, nil
 }

@@ -422,7 +422,7 @@ func TestGradientMath(t *testing.T) {
 	for _, c := range []struct{ x, y, want float64 }{
 		{0, 0, 5}, {10, 0, 15}, {0, 10, 25}, {5, 5, 20},
 	} {
-		if got := g.at(c.x, c.y); math.Abs(got-c.want) > 1e-9 {
+		if got := g.at(c.x, g.b*c.y); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("g(%v,%v) = %v, want %v", c.x, c.y, got, c.want)
 		}
 	}

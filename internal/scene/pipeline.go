@@ -25,6 +25,8 @@ type Pipeline struct {
 	LightDir vecmath.Vec3
 	// Ambient is the shade floor in [0,1].
 	Ambient float64
+	// clipped holds the polygon clipPolygon returns.
+	clipped [maxClipVerts]clipVert
 }
 
 // NewPipeline constructs a pipeline over a rasterizer with default
@@ -106,7 +108,7 @@ func (p *Pipeline) drawTriangle(st *FrameStats, obj *Object, tri Triangle,
 	}
 	shade := p.Ambient + (1-p.Ambient)*diffuse
 
-	clipped, wasClipped := clipPolygon(poly[:n])
+	clipped, wasClipped := p.clipPolygon(poly[:n])
 	if wasClipped {
 		st.TrianglesClipped++
 	}
@@ -138,9 +140,9 @@ var clipPlanes = [6]vecmath.Vec4{
 
 // clipPolygon clips the polygon against the view frustum in homogeneous
 // clip space (Sutherland-Hodgman). It reports whether any clipping
-// occurred. The returned slice may alias neither input nor survive the
-// next call — callers consume it immediately.
-func clipPolygon(in []clipVert) ([]clipVert, bool) {
+// occurred. The returned slice is p.clipped, so it does not survive the
+// next call: callers consume it immediately.
+func (p *Pipeline) clipPolygon(in []clipVert) ([]clipVert, bool) {
 	var bufA, bufB [maxClipVerts]clipVert
 	cur := bufA[:0]
 	cur = append(cur, in...)
@@ -170,9 +172,7 @@ func clipPolygon(in []clipVert) ([]clipVert, bool) {
 		}
 		cur, next = next, cur
 	}
-	out := make([]clipVert, len(cur))
-	copy(out, cur)
-	return out, clippedAny
+	return p.clipped[:copy(p.clipped[:], cur)], clippedAny
 }
 
 // intersect interpolates the crossing point where the edge a-b meets the

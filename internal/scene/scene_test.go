@@ -220,7 +220,7 @@ func TestClipPolygonFullyInside(t *testing.T) {
 		{pos: vecmath.Vec4{X: 0.5, Y: 0, Z: 0, W: 1}},
 		{pos: vecmath.Vec4{X: 0, Y: 0.5, Z: 0, W: 1}},
 	}
-	out, clipped := clipPolygon(in)
+	out, clipped := new(Pipeline).clipPolygon(in)
 	if clipped {
 		t.Error("fully inside polygon reported clipped")
 	}
@@ -235,7 +235,7 @@ func TestClipPolygonFullyOutside(t *testing.T) {
 		{pos: vecmath.Vec4{X: 6, Y: 0, Z: 0, W: 1}},
 		{pos: vecmath.Vec4{X: 5, Y: 1, Z: 0, W: 1}},
 	}
-	out, _ := clipPolygon(in)
+	out, _ := new(Pipeline).clipPolygon(in)
 	if len(out) != 0 {
 		t.Errorf("vertices = %d, want 0", len(out))
 	}
@@ -248,7 +248,7 @@ func TestClipPolygonStraddling(t *testing.T) {
 		{pos: vecmath.Vec4{X: 2, Y: 0, Z: 0, W: 1}},
 		{pos: vecmath.Vec4{X: 0, Y: 0.5, Z: 0, W: 1}},
 	}
-	out, clipped := clipPolygon(in)
+	out, clipped := new(Pipeline).clipPolygon(in)
 	if !clipped {
 		t.Error("straddling polygon not reported clipped")
 	}
@@ -270,7 +270,7 @@ func TestClipPreservesUV(t *testing.T) {
 		{pos: vecmath.Vec4{X: 2, Y: 0, Z: 0, W: 1}, uv: vecmath.Vec2{X: 1}},
 		{pos: vecmath.Vec4{X: 0, Y: 0.5, Z: 0, W: 1}, uv: vecmath.Vec2{X: 0}},
 	}
-	out, _ := clipPolygon(in)
+	out, _ := new(Pipeline).clipPolygon(in)
 	foundMid := false
 	for _, v := range out {
 		if math.Abs(v.pos.X-1) < 1e-9 && math.Abs(v.uv.X-0.5) < 1e-9 {
