@@ -304,13 +304,14 @@ func (r *Rasterizer) DrawTriangle(tex *texture.Texture, v0, v1, v2 Vertex, shade
 		// Two passes over the row: shadeRow tests depth and finds each
 		// textured pixel's taps, then this loop emits them and shades the
 		// framebuffer, in pixel order.
-		for i := range r.row[:r.shadeRow(&t, yi, xStart, xEnd)] {
-			p := &r.row[i]
+		row := r.row[:r.shadeRow(&t, yi, xStart, xEnd)]
+		for i := range row {
+			p := &row[i]
 			for k := range p.taps[:p.n] {
-				if t := &p.taps[k]; quad != nil {
-					quad.Quad(tex.ID, t.u0, t.v0, t.u1, t.v1, t.m)
+				if tp := &p.taps[k]; quad != nil {
+					quad.Quad(tex.ID, tp.u0, tp.v0, tp.u1, tp.v1, tp.m)
 				} else {
-					r.emit(tex.ID, t)
+					r.emit(tex.ID, tp)
 				}
 			}
 			if p.pass && r.color != nil {
@@ -359,17 +360,19 @@ func (r *Rasterizer) shadeRow(t *triState, yi, xStart, xEnd int) int {
 	zy, iwy, uy, vy := t.gz.b*py, t.giw.b*py, t.gu.b*py, t.gv.b*py
 	tex, mode := t.tex, r.cfg.Mode
 	zfirst, exact := r.cfg.ZBeforeTexture, r.color != nil
+	// Locals, which the stores into the row need not reload.
+	depth, row := r.depth, r.row
 	base := yi * r.cfg.Width
-	n := 0
+	n, pixels := 0, int64(0)
 	for xi := xStart; xi < xEnd; xi++ {
 		px := float64(xi) + 0.5
 		idx := base + xi
 		z := float32(t.gz.at(px, zy))
-		pass := z <= r.depth[idx]
+		pass := z <= depth[idx]
 		if zfirst && !pass {
 			continue
 		}
-		r.pixels++
+		pixels++
 		iw := t.giw.at(px, iwy)
 		if iw <= 0 {
 			continue // behind the eye; clipping should prevent this
@@ -391,9 +394,9 @@ func (r *Rasterizer) shadeRow(t *triState, yi, xStart, xEnd int) int {
 			l = footprintLOD(dudx, dvdx, dudy, dvdy)
 		}
 		if pass {
-			r.depth[idx] = z
+			depth[idx] = z
 		}
-		p := &r.row[n]
+		p := &row[n]
 		n++
 		p.idx, p.pass, p.n, p.u, p.v, p.frac = idx, pass, 1, u, v, l.frac
 		switch mode {
@@ -415,6 +418,7 @@ func (r *Rasterizer) shadeRow(t *triState, yi, xStart, xEnd int) int {
 			}
 		}
 	}
+	r.pixels += pixels
 	return n
 }
 
