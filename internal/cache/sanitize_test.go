@@ -96,7 +96,7 @@ func TestSanitizerDetectsCounterDrift(t *testing.T) {
 	h := newSanHierarchy(t)
 	drive(h, 100)
 	h.L2.stats.FullHits++ // an L2 access no L1 miss led to
-	expectPanic(t, "L2 accesses", func() { drive(h, 1) })
+	expectPanic(t, "L2 accesses !=", func() { drive(h, 1) })
 }
 
 func TestSanitizerDetectsOwnerCorruption(t *testing.T) {

@@ -363,7 +363,7 @@ func (r *streamFilter) hand() {
 // over every frame or done closes. Both channels hold every block of the
 // ring, so only a receive blocks: the cache stage waiting for records, or
 // the render stage for a free block, which it also leaves when done
-// closes. It closes full when it returns.
+// closes. The render stage closes full when it returns.
 func (r *streamFilter) start(w *workload.Workload, render Config, rast *raster.Rasterizer,
 	done <-chan struct{}) (full <-chan *block, free chan<- *block) {
 	r.full = make(chan *block, ringBlocks)
