@@ -109,9 +109,6 @@ type Rasterizer struct {
 	// rather than per footprint.
 	quad   QuadSink
 	pixels int64
-	// row holds, for the row being drawn, each pixel that samples the
-	// texture; one per pixel of the screen's width, allocated once.
-	row []rowPixel
 }
 
 // New constructs a rasterizer.
@@ -119,14 +116,7 @@ func New(cfg Config) (*Rasterizer, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("raster: invalid size %dx%d", cfg.Width, cfg.Height)
 	}
-	if cfg.Mode < Point || cfg.Mode > Trilinear {
-		return nil, fmt.Errorf("raster: unknown sample mode %d", int(cfg.Mode))
-	}
-	r := &Rasterizer{
-		cfg:   cfg,
-		depth: make([]float32, cfg.Width*cfg.Height),
-		row:   make([]rowPixel, cfg.Width),
-	}
+	r := &Rasterizer{cfg: cfg, depth: make([]float32, cfg.Width*cfg.Height)}
 	if cfg.Framebuffer {
 		r.color = make([]texture.RGBA, cfg.Width*cfg.Height)
 	}
@@ -256,14 +246,14 @@ func (r *Rasterizer) DrawTriangle(tex *texture.Texture, v0, v1, v2 Vertex, shade
 	}
 	edges := [3]edge{e01, e12, e20}
 
-	t := triState{tex: tex, gu: gu, gv: gv, giw: giw, gz: gz}
-	width := r.cfg.Width
-	// A QuadSink takes each bilinear footprint in one call; point
-	// samples, and every tap to a plain Sink, go through emit.
-	quad := r.quad
-	if r.cfg.Mode == Point {
-		quad = nil
+	// Per-triangle invariants hoisted out of the per-pixel path: the
+	// texture, gradients, shade and config flags are loaded once here
+	// instead of on every shadePixel call.
+	t := triState{
+		tex: tex, gu: gu, gv: gv, giw: giw, gz: gz,
+		shade: shade, zfirst: r.cfg.ZBeforeTexture,
 	}
+	width := r.cfg.Width
 
 	for yi := minY; yi < maxY; yi++ {
 		py := float64(yi) + 0.5
@@ -301,125 +291,70 @@ func (r *Rasterizer) DrawTriangle(tex *texture.Texture, v0, v1, v2 Vertex, shade
 		if xEnd > width {
 			xEnd = width
 		}
-		// Two passes over the row: shadeRow tests depth and finds each
-		// textured pixel's taps, then this loop emits them and shades the
-		// framebuffer, in pixel order.
-		row := r.row[:r.shadeRow(&t, yi, xStart, xEnd)]
-		for i := range row {
-			p := &row[i]
-			for k := range p.taps[:p.n] {
-				if tp := &p.taps[k]; quad != nil {
-					quad.Quad(tex.ID, tp.u0, tp.v0, tp.u1, tp.v1, tp.m)
-				} else {
-					r.emit(tex.ID, tp)
-				}
-			}
-			if p.pass && r.color != nil {
-				r.color[p.idx] = applyShade(r.filterColor(tex, p), shade)
-			}
+		// Each gradient's b·y term, once per row.
+		t.zy, t.iwy, t.uy, t.vy = gz.b*py, giw.b*py, gu.b*py, gv.b*py
+		rowBase := yi * width
+		for xi := xStart; xi < xEnd; xi++ {
+			px := float64(xi) + 0.5
+			r.shadePixel(&t, px, rowBase+xi)
 		}
 	}
 }
 
-// triState holds one triangle's texture and interpolants for shadeRow.
+// triState carries one triangle's interpolation state through the
+// scanline loop, so shadePixel reads per-triangle invariants from one
+// cache line instead of re-deriving them per pixel.
 type triState struct {
 	tex             *texture.Texture
 	gu, gv, giw, gz gradient
+	shade           float64
+	zfirst          bool
+	// zy, iwy, uy and vy are gz, giw, gu and gv's b·y terms on the row
+	// being drawn.
+	zy, iwy, uy, vy float64
 }
 
-// tap is what one filter tap reads at level m: the texel (u0, v0) for a
-// point sample, and the 2x2 footprint u0..u1 by v0..v1 for a bilinear
-// one, every coordinate wrapped into the level (u1 and v1 the wrapped
-// successors of u0 and v0).
-type tap struct{ u0, v0, u1, v1, m int }
+// shadePixel runs the per-pixel pipeline: depth, texture sampling, write.
+// px is the pixel centre's x on the row t's b·y terms are for, and idx
+// its framebuffer index yi*Width+xi, accumulated per row by the caller.
+func (r *Rasterizer) shadePixel(t *triState, px float64, idx int) {
+	z := float32(t.gz.at(px, t.zy))
+	pass := z <= r.depth[idx]
 
-// rowPixel is one pixel of a row that samples the texture: its
-// framebuffer index, whether it passed the depth test, its base-level
-// texel coordinates and trilinear blend weight, and its n taps (two for
-// a trilinear sample between two levels, else one).
-type rowPixel struct {
-	idx        int
-	pass       bool
-	n          int
-	taps       [2]tap
-	u, v, frac float64
-}
+	if t.zfirst && !pass {
+		return // occluded: no texel traffic, no pixel generated
+	}
+	r.pixels++
 
-// shadeRow is the first pass over the covered pixels xStart..xEnd-1 of
-// row yi. For each it runs the depth test, writing the depth of a pixel
-// that passes; under z-before-texture an occluded pixel ends there,
-// generating no pixel and no texel traffic. For each other pixel in front
-// of the eye it divides out the perspective, finds the level of detail
-// and the taps the configured filter reads, and records the pixel
-// in r.row. It returns how many it recorded.
-//
-// texlint:hotpath
-func (r *Rasterizer) shadeRow(t *triState, yi, xStart, xEnd int) int {
-	py := float64(yi) + 0.5
-	// Each gradient's b·y term, once per row.
-	zy, iwy, uy, vy := t.gz.b*py, t.giw.b*py, t.gu.b*py, t.gv.b*py
-	tex, mode := t.tex, r.cfg.Mode
-	zfirst, exact := r.cfg.ZBeforeTexture, r.color != nil
-	// Locals, which the stores into the row need not reload.
-	depth, row := r.depth, r.row
-	base := yi * r.cfg.Width
-	n, pixels := 0, int64(0)
-	for xi := xStart; xi < xEnd; xi++ {
-		px := float64(xi) + 0.5
-		idx := base + xi
-		z := float32(t.gz.at(px, zy))
-		pass := z <= depth[idx]
-		if zfirst && !pass {
-			continue
-		}
-		pixels++
-		iw := t.giw.at(px, iwy)
-		if iw <= 0 {
-			continue // behind the eye; clipping should prevent this
-		}
-		wRecip := 1 / iw
-		u := t.gu.at(px, uy) * wRecip
-		v := t.gv.at(px, vy) * wRecip
+	iw := t.giw.at(px, t.iwy)
+	if iw <= 0 {
+		return // behind the eye; clipping should prevent this
+	}
+	wRecip := 1 / iw
+	u := t.gu.at(px, t.uy) * wRecip
+	v := t.gv.at(px, t.vy) * wRecip
 
-		// Texture-space footprint of the pixel via exact derivatives of
-		// the rational interpolant: d(f/g)/dx = (f'g - fg')/g^2.
-		dudx := (t.gu.a - u*t.giw.a) * wRecip
-		dvdx := (t.gv.a - v*t.giw.a) * wRecip
-		dudy := (t.gu.b - u*t.giw.b) * wRecip
-		dvdy := (t.gv.b - v*t.giw.b) * wRecip
-		var l lod
-		if exact {
-			l = exactLOD(lambdaOf(dudx, dvdx, dudy, dvdy))
-		} else {
-			l = footprintLOD(dudx, dvdx, dudy, dvdy)
-		}
-		if pass {
-			depth[idx] = z
-		}
-		p := &row[n]
-		n++
-		p.idx, p.pass, p.n, p.u, p.v, p.frac = idx, pass, 1, u, v, l.frac
-		switch mode {
-		case Point:
-			p.taps[0].pointAt(tex, u, v, tex.ClampLevel(l.round))
-		case Bilinear:
-			p.taps[0].quadAt(tex, u, v, tex.ClampLevel(l.round))
-		default: // Trilinear
-			if l.magnify {
-				// Magnification: a single bilinear fetch at the base level.
-				p.taps[0].quadAt(tex, u, v, 0)
-				continue
-			}
-			m0 := tex.ClampLevel(l.floor)
-			p.taps[0].quadAt(tex, u, v, m0)
-			if m1 := tex.ClampLevel(m0 + 1); m1 != m0 {
-				p.taps[1].quadAt(tex, u, v, m1)
-				p.n = 2
-			}
+	// Texture-space footprint of the pixel via exact derivatives of the
+	// rational interpolant: d(f/g)/dx = (f'g - fg')/g^2.
+	dudx := (t.gu.a - u*t.giw.a) * wRecip
+	dvdx := (t.gv.a - v*t.giw.a) * wRecip
+	dudy := (t.gu.b - u*t.giw.b) * wRecip
+	dvdy := (t.gv.b - v*t.giw.b) * wRecip
+	var l lod
+	if r.color != nil {
+		l = exactLOD(lambdaOf(dudx, dvdx, dudy, dvdy))
+	} else {
+		l = footprintLOD(dudx, dvdx, dudy, dvdy)
+	}
+
+	col := r.sampleAndEmit(t.tex, u, v, l)
+
+	if pass {
+		r.depth[idx] = z
+		if r.color != nil {
+			r.color[idx] = applyShade(col, t.shade)
 		}
 	}
-	r.pixels += pixels
-	return n
 }
 
 // lod is a pixel's level of detail λ = log2 ρ, where ρ is the longer of
@@ -481,6 +416,38 @@ func footprintLOD(dudx, dvdx, dudy, dvdy float64) lod {
 	return lod{floor: e >> 1, round: (e + 1) >> 1, magnify: e < 0}
 }
 
+// sampleAndEmit performs the configured filtering: it emits every texel
+// reference to the sink and returns the filtered colour (valid only when a
+// framebuffer is attached; otherwise the value is unused).
+func (r *Rasterizer) sampleAndEmit(tex *texture.Texture, u, v float64, l lod) texture.RGBA {
+	switch r.cfg.Mode {
+	case Point:
+		m := tex.ClampLevel(l.round)
+		return r.pointSample(tex, u, v, m)
+	case Bilinear:
+		m := tex.ClampLevel(l.round)
+		return r.bilinearSample(tex, u, v, m)
+	case Trilinear:
+		if l.magnify {
+			// Magnification: a single bilinear fetch at the base level.
+			return r.bilinearSample(tex, u, v, 0)
+		}
+		m0 := tex.ClampLevel(l.floor)
+		m1 := tex.ClampLevel(m0 + 1)
+		c0 := r.bilinearSample(tex, u, v, m0)
+		if m1 == m0 {
+			return c0
+		}
+		c1 := r.bilinearSample(tex, u, v, m1)
+		if r.color == nil {
+			return c1
+		}
+		return lerpColor(c0, c1, l.frac)
+	default:
+		panic(fmt.Sprintf("raster: unknown sample mode %d", int(r.cfg.Mode)))
+	}
+}
+
 // levelInv[m] holds the exact reciprocal 1/2^m. Multiplying by an exact
 // power-of-two reciprocal is the same correctly-rounded IEEE operation as
 // dividing by 2^m, so levelCoord avoids a per-texel divide without
@@ -503,72 +470,53 @@ func levelCoord(c float64, m int) float64 {
 	return c * levelInv[m]
 }
 
-// pointAt sets t to the point sample of base-level texel coordinates
-// (u, v) at level m. It sets the fields one by one: a tap returned by
-// value is copied through the stack in wider moves than it was stored
-// with, which stalls the copy.
-//
-// texlint:hotpath
-func (t *tap) pointAt(tex *texture.Texture, u, v float64, m int) {
-	l := &tex.Levels[m]
-	t.u0 = texture.WrapTexel(int(math.Floor(levelCoord(u, m))), l.Width)
-	t.v0 = texture.WrapTexel(int(math.Floor(levelCoord(v, m))), l.Height)
-	t.m = m
-}
-
-// quadAt sets t to the bilinear footprint of base-level texel
-// coordinates (u, v) at level m: the 2x2 texels around them.
-//
-// texlint:hotpath
-func (t *tap) quadAt(tex *texture.Texture, u, v float64, m int) {
-	l := &tex.Levels[m]
-	u0 := int(math.Floor(levelCoord(u, m) - 0.5))
-	v0 := int(math.Floor(levelCoord(v, m) - 0.5))
-	t.u0, t.u1 = texture.WrapTexel(u0, l.Width), texture.WrapTexel(u0+1, l.Width)
-	t.v0, t.v1 = texture.WrapTexel(v0, l.Height), texture.WrapTexel(v0+1, l.Height)
-	t.m = m
-}
-
-// emit sends a tap to the sink as texels: a point sample's one, or a
-// bilinear footprint's four in Quad's order.
-func (r *Rasterizer) emit(tid texture.ID, f *tap) {
-	switch {
-	case r.sink == nil:
-	case r.cfg.Mode == Point:
-		r.sink.Texel(tid, f.u0, f.v0, f.m)
-	default:
-		r.sink.Texel(tid, f.u0, f.v0, f.m)
-		r.sink.Texel(tid, f.u1, f.v0, f.m)
-		r.sink.Texel(tid, f.u0, f.v1, f.m)
-		r.sink.Texel(tid, f.u1, f.v1, f.m)
+// emit sends the texel (u, v) of level m, wrapped, to the sink.
+func (r *Rasterizer) emit(tex *texture.Texture, u, v, m int) {
+	if r.sink == nil {
+		return
 	}
+	l := tex.Levels[m]
+	r.sink.Texel(tex.ID, texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height), m)
 }
 
-// filterColor is the configured filter's colour of a row pixel, for the
-// framebuffer: its point sample, its bilinear sample, or its trilinear
-// blend of two bilinear samples by the fraction of its level of detail.
-func (r *Rasterizer) filterColor(tex *texture.Texture, p *rowPixel) texture.RGBA {
-	f := p.taps[0]
-	if r.cfg.Mode == Point {
-		return tex.Sample(f.u0, f.v0, f.m)
+// emitQuad sends the bilinear footprint whose first texel is (u, v) of
+// level m: in one Quad call to a QuadSink, else as four texels in the
+// same order.
+func (r *Rasterizer) emitQuad(tex *texture.Texture, u, v, m int) {
+	if r.quad == nil {
+		r.emit(tex, u, v, m)
+		r.emit(tex, u+1, v, m)
+		r.emit(tex, u, v+1, m)
+		r.emit(tex, u+1, v+1, m)
+		return
 	}
-	c := bilinearColor(tex, p.u, p.v, f.m)
-	if p.n == 2 {
-		c = lerpColor(c, bilinearColor(tex, p.u, p.v, p.taps[1].m), p.frac)
-	}
-	return c
+	l := tex.Levels[m]
+	r.quad.Quad(tex.ID,
+		texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height),
+		texture.WrapTexel(u+1, l.Width), texture.WrapTexel(v+1, l.Height), m)
 }
 
-// bilinearColor is the bilinear sample of base-level texel coordinates
-// (u, v) at level m: the four texels of its footprint, weighted by where
-// (u, v) falls between them.
-func bilinearColor(tex *texture.Texture, u, v float64, m int) texture.RGBA {
+func (r *Rasterizer) pointSample(tex *texture.Texture, u, v float64, m int) texture.RGBA {
+	ui := int(math.Floor(levelCoord(u, m)))
+	vi := int(math.Floor(levelCoord(v, m)))
+	r.emit(tex, ui, vi, m)
+	if r.color == nil {
+		return texture.RGBA{}
+	}
+	return tex.Sample(ui, vi, m)
+}
+
+func (r *Rasterizer) bilinearSample(tex *texture.Texture, u, v float64, m int) texture.RGBA {
 	lu := levelCoord(u, m) - 0.5
 	lv := levelCoord(v, m) - 0.5
 	u0 := int(math.Floor(lu))
 	v0 := int(math.Floor(lv))
 	fu := lu - float64(u0)
 	fv := lv - float64(v0)
+	r.emitQuad(tex, u0, v0, m)
+	if r.color == nil {
+		return texture.RGBA{}
+	}
 	c00 := tex.Sample(u0, v0, m)
 	c10 := tex.Sample(u0+1, v0, m)
 	c01 := tex.Sample(u0, v0+1, m)

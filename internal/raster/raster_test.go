@@ -337,9 +337,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Width: 10, Height: -1}); err == nil {
 		t.Error("negative height accepted")
 	}
-	if _, err := New(Config{Width: 10, Height: 10, Mode: Trilinear + 1}); err == nil {
-		t.Error("unknown sample mode accepted")
-	}
 }
 
 func TestShadeDarkensColour(t *testing.T) {

@@ -157,8 +157,6 @@ func (t *Texture) Texels() int64 {
 }
 
 // ClampLevel clamps a MIP level to the valid range for this texture.
-//
-// texlint:hotpath
 func (t *Texture) ClampLevel(m int) int {
 	if m < 0 {
 		return 0
@@ -175,8 +173,6 @@ func (t *Texture) ClampLevel(m int) int {
 // dimensions and halving preserves the property), so the per-texel path
 // reduces to a mask; the mod fallback keeps the function total for
 // arbitrary extents.
-//
-// texlint:hotpath
 func WrapTexel(c, extent int) int {
 	if extent&(extent-1) == 0 {
 		return c & (extent - 1)
