@@ -60,10 +60,8 @@ func (c Counters) Sub(o Counters) Counters {
 // byte counts are then the first one's, since they derive from the
 // shared caches' counters.
 //
-// Under the pull architecture, and for a sharer without a TLB, a miss
-// changes no state of the hierarchy's own: its counters follow from the
-// caches it shares. The caller may skip presenting it such misses unless
-// Sanitizing is set.
+// Under the pull architecture a miss changes no state of the hierarchy's
+// own, so the caller may skip presenting it misses: see SeesMisses.
 type Hierarchy struct {
 	L1  *L1Cache
 	L2  *L2Cache
@@ -74,6 +72,11 @@ type Hierarchy struct {
 	san sanState
 }
 
+// SeesMisses reports whether a hierarchy sharing its L1 must be presented
+// the misses in it. Under the pull architecture its counters follow from
+// the L1's, so it needs them only for texsan to check.
+func (h *Hierarchy) SeesMisses() bool { return h.L2 != nil || sanitizing }
+
 // Access runs one texel reference through the hierarchy, following the
 // control flow of Figure 7.
 //
@@ -83,7 +86,7 @@ func (h *Hierarchy) Access(ref Ref) {
 	if !hit {
 		h.accessMiss(ref)
 	}
-	if Sanitizing {
+	if sanitizing {
 		h.sanAccess(ref, hit)
 	}
 }
@@ -94,7 +97,7 @@ func (h *Hierarchy) Access(ref Ref) {
 // texlint:hotpath
 func (h *Hierarchy) Miss(ref Ref) {
 	h.accessMiss(ref)
-	if Sanitizing {
+	if sanitizing {
 		h.sanAccess(ref, false)
 	}
 }
@@ -108,7 +111,7 @@ func (h *Hierarchy) MissShared(ref Ref) {
 	if h.TLB != nil {
 		h.TLB.Lookup(ref.PTIndex)
 	}
-	if Sanitizing {
+	if sanitizing {
 		h.sanAccess(ref, false)
 	}
 }

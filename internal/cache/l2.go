@@ -223,7 +223,7 @@ func (c *L2Cache) Access(ptIndex uint32, sub uint8) L2Result {
 		if prev := c.owner[victim]; prev != 0 {
 			c.table[prev-1] = pageEntry{}
 			c.stats.Evictions++
-			if Sanitizing {
+			if sanitizing {
 				c.san.noteEvict(uint32(prev - 1))
 			}
 		}
@@ -295,7 +295,7 @@ func (c *L2Cache) DeleteTexture(tstart, tlen uint32) {
 			c.free = append(c.free, int32(phys))
 		}
 		*e = pageEntry{}
-		if Sanitizing {
+		if sanitizing {
 			c.san.noteEvict(i)
 		}
 	}

@@ -5,11 +5,11 @@ package cache
 // This file is the disabled half of the texsan runtime sanitizer; the
 // sanitizer proper lives in sanitize_on.go behind the texsan build tag
 // (go test -tags texsan ./...). In normal builds every hook below is an
-// empty method on an empty struct, the Sanitizing guard is a false
+// empty method on an empty struct, the sanitizing guard is a false
 // constant, and the hierarchy's hot path pays nothing.
 
-// Sanitizing reports whether the texsan invariant sanitizer is compiled in.
-const Sanitizing = false
+// sanitizing reports whether the texsan invariant sanitizer is compiled in.
+const sanitizing = false
 
 // sanState holds the hierarchy-level sanitizer state; empty when disabled.
 type sanState struct{}

@@ -28,8 +28,8 @@ package cache
 
 import "fmt"
 
-// Sanitizing reports whether the texsan invariant sanitizer is compiled in.
-const Sanitizing = true
+// sanitizing reports whether the texsan invariant sanitizer is compiled in.
+const sanitizing = true
 
 // sanPeriod is the access interval between full structural scans.
 const sanPeriod = 4096

@@ -71,11 +71,8 @@ type specState struct {
 // the hierarchies of every spec with that size and associativity share.
 type l1Group struct {
 	l1 *cache.L1Cache
-	// misses holds the members a miss does work for, as indices into
-	// fanout.specs in spec order: each L2's first member, and the other
-	// members with a TLB. A pull member's counters, and a TLB-less L2
-	// sharer's, follow from the caches it shares, so it is presented
-	// misses only when texsan is compiled in, to check them.
+	// misses holds the members that see its misses (SeesMisses), as
+	// indices into fanout.specs in spec order.
 	misses []int
 	backed bool // some member has an L2
 }
@@ -604,7 +601,7 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 				hier.TLB = cache.NewTLB(spec.TLBEntries)
 			}
 		}
-		if hier.L2 != nil && (st.owner < 0 || hier.TLB != nil) || cache.Sanitizing {
+		if hier.SeesMisses() {
 			g.misses = append(g.misses, i)
 		}
 		fan.specs = append(fan.specs, st)
