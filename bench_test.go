@@ -139,28 +139,24 @@ func BenchmarkRasterizerFill(b *testing.B) {
 }
 
 // BenchmarkVillageFrame measures one full simulated frame (geometry,
-// rasterization, L1+L2 simulation) of the Village at bench resolution.
+// rasterization, L1+L2 simulation) of the Village at bench resolution,
+// each on fresh caches.
 func BenchmarkVillageFrame(b *testing.B) {
 	w := workload.Village()
-	cfg := core.Config{
+	render := core.Config{
 		Width: 256, Height: 192,
-		Frames:  1,
-		Mode:    raster.Trilinear,
-		L1Bytes: 2 << 10,
-		L2: &cache.L2Config{
-			SizeBytes: 2 << 20,
-			Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
-			Policy:    cache.Clock,
-		},
+		Frames: 1,
+		Mode:   raster.Trilinear,
 	}
-	sim, err := core.NewSimulator(w, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	specs := []core.CacheSpec{{Name: "l2-2m", L1Bytes: 2 << 10, L2: &cache.L2Config{
+		SizeBytes: 2 << 20,
+		Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
+		Policy:    cache.Clock,
+	}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(); err != nil {
+		if _, err := core.RunComparison(w, render, specs); err != nil {
 			b.Fatal(err)
 		}
 	}

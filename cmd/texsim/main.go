@@ -8,9 +8,12 @@
 //	texsim -workload city -mode bilinear -l2mb 0          # pull architecture
 //	texsim -workload village -l2mb 4 -l2tile 32 -policy lru -zfirst
 //
-// With -sweep the workload is rendered once and every texel reference is
-// fanned out to the canonical cache sweep (the same 13 specs the
-// experiment suite uses; -specs selects a comma-separated subset):
+// Without -sweep the flags' configuration runs on the exact engine as a
+// sweep of one spec. With -sweep the workload is rendered once and every
+// texel reference is fanned out to the canonical cache sweep (the same 13
+// specs the experiment suite uses; -specs selects a comma-separated
+// subset), and the cache flags (-l1, -l2mb, -l2tile, -policy, -tlb,
+// -nosector) are usage errors:
 //
 //	texsim -workload city -sweep -specs pull-2k,l2-2m
 //
@@ -140,19 +143,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.StatLayouts = []texture.TileLayout{{L2Size: 16, L1Size: 4}}
 	}
 
+	// A flag set on the command line that the run would ignore is a
+	// usage error: the sweep's specs fix their own caches, and only a
+	// sweep selects specs.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var specs []core.CacheSpec
 	if *sweep {
+		for _, name := range []string{"l1", "l2mb", "l2tile", "policy", "tlb", "nosector"} {
+			if set[name] {
+				fmt.Fprintf(stderr, "texsim: -%s does not apply to -sweep runs, whose specs set their own caches\n", name)
+				return 2
+			}
+		}
 		if specs, err = selectSpecs(*specsArg); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	} else {
-		specsSet := false
-		fs.Visit(func(f *flag.Flag) { specsSet = specsSet || f.Name == "specs" })
-		if specsSet {
+		if set["specs"] {
 			fmt.Fprintln(stderr, "texsim: -specs only applies to -sweep runs")
 			return 2
 		}
+		name := "pull"
+		if cfg.L2 != nil {
+			name = "l2"
+		}
+		specs = []core.CacheSpec{{Name: name, L1Bytes: cfg.L1Bytes, L2: cfg.L2, TLBEntries: cfg.TLBEntries}}
 	}
 
 	// Telemetry plumbing: the finished run's metric stream goes to
@@ -213,26 +230,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	simFrames := 0
+	cmp, err := core.RunComparison(w, cfg, specs)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	if *sweep {
-		cmp, err := core.RunComparison(w, cfg, specs)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 		core.EmitComparisonMetrics(metrics, cmp)
 		reportSweep(stdout, w, cfg, specs, cmp)
-		simFrames = len(cmp.FramePixels)
 	} else {
-		res, err := core.Run(w, cfg)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		core.EmitMetrics(metrics, res, "")
-		report(stdout, w, cfg, res)
-		simFrames = len(res.Frames)
+		// One unlabelled record per frame, as the stream of a single
+		// configuration has always been.
+		core.EmitMetrics(metrics, cmp.Results[0], "")
+		report(stdout, w, cfg, cmp.Results[0])
 	}
+	simFrames := len(cmp.FramePixels)
 
 	if closeMetrics != nil {
 		if err := closeMetrics(); err != nil {

@@ -16,6 +16,7 @@ func TestRun(t *testing.T) {
 	runMetrics := filepath.Join(dir, "run.jsonl")
 	csvMetrics := filepath.Join(dir, "m.csv")
 	trace := filepath.Join(dir, "t.json")
+	runTrace := filepath.Join(dir, "run-trace.json")
 	tiny := []string{"-workload", "village", "-width", "64", "-height", "48", "-frames", "2"}
 	with := func(extra ...string) []string { return append(append([]string(nil), tiny...), extra...) }
 
@@ -39,6 +40,15 @@ func TestRun(t *testing.T) {
 		{"unknown workload", []string{"-workload", "bogus"}, 2, "", `unknown workload "bogus"; valid workloads: village, city, mall`, "", nil},
 		{"unknown spec", with("-sweep", "-specs", "bogus"), 2, "", "valid specs: pull-2k", "", nil},
 		{"specs without -sweep", with("-specs", "pull-2k"), 2, "", "-specs only applies to -sweep", "", nil},
+		// The sweep's specs set their own caches, so a cache flag set
+		// beside -sweep would be ignored.
+		{"-l1 with -sweep", with("-sweep", "-l1", "0"), 2, "", "-l1 does not apply to -sweep", "", nil},
+		{"-l2mb with -sweep", with("-sweep", "-l2mb", "4"), 2, "", "-l2mb does not apply to -sweep", "", nil},
+		{"-l2tile with -sweep", with("-sweep", "-l2tile", "7"), 2, "", "-l2tile does not apply to -sweep", "", nil},
+		{"-policy with -sweep", with("-sweep", "-policy", "lru"), 2, "", "-policy does not apply to -sweep", "", nil},
+		{"-tlb with -sweep", with("-sweep", "-tlb", "4"), 2, "", "-tlb does not apply to -sweep", "", nil},
+		{"-nosector with -sweep", with("-sweep", "-nosector"), 2, "", "-nosector does not apply to -sweep", "", nil},
+		{"invalid L1", with("-l1", "0"), 1, "", `core: spec "l2": cache: invalid L1 size 0`, "", nil},
 		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
 		{"sweep with stats", with("-sweep", "-stats"), 0, "working set", "", "", nil},
 		{"monitor", with("-sweep", "-monitor", "127.0.0.1:0"), 0, "workload village", "monitor listening on http://127.0.0.1:", "", nil},
@@ -53,6 +63,9 @@ func TestRun(t *testing.T) {
 			[]string{`^workload,spec,frame,pixels,`, `\nvillage,l2-2m,1,[0-9]`}},
 		{"trace", with("-sweep", "-trace", trace), 0, "textrace report", "", trace,
 			[]string{`"thread_name","args":\{"name":"render"\}`, `"ph":"C",[^}]*"name":"replayed/`}},
+		// A single configuration runs on the exact engine as a sweep of one spec.
+		{"trace without -sweep", with("-trace", runTrace), 0, "textrace report", "", runTrace,
+			[]string{`"thread_name","args":\{"name":"render"\}`, `"ph":"C",[^}]*"name":"replayed/l2"`}},
 	}
 
 	for _, tt := range tests {
@@ -66,6 +79,9 @@ func TestRun(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tt.wantErr) {
 				t.Errorf("stderr missing %q:\n%s", tt.wantErr, stderr.String())
+			}
+			if strings.Contains(stderr.String(), "core: core:") {
+				t.Errorf("stderr repeats its package prefix:\n%s", stderr.String())
 			}
 			if tt.file == "" {
 				return

@@ -24,18 +24,17 @@ func main() {
 		float64(w.Scene.Textures.HostBytes())/(1<<20))
 
 	layout := texture.TileLayout{L2Size: 16, L1Size: 4}
-	cfg := core.Config{
+	render := core.Config{
 		Width: 512, Height: 384,
 		Frames:      100,
 		Mode:        raster.Point, // the paper's §4 methodology
-		L1Bytes:     2 << 10,
 		StatLayouts: []texture.TileLayout{layout},
 	}
-	res, err := core.Run(w, cfg)
+	cmp, err := core.RunComparison(w, render, []core.CacheSpec{{Name: "pull-2k", L1Bytes: 2 << 10}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := res.Summary
+	s := cmp.Results[0].Summary
 	ls, _ := s.Layout(layout)
 
 	expected := model.ExpectedWorkingSet(s.ScreenPixels, s.DepthComplexity, ls.Utilization)

@@ -1,5 +1,6 @@
-// Quickstart: build a small textured scene with the scene API, simulate it
-// through the pull architecture and through two-level texture caching, and
+// Quickstart: build a small textured scene with the scene API, render it
+// once and simulate that one reference stream through the pull
+// architecture and through two-level texture caching side by side, and
 // print the bandwidth the L2 cache saves.
 //
 // Run with: go run ./examples/quickstart
@@ -61,30 +62,27 @@ func main() {
 		Up:     vecmath.Vec3{Y: 1},
 	}
 
-	base := core.Config{
+	render := core.Config{
 		Width: 512, Height: 384,
-		Frames:  60,
-		Mode:    raster.Trilinear,
-		L1Bytes: 2 * 1024,
+		Frames: 60,
+		Mode:   raster.Trilinear,
 	}
-
-	// Pull architecture: L1 only, every miss downloads from host memory.
-	pull, err := core.Run(w, base)
+	specs := []core.CacheSpec{
+		// Pull architecture: L1 only, every miss downloads from host memory.
+		{Name: "pull", L1Bytes: 2 * 1024},
+		// Proposed architecture: a 2 MB L2 texture cache in local memory.
+		{Name: "l2-2m", L1Bytes: 2 * 1024, L2: &cache.L2Config{
+			SizeBytes: 2 << 20,
+			Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
+			Policy:    cache.Clock,
+		}},
+	}
+	// One render feeds every spec: both see the identical texel stream.
+	cmp, err := core.RunComparison(w, render, specs)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Proposed architecture: a 2 MB L2 texture cache in local memory.
-	withL2 := base
-	withL2.L2 = &cache.L2Config{
-		SizeBytes: 2 << 20,
-		Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
-		Policy:    cache.Clock,
-	}
-	l2, err := core.Run(w, withL2)
-	if err != nil {
-		log.Fatal(err)
-	}
+	pull, l2 := cmp.Results[0], cmp.Results[1]
 
 	fmt.Printf("L1 hit rate:              %.2f%%\n", 100*pull.Totals.L1.HitRate())
 	fmt.Printf("pull host bandwidth:      %.3f MB/frame\n", pull.AvgHostMBPerFrame())

@@ -17,15 +17,20 @@ import (
 // short-circuits the scan when the most recently touched entry matches,
 // and membership plus round-robin victim choice are untouched. These
 // counters were captured before the fast path landed and must never move.
+// They are read from a one-spec RunComparison, the engine every command
+// runs.
 func TestTLBGoldenCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reduced-scale render in -short mode")
 	}
-	cfg := core.Config{
-		Width:   512,
-		Height:  384,
-		Frames:  80,
-		Mode:    raster.Trilinear,
+	render := core.Config{
+		Width:  512,
+		Height: 384,
+		Frames: 80,
+		Mode:   raster.Trilinear,
+	}
+	spec := core.CacheSpec{
+		Name:    "l2-2m",
 		L1Bytes: 2 * 1024,
 		L2: &cache.L2Config{
 			SizeBytes: 2 * 1024 * 1024,
@@ -34,10 +39,11 @@ func TestTLBGoldenCounters(t *testing.T) {
 		},
 		TLBEntries: 16,
 	}
-	res, err := core.Run(workload.Village(), cfg)
+	cmp, err := core.RunComparison(workload.Village(), render, []core.CacheSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cmp.Results[0]
 	const (
 		wantLookups = int64(17041996)
 		wantHits    = int64(15359878)

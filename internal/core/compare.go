@@ -572,7 +572,9 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 			l2cfg.Layout.L1Size = 4
 			idx, ok := layoutIndex[l2cfg.Layout]
 			if !ok {
-				set.MustPrepare(l2cfg.Layout)
+				if err := set.Prepare(l2cfg.Layout); err != nil {
+					return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+				}
 				starts := make([]uint32, set.Len())
 				for i := range starts {
 					starts[i] = set.Start(l2cfg.Layout, texture.ID(i))

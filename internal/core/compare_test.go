@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,45 +23,6 @@ func l2spec(name string, l1, mb int, tlb int) CacheSpec {
 			Policy:    cache.Clock,
 		},
 		TLBEntries: tlb,
-	}
-}
-
-func TestRunComparisonMatchesIndividualRuns(t *testing.T) {
-	render := testCfg()
-	render.Frames = 6
-
-	specs := []CacheSpec{
-		{Name: "pull-2k", L1Bytes: 2 * 1024},
-		l2spec("l2-2m", 2*1024, 2, 16),
-	}
-	cmp, err := RunComparison(workload.City(), render, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Results) != 2 {
-		t.Fatalf("results = %d", len(cmp.Results))
-	}
-
-	// Each spec must match an individually simulated run exactly.
-	pullCfg := render
-	pullCfg.L1Bytes = 2 * 1024
-	pull, err := Run(workload.City(), pullCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Results[0].Totals != pull.Totals {
-		t.Errorf("pull totals differ:\ncomparison %+v\nindividual %+v",
-			cmp.Results[0].Totals, pull.Totals)
-	}
-
-	l2Cfg := withL2(render, 2)
-	l2run, err := Run(workload.City(), l2Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Results[1].Totals != l2run.Totals {
-		t.Errorf("l2 totals differ:\ncomparison %+v\nindividual %+v",
-			cmp.Results[1].Totals, l2run.Totals)
 	}
 }
 
@@ -91,7 +53,7 @@ func TestRunComparisonSharedLayouts(t *testing.T) {
 }
 
 // TestRunComparisonWithStats: the working-set statistics the render
-// stage collects, taking each footprint whole, are those core.Run
+// stage collects, taking each footprint whole, are those the oracle
 // collects texel by texel.
 func TestRunComparisonWithStats(t *testing.T) {
 	render := testCfg()
@@ -111,13 +73,13 @@ func TestRunComparisonWithStats(t *testing.T) {
 	}
 	cfg := render
 	cfg.L1Bytes = 2 * 1024
-	want, err := Run(workload.Village(), cfg)
+	want, err := Oracle(workload.Village(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := cmp.Results[0]; !reflect.DeepEqual(got.Frames, want.Frames) ||
 		!reflect.DeepEqual(got.Summary, want.Summary) {
-		t.Errorf("working set differs from core.Run's:\ncomparison %+v\nindividual %+v", got.Summary, want.Summary)
+		t.Errorf("working set differs from the oracle's:\ncomparison %+v\noracle     %+v", got.Summary, want.Summary)
 	}
 }
 
@@ -182,6 +144,16 @@ func TestRunComparisonErrors(t *testing.T) {
 	bad := []CacheSpec{{Name: "bad", L1Bytes: 100}}
 	if _, err := RunComparison(workload.Village(), testCfg(), bad); err == nil {
 		t.Error("invalid L1 size accepted")
+	}
+	// L2 tiles that are no power of two, smaller than the 4x4 L1 tile or
+	// empty, and L2 sizes that hold no whole tile or a fraction of one.
+	for _, c := range []struct{ edge, bytes int }{{7, 2 << 20}, {2, 2 << 20}, {0, 2 << 20}, {16, 0}, {16, 1000}} {
+		spec := l2spec("bad-l2", 2*1024, 2, 16)
+		spec.L2.Layout.L2Size, spec.L2.SizeBytes = c.edge, c.bytes
+		_, err := RunComparison(workload.Village(), testCfg(), []CacheSpec{spec})
+		if err == nil || !strings.HasPrefix(err.Error(), `core: spec "bad-l2": `) {
+			t.Errorf("L2 of %d bytes in %dx%d tiles: error %v, want one naming the spec", c.bytes, c.edge, c.edge, err)
+		}
 	}
 	// Fully associative L1s of 1 to maxChains+1 lines: one chain each,
 	// one more than a record's chain mask can name.

@@ -1,13 +1,15 @@
 // Package core is the study's simulator: it drives a workload's scripted
-// animation through the geometry pipeline and rasterizer, translates each
-// texel reference to the hierarchical virtual texture address, and presents
-// it to the configured cache hierarchy (L1 only for the pull architecture,
-// L1+L2 for the proposed architecture), gathering per-frame transaction
-// counts, bandwidths, and working-set statistics.
+// animation through the geometry pipeline and rasterizer once, translates
+// each texel reference to the hierarchical virtual texture address, and
+// presents that one stream to every cache configuration of a comparison
+// (L1 only for the pull architecture, L1+L2 for the proposed
+// architecture), gathering per-frame transaction counts, bandwidths, and
+// working-set statistics. RunComparison is its one engine: a single
+// configuration runs as a comparison of one spec.
 //
-// It also records and replays binary reference traces (traceio.go). The
-// sweep engines do not use them: they render the stream once and store
-// nothing.
+// It also records and replays binary reference traces (traceio.go), kept
+// for the benchmark. The engine does not use them: it renders the stream
+// once and stores nothing.
 package core
 
 import (
@@ -45,8 +47,6 @@ type Config struct {
 	// StatLayouts, when non-empty, enables the §4 working-set collector
 	// at the given tile granularities.
 	StatLayouts []texture.TileLayout
-	// Framebuffer renders colour output (snapshots); costs time.
-	Framebuffer bool
 	// Parallelism, RenderWorkers and ReplayWorkers selected the retired
 	// parallel sweep engines.
 	//

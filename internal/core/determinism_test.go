@@ -12,16 +12,11 @@ import (
 // must produce bit-identical counters — the property that makes the study
 // reproducible.
 func TestRunDeterministic(t *testing.T) {
-	cfg := withL2(testCfg(), 2)
-	cfg.Frames = 5
-	a, err := Run(workload.Village(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(workload.Village(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	render := testCfg()
+	render.Frames = 5
+	spec := l2spec("l2-2m", 2*1024, 2, 16)
+	a := runSpecs(t, workload.Village(), render, spec)[0]
+	b := runSpecs(t, workload.Village(), render, spec)[0]
 	if a.Totals != b.Totals {
 		t.Errorf("totals differ:\n%+v\n%+v", a.Totals, b.Totals)
 	}
@@ -44,10 +39,7 @@ func TestStatsConsistentWithCacheTraffic(t *testing.T) {
 	cfg.Frames = 8
 	cfg.Mode = raster.Bilinear
 	cfg.StatLayouts = []texture.TileLayout{{L2Size: 4, L1Size: 4}}
-	res, err := Run(workload.City(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpecs(t, workload.City(), cfg, pullSpec())[0]
 	for i, fr := range res.Frames {
 		tiles, _ := fr.Stats.LayoutStats(texture.TileLayout{L2Size: 4, L1Size: 4})
 		minBytes := tiles.Blocks * 64
@@ -64,12 +56,9 @@ func TestStatsConsistentWithCacheTraffic(t *testing.T) {
 
 // TestPerFrameDeltasSumToTotals over every counter field.
 func TestPerFrameDeltasSumToTotals(t *testing.T) {
-	cfg := withL2(testCfg(), 2)
-	cfg.Frames = 6
-	res, err := Run(workload.Village(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	render := testCfg()
+	render.Frames = 6
+	res := runSpecs(t, workload.Village(), render, l2spec("l2-2m", 2*1024, 2, 16))[0]
 	var acc struct {
 		l1a, l1m, full, part, miss, host, l2r, l2w, tlbL, tlbH int64
 	}

@@ -25,7 +25,7 @@ func TestReplayTraceHonorsFrameLimit(t *testing.T) {
 	cfg := withL2(testCfg(), 2)
 	cfg.Frames = 8
 
-	direct, err := Run(workload.Village(), cfg)
+	direct, err := Oracle(workload.Village(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRecordReplayGolden(t *testing.T) {
 			{"pull", base},
 			{"l2-2m", withL2(base, 2)},
 		} {
-			direct, err := Run(wl.make(), spec.cfg)
+			direct, err := Oracle(wl.make(), spec.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

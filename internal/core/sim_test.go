@@ -55,11 +55,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestRunPullArchitecture(t *testing.T) {
-	res, err := Run(workload.Village(), testCfg())
+// runSpecs runs one comparison of specs over w and returns its results,
+// parallel to specs.
+func runSpecs(t *testing.T, w *workload.Workload, render Config, specs ...CacheSpec) []*Results {
+	t.Helper()
+	cmp, err := RunComparison(w, render, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cmp.Results
+}
+
+// pullSpec is the paper's baseline pull architecture: a 2 KB L1 alone.
+func pullSpec() CacheSpec { return CacheSpec{Name: "pull-2k", L1Bytes: 2 * 1024} }
+
+func TestRunPullArchitecture(t *testing.T) {
+	res := runSpecs(t, workload.Village(), testCfg(), pullSpec())[0]
 	if len(res.Frames) != 10 {
 		t.Fatalf("frames = %d", len(res.Frames))
 	}
@@ -85,15 +96,8 @@ func TestRunPullArchitecture(t *testing.T) {
 }
 
 func TestL2SavesHostBandwidth(t *testing.T) {
-	w := workload.Village()
-	pull, err := Run(w, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Run(workload.Village(), withL2(testCfg(), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpecs(t, workload.Village(), testCfg(), pullSpec(), l2spec("l2-2m", 2*1024, 2, 16))
+	pull, l2 := res[0], res[1]
 	// The headline result: even a 2 MB L2 slashes host bandwidth. At
 	// paper scale the factor is 5-18x; at test scale demand at least 3x.
 	ratio := float64(pull.Totals.HostBytes) / float64(l2.Totals.HostBytes)
@@ -117,32 +121,19 @@ func TestL2SavesHostBandwidth(t *testing.T) {
 }
 
 func TestBiggerL1ReducesMisses(t *testing.T) {
-	w := workload.Village()
-	small, err := Run(w, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := testCfg()
-	big.L1Bytes = 16 * 1024
-	bigRes, err := Run(workload.Village(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bigRes.Totals.L1.Misses >= small.Totals.L1.Misses {
+	res := runSpecs(t, workload.Village(), testCfg(),
+		pullSpec(), CacheSpec{Name: "pull-16k", L1Bytes: 16 * 1024})
+	small, big := res[0], res[1]
+	if big.Totals.L1.Misses >= small.Totals.L1.Misses {
 		t.Errorf("16KB L1 misses (%d) >= 2KB L1 misses (%d)",
-			bigRes.Totals.L1.Misses, small.Totals.L1.Misses)
+			big.Totals.L1.Misses, small.Totals.L1.Misses)
 	}
 }
 
 func TestBiggerL2ReducesHostBytes(t *testing.T) {
-	a, err := Run(workload.City(), withL2(testCfg(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(workload.City(), withL2(testCfg(), 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpecs(t, workload.City(), testCfg(),
+		l2spec("l2-1m", 2*1024, 1, 16), l2spec("l2-8m", 2*1024, 8, 16))
+	a, b := res[0], res[1]
 	if b.Totals.HostBytes > a.Totals.HostBytes {
 		t.Errorf("8MB L2 host bytes (%d) > 1MB L2 host bytes (%d)",
 			b.Totals.HostBytes, a.Totals.HostBytes)
@@ -150,16 +141,10 @@ func TestBiggerL2ReducesHostBytes(t *testing.T) {
 }
 
 func TestZBeforeTextureReducesTraffic(t *testing.T) {
-	base, err := Run(workload.Village(), testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runSpecs(t, workload.Village(), testCfg(), pullSpec())[0]
 	zcfg := testCfg()
 	zcfg.ZBeforeTexture = true
-	z, err := Run(workload.Village(), zcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := runSpecs(t, workload.Village(), zcfg, pullSpec())[0]
 	if z.Totals.L1.Accesses >= base.Totals.L1.Accesses {
 		t.Errorf("z-before-texture accesses %d >= baseline %d",
 			z.Totals.L1.Accesses, base.Totals.L1.Accesses)
@@ -178,10 +163,7 @@ func TestStatsCollection(t *testing.T) {
 	cfg := testCfg()
 	cfg.Mode = raster.Point
 	cfg.StatLayouts = []texture.TileLayout{{L2Size: 16, L1Size: 4}}
-	res, err := Run(workload.City(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpecs(t, workload.City(), cfg, pullSpec())[0]
 	if res.Summary == nil {
 		t.Fatal("no summary")
 	}
@@ -209,7 +191,7 @@ func TestTraceReplayMatchesDirectRun(t *testing.T) {
 	cfg := withL2(testCfg(), 2)
 	cfg.Frames = 6
 
-	direct, err := Run(w, cfg)
+	direct, err := Oracle(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,18 +242,13 @@ func TestAvgHostMBPerFrame(t *testing.T) {
 }
 
 func TestTLBHitRateImprovesWithEntries(t *testing.T) {
-	w := workload.Village()
-	rates := make([]float64, 0, 3)
-	for _, entries := range []int{1, 4, 16} {
-		cfg := withL2(testCfg(), 2)
-		cfg.Frames = 5
-		cfg.TLBEntries = entries
-		res, err := Run(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w = workload.Village() // fresh scene: caches are per-run anyway
-		rates = append(rates, res.Totals.TLB.HitRate())
+	render := testCfg()
+	render.Frames = 5
+	res := runSpecs(t, workload.Village(), render,
+		l2spec("tlb-1", 2*1024, 2, 1), l2spec("tlb-4", 2*1024, 2, 4), l2spec("tlb-16", 2*1024, 2, 16))
+	rates := make([]float64, 0, len(res))
+	for _, r := range res {
+		rates = append(rates, r.Totals.TLB.HitRate())
 	}
 	if !(rates[0] < rates[1] && rates[1] < rates[2]) {
 		t.Errorf("TLB hit rates not increasing: %v", rates)
@@ -282,39 +259,18 @@ func TestTLBHitRateImprovesWithEntries(t *testing.T) {
 	}
 }
 
-func TestFramebufferSnapshot(t *testing.T) {
-	cfg := testCfg()
-	cfg.Frames = 1
-	cfg.Framebuffer = true
-	sim, err := NewSimulator(workload.Village(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fb := sim.Framebuffer()
-	if len(fb) != 256*192 {
-		t.Fatalf("framebuffer len = %d", len(fb))
-	}
-	// The image must not be all background: count distinct colours.
-	colours := map[texture.RGBA]bool{}
-	for _, c := range fb {
-		colours[c] = true
-	}
-	if len(colours) < 10 {
-		t.Errorf("distinct colours = %d, want a real image", len(colours))
-	}
-}
-
+// TestFramesDefaultToWorkloadCount: a render with no frame count runs
+// the workload's own.
 func TestFramesDefaultToWorkloadCount(t *testing.T) {
-	cfg := testCfg()
-	cfg.Frames = 0
-	sim, err := NewSimulator(workload.Village(), cfg)
+	w := workload.Village()
+	w.Frames = 2
+	render := Config{Width: 32, Height: 24, Mode: raster.Bilinear}
+	cmp, err := RunComparison(w, render, []CacheSpec{pullSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.cfg.Frames != workload.VillageFrames {
-		t.Errorf("frames = %d, want %d", sim.cfg.Frames, workload.VillageFrames)
+	if cmp.Render.Frames != 2 || len(cmp.FramePixels) != 2 || len(cmp.Results[0].Frames) != 2 {
+		t.Errorf("frames = %d (%d pixel counts, %d results), want 2",
+			cmp.Render.Frames, len(cmp.FramePixels), len(cmp.Results[0].Frames))
 	}
 }

@@ -1,4 +1,4 @@
-package experiments
+package core_test
 
 import (
 	"reflect"
@@ -6,26 +6,29 @@ import (
 
 	"texcache/internal/cache"
 	"texcache/internal/core"
+	"texcache/internal/experiments"
 	"texcache/internal/raster"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
 
 // oracleRender is the oracle tests' render configuration, small enough
-// that the race lane (go test -race) runs them on every CI run; they are
-// deliberately not gated by raceEnabled.
-func oracleRender() core.Config {
-	return core.Config{Width: 192, Height: 144, Frames: 4, Mode: raster.Trilinear}
+// that the race lane (go test -race) runs them on every CI run.
+func oracleRender(mode raster.SampleMode) core.Config {
+	return core.Config{Width: 192, Height: 144, Frames: 4, Mode: mode}
 }
 
 // TestSweepMatchesIndividualRuns is the exact engine's oracle: every
 // spec the experiments sweep, simulated through RunComparison's shared
-// fan-out, matches an independent core.Run of that spec alone — totals
-// and every frame — on both cache-study scenes. The off-canonical
-// subtests repeat the check for a spec list outside the paper's sweep
-// shape. Each subtest builds its own workload, so they run in parallel.
+// fan-out, matches core.Oracle's run of that spec alone — totals and
+// every frame — on both cache-study scenes in trilinear. The
+// off-canonical subtests repeat the check in bilinear for a spec list
+// outside the paper's sweep shape, and the point subtest in point
+// sampling under the statistics runs' tile granularities, where the
+// working set must match too. Each subtest builds its own workload, so
+// they run in parallel.
 func TestSweepMatchesIndividualRuns(t *testing.T) {
-	specs := SweepSpecs()
+	specs := experiments.SweepSpecs()
 	scenes := []struct {
 		name string
 		load func() *workload.Workload
@@ -36,7 +39,7 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 	for _, tc := range scenes {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			checkSweepOracle(t, tc.load(), specs)
+			checkSweepOracle(t, tc.load(), oracleRender(raster.Trilinear), specs)
 		})
 	}
 	t.Run("off-canonical", func(t *testing.T) {
@@ -44,9 +47,15 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 		for _, tc := range scenes {
 			t.Run(tc.name, func(t *testing.T) {
 				t.Parallel()
-				checkSweepOracle(t, tc.load(), offCanonicalSpecs())
+				checkSweepOracle(t, tc.load(), oracleRender(raster.Bilinear), offCanonicalSpecs())
 			})
 		}
+	})
+	t.Run("point-stats", func(t *testing.T) {
+		t.Parallel()
+		render := oracleRender(raster.Point)
+		render.StatLayouts = experiments.StatLayouts()
+		checkSweepOracle(t, workload.Village(), render, specs)
 	})
 
 	// The frozen benchmark still sets the deprecated engine fields and
@@ -54,11 +63,11 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 	t.Run("deprecated-fields", func(t *testing.T) {
 		t.Parallel()
 		w := workload.Village()
-		want, err := core.RunComparison(w, oracleRender(), specs)
+		want, err := core.RunComparison(w, oracleRender(raster.Trilinear), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		render := oracleRender()
+		render := oracleRender(raster.Trilinear)
 		render.Parallelism, render.RenderWorkers, render.ReplayWorkers = 4, 4, 4
 		got, err := core.RunComparison(w, render, specs)
 		if err != nil {
@@ -77,11 +86,11 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 	})
 }
 
-// checkSweepOracle runs specs through one RunComparison of w and requires
-// every spec's totals and frames to equal an independent core.Run.
-func checkSweepOracle(t *testing.T, w *workload.Workload, specs []core.CacheSpec) {
+// checkSweepOracle runs specs through one RunComparison of w under
+// render and requires every spec's totals, frames and working-set
+// summary to equal core.Oracle's run of that spec alone.
+func checkSweepOracle(t *testing.T, w *workload.Workload, render core.Config, specs []core.CacheSpec) {
 	t.Helper()
-	render := oracleRender()
 	cmp, err := core.RunComparison(w, render, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -93,17 +102,24 @@ func checkSweepOracle(t *testing.T, w *workload.Workload, specs []core.CacheSpec
 		cfg := render
 		cfg.L1Bytes, cfg.L1Ways = spec.L1Bytes, spec.L1Ways
 		cfg.L2, cfg.TLBEntries = spec.L2, spec.TLBEntries
-		want, err := core.Run(w, cfg)
+		if i > 0 {
+			cfg.StatLayouts = nil // a comparison collects statistics for its first spec only
+		}
+		want, err := core.Oracle(w, cfg)
 		if err != nil {
 			t.Fatalf("spec %q: %v", spec.Name, err)
 		}
 		got := cmp.Results[i]
 		if got.Totals != want.Totals {
-			t.Errorf("spec %q: totals differ:\nsweep %+v\nrun   %+v",
+			t.Errorf("spec %q: totals differ:\nsweep  %+v\noracle %+v",
 				spec.Name, got.Totals, want.Totals)
 		}
 		if !reflect.DeepEqual(got.Frames, want.Frames) {
 			t.Errorf("spec %q: per-frame results differ", spec.Name)
+		}
+		if !reflect.DeepEqual(got.Summary, want.Summary) {
+			t.Errorf("spec %q: working-set summary differs:\nsweep  %+v\noracle %+v",
+				spec.Name, got.Summary, want.Summary)
 		}
 	}
 }

@@ -78,15 +78,12 @@ func TestMetricStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunEmitsMetrics: EmitMetrics replays a finished core.Run as one
-// record per frame, in frame order.
+// TestRunEmitsMetrics: EmitMetrics replays one spec's finished Results as
+// one record per frame, in frame order.
 func TestRunEmitsMetrics(t *testing.T) {
-	cfg := withL2(testCfg(), 2)
-	cfg.Frames = 3
-	res, err := Run(workload.City(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	render := testCfg()
+	render.Frames = 3
+	res := runSpecs(t, workload.City(), render, l2spec("l2-2m", 2*1024, 2, 16))[0]
 	var buf telemetry.Buffer
 	EmitMetrics(&buf, res, "")
 	if len(buf.Records) != 3 {
@@ -140,8 +137,8 @@ func TestSweepSpans(t *testing.T) {
 }
 
 // TestEmitPathAllocFree asserts the per-texel hot paths allocate
-// nothing: the single-configuration address sink, and the -fast engine's
-// reuse probe with an L1 filter and TLB behind it.
+// nothing: ReplayTrace's address sink, and the -fast engine's reuse
+// probe with an L1 filter and TLB behind it.
 func TestEmitPathAllocFree(t *testing.T) {
 	for _, tc := range emitSinks(t) {
 		u, v := 0, 0
@@ -162,7 +159,7 @@ func emitSinks(tb testing.TB) []struct {
 	sink raster.Sink
 } {
 	w := workload.Village()
-	sim, err := NewSimulator(w, withL2(testCfg(), 2))
+	_, sink, err := buildHierarchy(w.Scene.Textures, withL2(testCfg(), 2))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -174,7 +171,7 @@ func emitSinks(tb testing.TB) []struct {
 	return []struct {
 		name string
 		sink raster.Sink
-	}{{"addr-sink", sim.sink}, {"reuse-probe", probe}}
+	}{{"addr-sink", sink}, {"reuse-probe", probe}}
 }
 
 func BenchmarkTexelEmit(b *testing.B) {

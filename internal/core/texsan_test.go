@@ -35,7 +35,7 @@ func sanConfig(frames int) Config {
 
 func runSanitized(t *testing.T, w *workload.Workload, cfg Config) {
 	t.Helper()
-	res, err := Run(w, cfg)
+	res, err := Oracle(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTexsanVillagePullArchitecture(t *testing.T) {
 	cfg.L2 = nil
 	cfg.TLBEntries = 0
 	w := workload.Village()
-	res, err := Run(w, cfg)
+	res, err := Oracle(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,3 +186,79 @@ func ReplayTrace(r io.Reader, set *texture.Set, cfg Config) (*Results, error) {
 	}
 	return res, nil
 }
+
+// addrSink translates texel references to cache addresses and drives one
+// unshared hierarchy, reference by reference: the sink of ReplayTrace,
+// and of the per-spec oracle the exact engine is tested against.
+type addrSink struct {
+	canon   []*texture.Tiling // canonical 16x16/4x4 tilings per texture
+	l2til   []*texture.Tiling // tilings under the L2 layout, or nil
+	l2start []uint32
+	h       *cache.Hierarchy
+	collect *stats.Collector // optional
+}
+
+// Texel is invoked once per texel reference — hundreds of millions of
+// times per run — and must stay free of allocation and formatting.
+//
+// texlint:hotpath
+func (s *addrSink) Texel(tid texture.ID, u, v, m int) {
+	a := s.canon[tid].Addr(u, v, m)
+	ref := cache.Ref{L1: cache.L1Ref{
+		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
+		Set: cache.SetHash(int32(u>>2), int32(v>>2), uint8(m), uint32(tid)),
+	}}
+	if s.l2til != nil {
+		b := s.l2til[tid].Addr(u, v, m)
+		ref.PTIndex = s.l2start[tid] + b.L2
+		ref.Sub = uint8(b.L1)
+	}
+	s.h.Access(ref)
+	if s.collect != nil {
+		s.collect.Texel(tid, u, v, m)
+	}
+}
+
+// buildHierarchy constructs the cache hierarchy and address sink for the
+// texture set under cfg.
+func buildHierarchy(set *texture.Set, cfg Config) (*cache.Hierarchy, *addrSink, error) {
+	set.MustPrepare(texture.CanonicalL1())
+
+	ways := cfg.L1Ways
+	if ways == 0 {
+		ways = cache.L1Ways
+	}
+	l1, err := cache.NewL1Assoc(cfg.L1Bytes, ways)
+	if err != nil {
+		return nil, nil, err
+	}
+	hier := &cache.Hierarchy{L1: l1}
+
+	sink := &addrSink{
+		canon: set.Tilings(texture.CanonicalL1()),
+		h:     hier,
+	}
+	if cfg.L2 != nil {
+		l2cfg := *cfg.L2
+		// The L2 sub-block must be the 4x4 L1 tile so that sector bits
+		// track exactly what the L1 cache downloads.
+		l2cfg.Layout.L1Size = 4
+		set.MustPrepare(l2cfg.Layout)
+		l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
+		if err != nil {
+			return nil, nil, err
+		}
+		hier.L2 = l2
+		if cfg.TLBEntries > 0 {
+			hier.TLB = cache.NewTLB(cfg.TLBEntries)
+		}
+		tilings := set.Tilings(l2cfg.Layout)
+		starts := make([]uint32, set.Len())
+		for i := range starts {
+			starts[i] = set.Start(l2cfg.Layout, texture.ID(i))
+		}
+		sink.l2til = tilings
+		sink.l2start = starts
+	}
+	return hier, sink, nil
+}

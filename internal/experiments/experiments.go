@@ -106,30 +106,39 @@ func (c *Context) frames(name string) int {
 	}
 }
 
+// StatLayouts is every tile granularity Table 1 and Figures 4-6 read:
+// the point-sampled statistics runs track all of them. It is exported so
+// equivalence tests can check the engine under those runs' configuration.
+func StatLayouts() []texture.TileLayout {
+	return []texture.TileLayout{
+		{L2Size: 8, L1Size: 4},
+		{L2Size: 16, L1Size: 4},
+		{L2Size: 32, L1Size: 4},
+		{L2Size: 4, L1Size: 4}, // 4x4 L1 tiles
+		{L2Size: 8, L1Size: 8}, // 8x8 L1 tiles
+	}
+}
+
 // statsRun returns the memoized point-sampled statistics run for a
-// workload, tracking every granularity used by Table 1 and Figures 4-6.
+// workload: one pull-2k spec whose results carry the working set at
+// every StatLayouts granularity.
 func (c *Context) statsRun(name string) (*core.Results, error) {
 	if r, ok := c.statsRuns[name]; ok {
 		return r, nil
 	}
-	cfg := core.Config{
-		Width:   c.Scale.Width,
-		Height:  c.Scale.Height,
-		Frames:  c.frames(name),
-		Mode:    raster.Point,
-		L1Bytes: 2 * 1024,
-		StatLayouts: []texture.TileLayout{
-			{L2Size: 8, L1Size: 4},
-			{L2Size: 16, L1Size: 4},
-			{L2Size: 32, L1Size: 4},
-			{L2Size: 4, L1Size: 4}, // 4x4 L1 tiles
-			{L2Size: 8, L1Size: 8}, // 8x8 L1 tiles
-		},
+	render := core.Config{
+		Width:       c.Scale.Width,
+		Height:      c.Scale.Height,
+		Frames:      c.frames(name),
+		Mode:        raster.Point,
+		StatLayouts: StatLayouts(),
 	}
-	r, err := core.Run(c.workloadByName(name), cfg)
+	cmp, err := core.RunComparison(c.workloadByName(name), render,
+		[]core.CacheSpec{{Name: "pull-2k", L1Bytes: 2 << 10}})
 	if err != nil {
 		return nil, err
 	}
+	r := cmp.Results[0]
 	c.statsRuns[name] = r
 	core.EmitMetrics(c.Metrics, r, "")
 	return r, nil

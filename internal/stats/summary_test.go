@@ -118,10 +118,11 @@ func TestSummaryLayoutLookup(t *testing.T) {
 	}
 }
 
-// Golden values for the reduced Village run below. Regenerate by running
-// the test with -run TestSummarizeVillageGolden -v and copying the logged
-// actuals; the simulation is deterministic, so drift means behaviour
-// changed.
+// Golden values for the reduced Village run below, a one-spec
+// RunComparison with the collector riding the engine's render stage.
+// Regenerate by running the test with -run TestSummarizeVillageGolden -v
+// and copying the logged actuals; the simulation is deterministic, so
+// drift means behaviour changed.
 const (
 	goldenFrames          = 4
 	goldenDepthComplexity = "3.2777864583333334"
@@ -140,16 +141,17 @@ func TestSummarizeVillageGolden(t *testing.T) {
 		Height:      120,
 		Frames:      goldenFrames,
 		Mode:        raster.Point,
-		L1Bytes:     2 << 10,
 		StatLayouts: []texture.TileLayout{layout},
 	}
-	res, err := core.Run(workload.Village(), cfg)
+	cmp, err := core.RunComparison(workload.Village(), cfg,
+		[]core.CacheSpec{{Name: "pull-2k", L1Bytes: 2 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cmp.Results[0]
 	s := res.Summary
 	if s == nil {
-		t.Fatal("Run() returned no Summary despite StatLayouts")
+		t.Fatal("RunComparison returned no Summary despite StatLayouts")
 	}
 	ls, ok := s.Layout(layout)
 	if !ok {
