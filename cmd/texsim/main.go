@@ -239,8 +239,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		core.EmitComparisonMetrics(metrics, cmp)
 		reportSweep(stdout, w, cfg, specs, cmp)
 	} else {
-		// One unlabelled record per frame, as the stream of a single
-		// configuration has always been.
+		// A single configuration's records carry no spec label.
 		core.EmitMetrics(metrics, cmp.Results[0], "")
 		report(stdout, w, cfg, cmp.Results[0])
 	}

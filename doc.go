@@ -15,9 +15,9 @@
 //     rasterizer and scene pipeline that generate texel reference streams.
 //   - internal/workload: procedural Village and City animations tuned to
 //     the paper's published workload statistics.
-//   - internal/core: the transaction-accurate simulator, the exact sweep
-//     engine (one render fanned out to every cache configuration), and
-//     trace record/replay.
+//   - internal/core: the transaction-accurate simulator, one exact engine
+//     (one render fanned out to every cache configuration; a single
+//     configuration is a comparison of one), and trace record/replay.
 //   - internal/model: the paper's analytic models (working set, structure
 //     sizes, fractional advantage).
 //   - internal/experiments: regenerators for every table and figure.

@@ -16,7 +16,9 @@ import (
 // baseline hierarchy with the runtime invariant sanitizer compiled in, so
 // every access replays the counter identities and every 4096th access
 // cross-checks the page table, BRL and weak L1/L2 inclusion. A panic
-// inside the cache package fails the test.
+// inside the cache package fails the test. The Reduced and
+// PullArchitecture tests drive Hierarchy.Access through Oracle, the path
+// ReplayTrace runs; TestTexsanSweepFanout drives the engine.
 
 // sanConfig is the paper's baseline configuration at a reduced scale.
 func sanConfig(frames int) Config {
