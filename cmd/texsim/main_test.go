@@ -49,6 +49,7 @@ func TestRun(t *testing.T) {
 		{"-tlb with -sweep", with("-sweep", "-tlb", "4"), 2, "", "-tlb does not apply to -sweep", "", nil},
 		{"-nosector with -sweep", with("-sweep", "-nosector"), 2, "", "-nosector does not apply to -sweep", "", nil},
 		{"invalid L1", with("-l1", "0"), 1, "", `core: spec "l2": cache: invalid L1 size 0`, "", nil},
+		{"invalid L2 tile", with("-l2tile", "7"), 1, "", `core: spec "l2": texture: tile sizes must be powers of two`, "", nil},
 		{"sweep report", with("-sweep"), 0, "workload village: 2 frames at 64x48", "", "", nil},
 		{"sweep with stats", with("-sweep", "-stats"), 0, "working set", "", "", nil},
 		{"monitor", with("-sweep", "-monitor", "127.0.0.1:0"), 0, "workload village", "monitor listening on http://127.0.0.1:", "", nil},

@@ -19,12 +19,14 @@ const held = ^uint64(0)
 // The chain keeps one clock. A line's last-use time lives in the
 // smallest cache that holds it; each larger copy records held instead.
 // When a cache evicts a line, the next larger cache's copy takes the
-// line's time (which needs the line's set hash: the tag does not give
-// it). On a miss, a cache evicts the least recent of its set's lines
-// that the next smaller cache does not hold: that cache was filled
-// first, and under inclusion every line it holds is newer than any it
-// does not. Each cache's hits, misses and contents are therefore those
-// of the same cache driven alone through Access.
+// line's time. Each cache with a successor keeps, per line, the slot of
+// that copy (next): the copy cannot move while the smaller cache holds
+// the line, since a cache never evicts a held line. On a miss, a cache
+// evicts the least recent of its set's lines that the next smaller
+// cache does not hold: that cache was filled first, and under inclusion
+// every line it holds is newer than any it does not. Each cache's hits,
+// misses and contents are therefore those of the same cache driven alone
+// through Access.
 //
 // A chained cache is never driven through Access or flushed, which
 // would break inclusion.
@@ -55,7 +57,7 @@ func NewL1Chain(caches ...*L1Cache) (*L1Chain, error) {
 		}
 	}
 	for _, c := range caches[:len(caches)-1] {
-		c.hashes = make([]uint32, len(c.tags))
+		c.next = make([]uint32, len(c.tags))
 	}
 	return &L1Chain{caches: caches, stops: make([]int64, len(caches))}, nil
 }
@@ -70,6 +72,10 @@ func (ch *L1Chain) Lookup(ref L1Ref) int {
 	// The first cache records ref's time; every later one records held,
 	// since by then a smaller cache holds ref.
 	stamp := ch.tick
+	// at is where the last cache filled records the slot of ref's copy
+	// in this one; no cache records the first cache's slot.
+	var unused uint32
+	at := &unused
 	last := len(ch.caches) - 1
 	for d, c := range ch.caches {
 		c.stats.Accesses++
@@ -80,6 +86,7 @@ func (ch *L1Chain) Lookup(ref L1Ref) int {
 			line := base + w
 			if c.tags[line] == ref.Tag {
 				c.lastUse[line] = stamp
+				*at = line
 				ch.stops[d]++
 				return d
 			}
@@ -89,32 +96,24 @@ func (ch *L1Chain) Lookup(ref L1Ref) int {
 			}
 		}
 		c.stats.Misses++
+		*at = victim
 		if d < last {
-			if c.tags[victim] != invalidTag {
-				ch.caches[d+1].release(c.tags[victim], c.hashes[victim], oldest)
+			// Write back: the next cache's copy of the evicted line
+			// takes its time.
+			if tag := c.tags[victim]; tag != invalidTag {
+				n, slot := ch.caches[d+1], c.next[victim]
+				if n.tags[slot] != tag {
+					panic("cache: chained L1 lost inclusion")
+				}
+				n.lastUse[slot] = oldest
 			}
-			c.hashes[victim] = ref.Set
+			at = &c.next[victim]
 		}
 		c.tags[victim] = ref.Tag
 		c.lastUse[victim] = stamp
 		stamp = held
 	}
 	return len(ch.caches)
-}
-
-// release gives this cache's copy of a line the next smaller cache just
-// evicted that line's last-use time t. Inclusion guarantees the copy.
-//
-// texlint:hotpath
-func (c *L1Cache) release(tag uint64, set uint32, t uint64) {
-	base := (set & c.setMask) * c.ways
-	for w := uint32(0); w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			c.lastUse[base+w] = t
-			return
-		}
-	}
-	panic("cache: chained L1 lost inclusion")
 }
 
 // RecordHits counts n hits in every chained cache that the caller proved

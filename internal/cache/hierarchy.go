@@ -1,5 +1,7 @@
 package cache
 
+import "slices"
+
 // Ref is one texel reference with every address precomputed: the canonical
 // L1 tag and set hash, plus the page-table index and sub-block number under
 // the simulated L2 layout. The rasterizer-side translation produces these
@@ -45,23 +47,11 @@ func (c Counters) Sub(o Counters) Counters {
 // an L2 it models the paper's proposed architecture. TLB is optional and
 // only gathers statistics — it does not change transaction behaviour.
 //
-// Hierarchies that differ only below the L1 may share one L1 cache: the
-// caller looks each reference up in it once and presents every miss to
-// each sharer through Miss. A hierarchy whose L1 is shared must never be
-// driven through Access, which would look the reference up again.
-//
-// Hierarchies that share an L1 may also share an L2 of one configuration,
-// each keeping its own TLB. An L2's state depends only on its
-// configuration and its miss stream, which the shared L1 makes the same
-// for every sharer, and no TLB feeds back into it. The first sharer is
-// presented each miss through Miss, which accesses the L2; every other
-// sharer is then presented the same miss through MissShared, which looks
-// the page up in its own TLB and leaves the L2 untouched. Every sharer's
-// byte counts are then the first one's, since they derive from the
-// shared caches' counters.
-//
-// Under the pull architecture a miss changes no state of the hierarchy's
-// own, so the caller may skip presenting it misses: see SeesMisses.
+// Hierarchies that differ only below the L1 may share one L1 cache, and
+// those of them with one L2 configuration one L2: the caller looks each
+// reference up in the L1 once and presents every miss to the L2s and TLBs
+// behind it through MissLists. A hierarchy whose L1 is shared must never
+// be driven through Access, which would look the reference up again.
 type Hierarchy struct {
 	L1  *L1Cache
 	L2  *L2Cache
@@ -87,32 +77,7 @@ func (h *Hierarchy) Access(ref Ref) {
 		h.accessMiss(ref)
 	}
 	if sanitizing {
-		h.sanAccess(ref, hit)
-	}
-}
-
-// Miss is Access below the L1 lookup, for a reference that has already
-// missed in (and been filled into) a shared h.L1.
-//
-// texlint:hotpath
-func (h *Hierarchy) Miss(ref Ref) {
-	h.accessMiss(ref)
-	if sanitizing {
-		h.sanAccess(ref, false)
-	}
-}
-
-// MissShared is Miss for a hierarchy that shares h.L2 with the one just
-// presented the same miss: it looks the page up in h's own TLB, leaving
-// the L2 untouched.
-//
-// texlint:hotpath
-func (h *Hierarchy) MissShared(ref Ref) {
-	if h.TLB != nil {
-		h.TLB.Lookup(ref.PTIndex)
-	}
-	if sanitizing {
-		h.sanAccess(ref, false)
+		h.sanAccess(ref, hit, 0)
 	}
 }
 
@@ -156,4 +121,120 @@ func (h *Hierarchy) Counters() Counters {
 	c.L2WriteBytes = (c.L2.PartialHits + c.L2.FullMisses) * dl
 	c.HostBytes = c.L2WriteBytes
 	return c
+}
+
+// Page is where a reference lies under one L2 layout: its page-table
+// index and its sub-block.
+type Page struct {
+	PT  uint32
+	Sub uint8
+}
+
+// MissLists presents the misses of one shared L1 to the hierarchies on
+// it (Add): one access per distinct L2 behind them and one lookup per
+// TLB, each with the page of the layout it translates by. An L2's state
+// depends only on its configuration and its miss stream, which the shared
+// L1 makes the same for every sharer, and no TLB feeds back into it, so
+// one L2 serves every sharer of one configuration.
+//
+// The TLBs of one layout see one page stream. A miss to the page they
+// looked up last is therefore a hit in each of them, and a hit changes
+// nothing in a round-robin TLB: such a miss is only counted, and Settle
+// books the count as hits in each of them, as L1Cache.RecordHits books
+// batched L1 hits.
+type MissLists struct {
+	l2s  []listedL2
+	tlbs []listedTLBs
+	// members holds every hierarchy on the L1, for the texsan
+	// sanitizer only.
+	members []listedMember
+}
+
+// listedL2 is one L2 behind the shared L1, with its layout's index.
+type listedL2 struct {
+	l2     *L2Cache
+	layout int
+}
+
+// listedTLBs is the TLBs of one layout, the page they looked up last,
+// and the misses to it that they owe as hits.
+type listedTLBs struct {
+	layout int
+	tlbs   []*TLB
+	last   uint32
+	owed   int64
+}
+
+// listedMember is a hierarchy on the shared L1 and its layout's index,
+// or -1 under the pull architecture.
+type listedMember struct {
+	h      *Hierarchy
+	layout int
+}
+
+// Add lists h, which shares the L1 and translates by layout (any index
+// when h.L2 is nil), before the first miss: its L2 unless another member
+// listed it, and its TLB.
+func (m *MissLists) Add(h *Hierarchy, layout int) {
+	if h.L2 == nil {
+		layout = -1
+	}
+	if sanitizing {
+		m.members = append(m.members, listedMember{h, layout})
+	}
+	if h.L2 == nil {
+		return
+	}
+	if !slices.ContainsFunc(m.l2s, func(l listedL2) bool { return l.l2 == h.L2 }) {
+		m.l2s = append(m.l2s, listedL2{h.L2, layout})
+	}
+	if h.TLB == nil {
+		return
+	}
+	i := slices.IndexFunc(m.tlbs, func(t listedTLBs) bool { return t.layout == layout })
+	if i < 0 {
+		i = len(m.tlbs)
+		m.tlbs = append(m.tlbs, listedTLBs{layout: layout, last: tlbInvalid})
+	}
+	m.tlbs[i].tlbs = append(m.tlbs[i].tlbs, h.TLB)
+}
+
+// Miss presents a miss of the shared L1 to line ref, whose page under
+// layout i is at[i].
+//
+// texlint:hotpath
+func (m *MissLists) Miss(ref L1Ref, at []Page) {
+	for i := range m.l2s {
+		l := &m.l2s[i]
+		p := at[l.layout]
+		l.l2.Access(p.PT, p.Sub)
+	}
+	for i := range m.tlbs {
+		t := &m.tlbs[i]
+		if pt := at[t.layout].PT; pt == t.last {
+			t.owed++
+		} else {
+			t.last = pt
+			for _, tlb := range t.tlbs {
+				tlb.Lookup(pt)
+			}
+		}
+	}
+	if sanitizing {
+		m.sanMiss(ref, at)
+	}
+}
+
+// Settle books the TLB hits owed since the last Settle. Call it before
+// reading the members' Counters.
+//
+// texlint:hotpath
+func (m *MissLists) Settle() {
+	for i := range m.tlbs {
+		t := &m.tlbs[i]
+		for _, tlb := range t.tlbs {
+			tlb.RecordHits(t.owed)
+		}
+		t.owed = 0
+	}
 }

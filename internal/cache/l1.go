@@ -120,11 +120,11 @@ type L1Cache struct {
 	tags []uint64
 	// lastUse[line] orders lines for LRU victim selection within a set.
 	lastUse []uint64
-	// hashes[line] is the line's set hash, kept only by a chained cache
-	// with a larger successor, which indexes the line by it (chain.go).
-	hashes []uint32
-	tick   uint64
-	stats  L1Stats
+	// next[line] is the slot of the line's copy in the next cache of its
+	// chain, kept only by a chained cache with a successor (chain.go).
+	next  []uint32
+	tick  uint64
+	stats L1Stats
 }
 
 const invalidTag = ^uint64(0)

@@ -137,8 +137,8 @@ func (b *missBytes) book(l2 *L2Cache, r L2Result) {
 // frame's bytes and the totals to match, for pull, sector-mapped and
 // no-sector-mapping hierarchies, unshared and driven through Access, and
 // sharing one L1 and one L2 as the exact engine's fan-out shares them:
-// the first sharer presented each miss through Miss, a sharer with a TLB
-// and one without through MissShared, and a pull member through Miss.
+// three sharers of the L2, one of them with a TLB, and a pull member,
+// presented each miss through one MissLists.
 func TestHierarchyByteConservation(t *testing.T) {
 	layout := texture.TileLayout{L2Size: 16, L1Size: 4} // 1 KB blocks, 16 subs
 	const pages = 64
@@ -167,12 +167,16 @@ func TestHierarchyByteConservation(t *testing.T) {
 					}
 					twinL1, l1 := MustNewL1(2048), MustNewL1(2048)
 					var ms []*member
+					var lists MissLists
 					if shared {
 						ms = []*member{
 							{h: &Hierarchy{L1: l1, L2: l2}},
 							{h: &Hierarchy{L1: l1, L2: l2, TLB: NewTLB(4)}},
 							{h: &Hierarchy{L1: l1, L2: l2}},
 							{h: &Hierarchy{L1: l1}, pull: true},
+						}
+						for _, m := range ms {
+							lists.Add(m.h, 0)
 						}
 					} else {
 						ms = []*member{{h: &Hierarchy{L1: l1, L2: l2, TLB: NewTLB(4)}, pull: l2 == nil}}
@@ -213,12 +217,10 @@ func TestHierarchyByteConservation(t *testing.T) {
 							if !shared {
 								ms[0].h.Access(ref)
 							} else if !l1.Access(ref.L1) {
-								ms[0].h.Miss(ref)
-								ms[1].h.MissShared(ref)
-								ms[2].h.MissShared(ref)
-								ms[3].h.Miss(ref)
+								lists.Miss(ref.L1, []Page{{PT: pt, Sub: sub}})
 							}
 						}
+						lists.Settle()
 						for i, m := range ms {
 							cur := m.h.Counters()
 							if got := bytesOf(cur.Sub(m.prev)); got != m.frame {

@@ -15,7 +15,11 @@ const sanitizing = false
 type sanState struct{}
 
 // sanAccess is the per-access invariant hook; a no-op when disabled.
-func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool) {}
+func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool, owedTLB int64) {}
+
+// sanMiss is the per-miss hook of a shared L1's members; a no-op when
+// disabled.
+func (m *MissLists) sanMiss(l1 L1Ref, at []Page) {}
 
 // l2San holds the L2-level sanitizer state; empty when disabled.
 type l2San struct{}

@@ -15,10 +15,12 @@
 // traces back to a recorded fill. Any panic below indicates a simulator
 // bug, never a legal stream.
 //
-// The sanitizer assumes the Hierarchy is the sole driver of its TLB, that
-// each hierarchy sharing an L1 is presented every miss of it, that the
-// hierarchies sharing an L2 also share one L1 (so each is presented every
-// access of the L2, through Miss or MissShared), and that the address
+// The sanitizer assumes the Hierarchy, or the MissLists it is listed in,
+// is the sole driver of its TLB, that each hierarchy sharing an L1 is
+// listed in the MissLists that presents every miss of it (whose sanMiss
+// runs every member's sanitizer), that the hierarchies sharing an L2 also
+// share one L1 (so each is presented every access of the L2), and that
+// the address
 // translation feeding it maps each L1 tag to a fixed <page-table index,
 // sub-block> pair for the life of the run, as the simulator's
 // precomputed tilings guarantee. The L2 delivers each eviction to every
@@ -53,6 +55,8 @@ type sanState struct {
 	// deep scan.
 	evicted  map[uint32]bool
 	accesses int64
+	// misses counts the L1 misses this hierarchy was presented.
+	misses int64
 }
 
 // l2San is the L2-level sanitizer state.
@@ -70,10 +74,34 @@ func (s *l2San) noteEvict(pt uint32) {
 	}
 }
 
+// SanitizedMisses reports how many L1 misses the sanitizer saw this
+// hierarchy presented. It exists only under texsan, for tests that
+// require a shared L1's every miss to reach every member.
+func (h *Hierarchy) SanitizedMisses() int64 { return h.san.misses }
+
+// sanMiss runs every member's sanitizer on a miss of the shared L1, with
+// the member's page and the TLB hits its layout's TLBs owe.
+func (m *MissLists) sanMiss(l1 L1Ref, at []Page) {
+	for _, mb := range m.members {
+		ref := Ref{L1: l1}
+		var owed int64
+		if mb.layout >= 0 {
+			ref.PTIndex, ref.Sub = at[mb.layout].PT, at[mb.layout].Sub
+			for _, t := range m.tlbs {
+				if t.layout == mb.layout && mb.h.TLB != nil {
+					owed = t.owed
+				}
+			}
+		}
+		mb.h.sanAccess(ref, false, owed)
+	}
+}
+
 // sanAccess runs after every hierarchy access: it records L1 fills in the
 // shadow map, replays the O(1) counter identities, and periodically runs
-// the full structural scan.
-func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool) {
+// the full structural scan. owedTLB counts the TLB hits a MissLists owes
+// h.TLB.
+func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool, owedTLB int64) {
 	s := &h.san
 	if s.shadow == nil {
 		s.shadow = make(map[uint64]shadowEntry)
@@ -82,6 +110,9 @@ func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool) {
 		if h.L2 != nil {
 			h.L2.san.sharers = append(h.L2.san.sharers, s)
 		}
+	}
+	if !l1Hit {
+		s.misses++
 	}
 	if !l1Hit && h.L2 != nil {
 		if old, ok := s.shadow[ref.L1.Tag]; ok && (old.pt != ref.PTIndex || old.sub != ref.Sub) {
@@ -98,15 +129,16 @@ func (h *Hierarchy) sanAccess(ref Ref, l1Hit bool) {
 		delete(s.stale, ref.L1.Tag)
 	}
 	s.accesses++
-	h.sanCounters()
+	h.sanCounters(owedTLB)
 	if s.accesses%sanPeriod == 0 {
 		h.sanDeep()
 	}
 }
 
 // sanCounters replays the counter-conservation identities from the raw
-// counters; it runs after every access.
-func (h *Hierarchy) sanCounters() {
+// counters, with owedTLB hits not yet booked in h.TLB; it runs after
+// every access.
+func (h *Hierarchy) sanCounters(owedTLB int64) {
 	l1 := &h.L1.stats
 	if l1.Misses > l1.Accesses {
 		panic("texsan: L1 misses exceed accesses")
@@ -129,8 +161,8 @@ func (h *Hierarchy) sanCounters() {
 		panic(fmt.Sprintf("texsan: clock march of %d exceeds %d blocks + 1", l2.MaxSearch, h.L2.numBlocks))
 	}
 	if h.TLB != nil {
-		if h.TLB.lookups != acc {
-			panic(fmt.Sprintf("texsan: %d TLB lookups != %d L2 accesses", h.TLB.lookups, acc))
+		if h.TLB.lookups+owedTLB != acc {
+			panic(fmt.Sprintf("texsan: %d TLB lookups and %d owed != %d L2 accesses", h.TLB.lookups, owedTLB, acc))
 		}
 		if h.TLB.hits > h.TLB.lookups {
 			panic("texsan: TLB hits exceed lookups")

@@ -67,6 +67,17 @@ func (t *TLB) Lookup(ptIndex uint32) bool {
 	return false
 }
 
+// RecordHits counts n hits the caller proved without a lookup: lookups
+// of the page looked up last, which a hit or its insertion left
+// resident. A hit changes no entry and not the round-robin pointer, so
+// skipping it changes no later lookup.
+//
+// texlint:hotpath
+func (t *TLB) RecordHits(n int64) {
+	t.lookups += n
+	t.hits += n
+}
+
 // Invalidate drops any cached translation for the page-table range
 // [tstart, tstart+tlen), mirroring texture deallocation.
 func (t *TLB) Invalidate(tstart, tlen uint32) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 
@@ -52,28 +51,15 @@ type Comparison struct {
 type layoutXlate struct {
 	tilings []*texture.Tiling
 	starts  []uint32
-	// per-texel scratch, refreshed by fanout.access on an L2-backed miss.
-	pt  uint32
-	sub uint8
-}
-
-// specState pairs a hierarchy with its layout translator index and the
-// L2 it may share.
-type specState struct {
-	hier      *cache.Hierarchy
-	layoutIdx int // -1 when no L2
-	// owner is the index of the spec whose hierarchy accesses the L2
-	// this one shares, or -1 when this one accesses its own L2.
-	owner int
 }
 
 // l1Group is one distinct L1 geometry of a sweep: a single L1 cache that
 // the hierarchies of every spec with that size and associativity share.
 type l1Group struct {
 	l1 *cache.L1Cache
-	// misses holds the members that see its misses (SeesMisses), as
-	// indices into fanout.specs in spec order.
-	misses []int
+	// misses presents its misses to the L2s and TLBs behind it; nil when
+	// no member needs them (SeesMisses).
+	misses *cache.MissLists
 	backed bool // some member has an L2
 }
 
@@ -82,11 +68,18 @@ type l1Group struct {
 type l1Chain struct {
 	l1     *cache.L1Chain
 	groups []l1Group
+	// oneSet is set when the smallest cache is fully associative: the
+	// chain looks every record up, since its MRU rule batches only the
+	// repeats of the last line.
+	oneSet bool
+	// refine is the chain's own MRU filter when its smallest cache has
+	// more sets than the render stage's filter; nil otherwise.
+	refine *mruFilter
+	// lookups counts the records looked up since the last frame's
+	// marker. Every other reference of the frame is a hit in every cache
+	// of the chain.
+	lookups int64
 }
-
-// maxChains bounds the distinct L1 associativities of one sweep: a
-// record names the chains that look it up in one 32-bit mask.
-const maxChains = 32
 
 // The ring between the two stages: ringBlocks blocks of blockRecords
 // records each (32 x 2048 x 16 B = 1 MB), allocated once per run. A
@@ -100,12 +93,14 @@ const (
 )
 
 // record is one reference the render stage hands the cache stage: one
-// that reached the lookup of at least one chain. Its line key is its L1
-// tag, and names the texel the L2 layout translation of a miss needs.
+// that some chain must look up. Its line key is its L1 tag, and names the
+// texel the L2 layout translation of a miss needs. hit is set when the
+// render stage's MRU filter batched the reference, which it records then
+// only for the fully associative chains.
 type record struct {
-	key    uint64
-	set    uint32
-	chains uint32 // bit c set: chain c looks the reference up
+	key uint64
+	set uint32
+	hit bool
 }
 
 // The bounds of a texture set lineKey names exactly: tid < 2^16 and u/4,
@@ -148,10 +143,9 @@ func lineSet(tid texture.ID, u, v, m int) uint32 {
 type frameEnd struct {
 	pixels int64
 	pst    scene.FrameStats
-	// batched[c] counts the hits chain c books without a lookup: the
-	// repeats of the last line, and the chain's hits on the most recent
-	// line of a set (mruFilter.recent).
-	batched []int64
+	// refs counts the frame's references: each one is a repeat of the
+	// last line, a hit of the render filter or a record.
+	refs int64
 	// stats is the collector's frame, when one rides the render stage.
 	stats stats.Frame
 }
@@ -165,33 +159,31 @@ type block struct {
 	end  frameEnd
 }
 
-// newBlock allocates one block of the ring, its marker sized for the
-// given number of chains.
-func newBlock(chains int) *block {
-	return &block{end: frameEnd{batched: make([]int64, chains)}}
-}
-
-// mruFilter is one chain's MRU filter: mru[s] is the key of the line
-// referenced last in set s of the chain's smallest cache, whose set mask
-// is mask. A reference to that line is a hit, already the most recent
-// of its set, in every cache of the chain, so it is counted in batched
-// instead of looked up. It depends on the reference stream alone, not on
-// cache state.
+// mruFilter holds in mru[s] the key of the line referenced last in set s
+// of a cache whose set mask is mask. A reference to that line is a hit,
+// already the most recent of its set, so it need not be looked up. It
+// depends on the reference stream alone, not on cache state.
 type mruFilter struct {
-	mru     []uint64
-	mask    uint32
-	batched int64
+	mru  []uint64
+	mask uint32
 }
 
-// recent reports whether key names the line referenced last in its set
-// of the chain's smallest cache, counting that hit, and otherwise
-// records key as the set's most recent line.
+// newMRUFilter builds an empty filter of sets sets.
+func newMRUFilter(sets int) mruFilter {
+	f := mruFilter{mru: make([]uint64, sets), mask: uint32(sets - 1)}
+	for i := range f.mru {
+		f.mru[i] = ^uint64(0)
+	}
+	return f
+}
+
+// recent reports whether key names the line referenced last in its set,
+// and otherwise records key as the set's most recent line.
 //
 // texlint:hotpath
 func (f *mruFilter) recent(set uint32, key uint64) bool {
 	mru := &f.mru[set&f.mask]
 	if *mru == key {
-		f.batched++
 		return true
 	}
 	*mru = key
@@ -200,17 +192,28 @@ func (f *mruFilter) recent(set uint32, key uint64) bool {
 
 // streamFilter is the render stage of the exact engine: the rasterizer's
 // sink, run on its own goroutine. It does everything that depends on the
-// reference stream alone. It counts a repeat of the last line, computes
-// the set hash, applies each chain's MRU filter, and writes a record only
-// for a reference some chain must look up. The working-set collector
-// rides it. Lines are keyed by lineKey.
+// reference stream alone. It counts the references, passes over a repeat
+// of the last line, computes the set hash, applies the MRU filter, and
+// writes a record only for a reference some chain must look up. The
+// working-set collector rides it. Lines are keyed by lineKey.
+//
+// The one filter has the fewest sets of any chain whose smallest cache
+// has more than one set (DESIGN §7, "One filter for every chain"). Those
+// chains' sets refine its sets, so a line that is the most recent of its
+// filter set is the most recent of its set in each of their smallest
+// caches, and a filter hit is a hit in each of them. A chain with more
+// sets than the filter refines the records with its own filter in the
+// cache stage.
 type streamFilter struct {
-	filters []mruFilter
+	filter mruFilter
+	// all is set when some chain is fully associative: then every line
+	// that is not a repeat is recorded, a filter hit with its hit bit.
+	all     bool
 	collect *stats.Collector
-	// lastKey is the line referenced last; repeats counts the references
-	// to it since the last frame's marker.
+	// lastKey is the line referenced last, and refs counts the references
+	// since the last frame's marker.
 	lastKey uint64
-	repeats int64
+	refs    int64
 	// blk is the block being filled. full and free are the ring's two
 	// directions, and done closes when the caller leaves RunComparison.
 	blk        *block
@@ -218,34 +221,24 @@ type streamFilter struct {
 	done       <-chan struct{}
 }
 
-// newStreamFilter builds the render stage for fan: one MRU filter per
-// chain, sized to the chain's smallest cache.
+// newStreamFilter builds the render stage for fan.
 func newStreamFilter(fan *fanout) *streamFilter {
-	r := &streamFilter{
-		filters: make([]mruFilter, len(fan.chains)),
+	return &streamFilter{
+		filter:  newMRUFilter(fan.filterSets),
+		all:     fan.oneSets,
 		lastKey: ^uint64(0),
-		blk:     newBlock(len(fan.chains)),
+		blk:     &block{},
 	}
-	for c := range fan.chains {
-		f := &r.filters[c]
-		f.mru = make([]uint64, fan.chains[c].groups[0].l1.Sets())
-		for i := range f.mru {
-			f.mru[i] = ^uint64(0)
-		}
-		f.mask = uint32(len(f.mru) - 1)
-	}
-	return r
 }
 
 // Texel presents one reference to the chains and the optional collector.
 //
 // texlint:hotpath
 func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
-	if key := lineKey(tid, u, v, m); key == r.lastKey {
-		r.repeats++
-	} else {
+	r.refs++
+	if key := lineKey(tid, u, v, m); key != r.lastKey {
 		r.lastKey = key
-		r.filter(key, lineSet(tid, u, v, m))
+		r.present(key, lineSet(tid, u, v, m))
 	}
 	if r.collect != nil {
 		r.collect.Texel(tid, u, v, m)
@@ -260,44 +253,39 @@ func (r *streamFilter) Texel(tid texture.ID, u, v, m int) {
 // A inside one line, A A C C across a v edge, A B A B across a u edge and
 // A B C D across a corner. Only A can repeat the line before the
 // footprint, and no later line repeats the one before it, so the second
-// A and B of A B A B go to the MRU filters with the sets already
+// A and B of A B A B go to the MRU filter with the sets already
 // computed.
 //
 // texlint:hotpath
 func (r *streamFilter) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
+	r.refs += 4
 	ka := lineKey(tid, u0, v0, m)
 	if u0>>2 == u1>>2 {
-		if ka == r.lastKey {
-			r.repeats++
-		} else {
-			r.filter(ka, lineSet(tid, u0, v0, m))
+		if ka != r.lastKey {
+			r.present(ka, lineSet(tid, u0, v0, m))
 		}
 		if v0>>2 == v1>>2 { // A A A A
-			r.repeats += 3
 			r.lastKey = ka
 		} else { // A A C C
 			kc := lineKey(tid, u0, v1, m)
-			r.filter(kc, lineSet(tid, u0, v1, m))
-			r.repeats += 2
+			r.present(kc, lineSet(tid, u0, v1, m))
 			r.lastKey = kc
 		}
 	} else {
 		sa := lineSet(tid, u0, v0, m)
-		if ka == r.lastKey {
-			r.repeats++
-		} else {
-			r.filter(ka, sa)
+		if ka != r.lastKey {
+			r.present(ka, sa)
 		}
 		kb, sb := lineKey(tid, u1, v0, m), lineSet(tid, u1, v0, m)
-		r.filter(kb, sb)
+		r.present(kb, sb)
 		if v0>>2 == v1>>2 { // A B A B
-			r.filter(ka, sa)
-			r.filter(kb, sb)
+			r.present(ka, sa)
+			r.present(kb, sb)
 			r.lastKey = kb
 		} else { // A B C D
-			r.filter(lineKey(tid, u0, v1, m), lineSet(tid, u0, v1, m))
+			r.present(lineKey(tid, u0, v1, m), lineSet(tid, u0, v1, m))
 			kd := lineKey(tid, u1, v1, m)
-			r.filter(kd, lineSet(tid, u1, v1, m))
+			r.present(kd, lineSet(tid, u1, v1, m))
 			r.lastKey = kd
 		}
 	}
@@ -306,39 +294,37 @@ func (r *streamFilter) Quad(tid texture.ID, u0, v0, u1, v1, m int) {
 	}
 }
 
-// filter presents a reference to a line other than the last one to each
-// chain's MRU filter, and records it for the chains that cannot settle
-// it.
+// present presents a reference to a line other than the last one to the
+// MRU filter, and records it unless the filter hit and no chain is fully
+// associative. It inlines into Texel and Quad; record does not.
 //
 // texlint:hotpath
-func (r *streamFilter) filter(key uint64, set uint32) {
-	var chains uint32
-	for c := range r.filters {
-		if !r.filters[c].recent(set, key) {
-			chains |= 1 << c
-		}
+func (r *streamFilter) present(key uint64, set uint32) {
+	if r.filter.mru[set&r.filter.mask] != key || r.all {
+		r.record(key, set)
 	}
-	if chains == 0 {
-		return
-	}
+}
+
+// record writes the record of a line present did not settle, marked hit
+// when it is the most recent of its filter set, which it becomes
+// otherwise. It hands the block over when the block is full.
+//
+// texlint:hotpath
+func (r *streamFilter) record(key uint64, set uint32) {
+	hit := r.filter.recent(set, key)
 	b := r.blk
-	b.recs[b.n] = record{key: key, set: set, chains: chains}
+	b.recs[b.n] = record{key: key, set: set, hit: hit}
 	b.n++
 	if b.n == blockRecords {
 		r.hand()
 	}
 }
 
-// endFrame closes the frame in the current block: it moves the hits
-// booked without a lookup since the last marker into the block's.
+// endFrame closes the frame in the current block: it moves the count of
+// references since the last marker into the block's.
 func (r *streamFilter) endFrame() {
 	b := r.blk
-	for c := range r.filters {
-		f := &r.filters[c]
-		b.end.batched[c] = r.repeats + f.batched
-		f.batched = 0
-	}
-	r.repeats = 0
+	b.end.refs, r.refs = r.refs, 0
 	b.last = true
 }
 
@@ -367,7 +353,7 @@ func (r *streamFilter) start(w *workload.Workload, render Config, rast *raster.R
 	r.free = make(chan *block, ringBlocks)
 	r.done = done
 	for i := 1; i < ringBlocks; i++ {
-		r.free <- newBlock(len(r.filters))
+		r.free <- &block{}
 	}
 	go r.run(w, render, rast)
 	return r.full, r.free
@@ -403,9 +389,16 @@ func (r *streamFilter) run(w *workload.Workload, render Config, rast *raster.Ras
 // layouts only when an L2-backed group misses, and accesses each
 // distinct L2 of a group once per miss.
 type fanout struct {
-	layouts []*layoutXlate
-	specs   []specState
-	chains  []l1Chain
+	layouts []layoutXlate
+	// at holds the page of the miss being presented under each layout.
+	at []cache.Page
+	// hiers holds each spec's hierarchy, in spec order.
+	hiers  []*cache.Hierarchy
+	chains []l1Chain
+	// filterSets sizes the render stage's MRU filter, and oneSets is set
+	// when some chain's smallest cache has one set.
+	filterSets int
+	oneSets    bool
 }
 
 // take runs a block's records through the hierarchies and settles the
@@ -415,59 +408,63 @@ func (s *fanout) take(b *block) {
 		s.access(&b.recs[i])
 	}
 	if b.last {
-		s.settle(b.end.batched)
+		s.settle(&b.end)
 	}
 }
 
-// access looks a record up in each chain it names, presenting a miss to
-// the members of each group that missed: one L2 access per distinct L2
-// and one lookup per TLB. The L2 layouts are translated for the first
-// L2-backed group that misses.
+// access looks a record up in each chain that cannot settle it: a chain
+// with more than one set skips a render filter hit, and a chain that
+// refines the filter a hit on its own. A group that misses presents the
+// miss through its miss lists. The L2 layouts are translated for the
+// first L2-backed group that misses.
 //
 // texlint:hotpath
 func (s *fanout) access(rec *record) {
 	l1 := cache.L1Ref{Tag: rec.key, Set: rec.set}
 	translated := false
-	for chains := rec.chains; chains != 0; chains &= chains - 1 {
-		ch := &s.chains[bits.TrailingZeros32(chains)]
+	for ci := range s.chains {
+		ch := &s.chains[ci]
+		if rec.hit && !ch.oneSet || ch.refine != nil && ch.refine.recent(rec.set, rec.key) {
+			continue
+		}
+		ch.lookups++
 		missed := ch.groups[:ch.l1.Lookup(l1)]
 		for gi := range missed {
 			g := &missed[gi]
+			if g.misses == nil {
+				continue
+			}
 			if g.backed && !translated {
 				tid, u, v, m := lineTexel(rec.key)
-				for _, lx := range s.layouts {
+				for i := range s.layouts {
+					lx := &s.layouts[i]
 					b := lx.tilings[tid].Addr(u, v, m)
-					lx.pt, lx.sub = lx.starts[tid]+b.L2, uint8(b.L1)
+					s.at[i] = cache.Page{PT: lx.starts[tid] + b.L2, Sub: uint8(b.L1)}
 				}
 				translated = true
 			}
-			for _, i := range g.misses {
-				sp := &s.specs[i]
-				ref := cache.Ref{L1: l1}
-				if sp.layoutIdx >= 0 {
-					lx := s.layouts[sp.layoutIdx]
-					ref.PTIndex, ref.Sub = lx.pt, lx.sub
-				}
-				if sp.owner < 0 {
-					sp.hier.Miss(ref)
-				} else {
-					sp.hier.MissShared(ref)
-				}
-			}
+			g.misses.Miss(l1, s.at)
 		}
 	}
 }
 
-// settle books what the L1 counters owe before a frame's counter read:
-// batched[c] hits chain c proved without a lookup, and the hits each
-// chain's lookups skipped.
+// settle books what the counters owe before a frame's counter read: each
+// chain's hits without a lookup, every reference of the frame it did not
+// look up, the hits its lookups skipped, and the TLB hits each group's
+// miss lists owe.
 //
 // texlint:hotpath
-func (s *fanout) settle(batched []int64) {
+func (s *fanout) settle(end *frameEnd) {
 	for c := range s.chains {
 		ch := &s.chains[c]
-		ch.l1.RecordHits(batched[c])
+		ch.l1.RecordHits(end.refs - ch.lookups)
+		ch.lookups = 0
 		ch.l1.Book()
+		for gi := range ch.groups {
+			if m := ch.groups[gi].misses; m != nil {
+				m.Settle()
+			}
+		}
 	}
 }
 
@@ -504,10 +501,7 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if render.Frames <= 0 {
 		render.Frames = w.Frames
 	}
-	if render.L1Bytes == 0 {
-		render.L1Bytes = 2 * 1024 // irrelevant; satisfies validation
-	}
-	if err := render.Validate(); err != nil {
+	if err := render.validateRender(); err != nil {
 		return nil, err
 	}
 	if render.FastSweep {
@@ -517,11 +511,12 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 }
 
 // buildFanout builds the exact engine's cache stage: one hierarchy per
-// spec (readable through fan.specs, parallel to specs), with one L1 per
-// distinct L1 geometry shared by its specs' hierarchies, the geometries
-// of each associativity chained smallest first, one L2 per distinct L2
+// spec (fan.hiers, parallel to specs), with one L1 per distinct L1
+// geometry shared by its specs' hierarchies, the geometries of each
+// associativity chained smallest first, one L2 per distinct L2
 // configuration within a geometry, and one translator per distinct L2
-// layout, however many specs use it.
+// layout, however many specs use it. It sizes the render stage's MRU
+// filter and gives each chain that refines it a filter of its own.
 func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 	// The line key is the L1 tag, so it must name every line exactly.
 	if set.Len() > maxTextures {
@@ -533,11 +528,9 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 				t.Name, t.Width(), t.Height(), maxTextureEdge)
 		}
 	}
-	fan := &fanout{}
-	fan.specs = make([]specState, 0, len(specs))
-	// Every spec contributes at most one layout, group and chain, so
-	// len(specs) bounds each deduplicated table.
-	fan.layouts = make([]*layoutXlate, 0, len(specs))
+	fan := &fanout{hiers: make([]*cache.Hierarchy, 0, len(specs))}
+	// Every spec contributes at most one layout and group, so len(specs)
+	// bounds each deduplicated table.
 	groups := make([]l1Group, 0, len(specs))
 	layoutIndex := map[texture.TileLayout]int{}
 	groupIndex := map[[2]int]int{} // keyed by L1 bytes and ways
@@ -545,9 +538,9 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 		group int
 		cfg   cache.L2Config
 	}
-	l2Owner := map[l2Key]int{}
+	l2s := map[l2Key]*cache.L2Cache{}
 
-	for i, spec := range specs {
+	for _, spec := range specs {
 		ways := spec.L1Ways
 		if ways == 0 {
 			ways = cache.L1Ways
@@ -565,7 +558,7 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 		}
 		g := &groups[gi]
 		hier := &cache.Hierarchy{L1: g.l1}
-		st := specState{hier: hier, layoutIdx: -1, owner: -1}
+		layout := -1
 		if spec.L2 != nil {
 			g.backed = true
 			l2cfg := *spec.L2
@@ -580,34 +573,34 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 					starts[i] = set.Start(l2cfg.Layout, texture.ID(i))
 				}
 				idx = len(fan.layouts)
-				fan.layouts = append(fan.layouts, &layoutXlate{
+				fan.layouts = append(fan.layouts, layoutXlate{
 					tilings: set.Tilings(l2cfg.Layout),
 					starts:  starts,
 				})
 				layoutIndex[l2cfg.Layout] = idx
 			}
-			st.layoutIdx = idx
+			layout = idx
 			key := l2Key{gi, l2cfg}
-			if owner, ok := l2Owner[key]; ok {
-				st.owner = owner
-				hier.L2 = fan.specs[owner].hier.L2
-			} else {
+			if hier.L2 = l2s[key]; hier.L2 == nil {
 				l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
 				if err != nil {
 					return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
 				}
-				hier.L2 = l2
-				l2Owner[key] = i
+				hier.L2, l2s[key] = l2, l2
 			}
 			if spec.TLBEntries > 0 {
 				hier.TLB = cache.NewTLB(spec.TLBEntries)
 			}
 		}
 		if hier.SeesMisses() {
-			g.misses = append(g.misses, i)
+			if g.misses == nil {
+				g.misses = &cache.MissLists{}
+			}
+			g.misses.Add(hier, layout)
 		}
-		fan.specs = append(fan.specs, st)
+		fan.hiers = append(fan.hiers, hier)
 	}
+	fan.at = make([]cache.Page, len(fan.layouts))
 
 	// Chain the groups of each associativity, in order of first
 	// appearance, smallest L1 first.
@@ -637,8 +630,29 @@ func buildFanout(set *texture.Set, specs []CacheSpec) (*fanout, error) {
 		}
 		ch.l1 = l1
 	}
-	if len(fan.chains) > maxChains {
-		return nil, fmt.Errorf("core: %d L1 associativities in one sweep, at most %d", len(fan.chains), maxChains)
+
+	// The render stage's filter has the fewest sets of any chain whose
+	// smallest cache has more than one; a fully associative chain
+	// takes no part in it.
+	for _, ch := range fan.chains {
+		if n := ch.groups[0].l1.Sets(); n == 1 {
+			fan.oneSets = true
+		} else if fan.filterSets == 0 || n < fan.filterSets {
+			fan.filterSets = n
+		}
+	}
+	if fan.filterSets == 0 {
+		fan.filterSets = 1
+	}
+	for ci := range fan.chains {
+		ch := &fan.chains[ci]
+		switch n := ch.groups[0].l1.Sets(); {
+		case n == 1:
+			ch.oneSet = true
+		case n > fan.filterSets:
+			f := newMRUFilter(n)
+			ch.refine = &f
+		}
 	}
 	return fan, nil
 }
@@ -720,8 +734,8 @@ func runExact(w *workload.Workload, render Config, specs []CacheSpec) (*Comparis
 			v := end.stats
 			sf = &v
 		}
-		for i := range fan.specs {
-			cur := fan.specs[i].hier.Counters()
+		for i, h := range fan.hiers {
+			cur := h.Counters()
 			fr := FrameResult{
 				Pipeline: end.pst,
 				Pixels:   end.pixels,
@@ -736,8 +750,8 @@ func runExact(w *workload.Workload, render Config, specs []CacheSpec) (*Comparis
 		}
 		free <- b
 	}
-	for i := range fan.specs {
-		cmp.Results[i].Totals = fan.specs[i].hier.Counters()
+	for i, h := range fan.hiers {
+		cmp.Results[i].Totals = h.Counters()
 	}
 	if collect != nil {
 		// The last frame's marker orders every collector write before

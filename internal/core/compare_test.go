@@ -155,22 +155,29 @@ func TestRunComparisonErrors(t *testing.T) {
 			t.Errorf("L2 of %d bytes in %dx%d tiles: error %v, want one naming the spec", c.bytes, c.edge, c.edge, err)
 		}
 	}
-	// Fully associative L1s of 1 to maxChains+1 lines: one chain each,
-	// one more than a record's chain mask can name.
+	// Fully associative L1s of 1 to 33 lines: one chain each, more
+	// associativities than a record could name in a 32-bit chain mask.
 	var wide []CacheSpec
-	for ways := 1; ways <= maxChains+1; ways++ {
+	for ways := 1; ways <= 33; ways++ {
 		wide = append(wide, CacheSpec{Name: "full", L1Bytes: ways * cache.L1LineBytes, L1Ways: ways})
 	}
 	one := testCfg()
 	one.Frames = 1
-	if _, err := RunComparison(workload.Village(), one, wide); err == nil {
-		t.Errorf("%d L1 associativities accepted", len(wide))
-	}
-	if _, err := RunComparison(workload.Village(), one, wide[:maxChains]); err != nil {
-		t.Errorf("%d L1 associativities: %v", maxChains, err)
+	if cmp, err := RunComparison(workload.Village(), one, wide); err != nil {
+		t.Errorf("%d L1 associativities: %v", len(wide), err)
+	} else if refs := cmp.Results[0].Totals.L1.Accesses; refs == 0 || cmp.Results[32].Totals.L1.Accesses != refs {
+		t.Errorf("%d L1 associativities: %d and %d references", len(wide), refs, cmp.Results[32].Totals.L1.Accesses)
 	}
 	// Texture sets at and one past the bounds of the line key.
 	pull := []CacheSpec{{Name: "pull-2k", L1Bytes: 2 << 10}}
+	// The render configuration's own cache fields are ignored, even an
+	// L2 layout that is no power of two.
+	ignored := withL2(one, 2)
+	ignored.L1Bytes = 0
+	ignored.L2.Layout.L2Size = 7
+	if _, err := RunComparison(workload.Village(), ignored, pull); err != nil {
+		t.Errorf("render cache fields {L1Bytes: 0, L2 tiles 7x7} beside a valid spec: %v", err)
+	}
 	for _, c := range []struct {
 		n, w, h int
 		ok      bool

@@ -79,8 +79,8 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Width <= 0 || c.Height <= 0 {
-		return fmt.Errorf("core: invalid resolution %dx%d", c.Width, c.Height)
+	if err := c.validateRender(); err != nil {
+		return err
 	}
 	if c.L1Bytes <= 0 {
 		return fmt.Errorf("core: L1 size %d", c.L1Bytes)
@@ -89,6 +89,16 @@ func (c Config) Validate() error {
 		if err := c.L2.Layout.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// validateRender checks what a render reads: the resolution and the
+// working-set layouts. RunComparison and RunPush check only these, since
+// they take no cache from the configuration.
+func (c Config) validateRender() error {
+	if c.Width <= 0 || c.Height <= 0 {
+		return fmt.Errorf("core: invalid resolution %dx%d", c.Width, c.Height)
 	}
 	for _, l := range c.StatLayouts {
 		if err := l.Validate(); err != nil {

@@ -1,23 +1,27 @@
 package core
 
 import (
-	"fmt"
-
+	"texcache/internal/cache"
 	"texcache/internal/raster"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
 
-// FanoutShape is the structure of the exact engine's sink over a spec
-// list, for tests outside the package.
+// FanoutShape is the structure of the exact engine's two stages over a
+// spec list, for tests outside the package.
 type FanoutShape struct {
 	// Ways and Sizes give each chain's associativity and its L1 sizes in
 	// bytes, in lookup order.
 	Ways  []int
 	Sizes [][]int
-	// FilterSets gives each chain's MRU filter size: the set count of
-	// its smallest cache.
-	FilterSets []int
+	// FilterSets is the size of the render stage's MRU filter, and
+	// AllLines reports whether it records every line that is not a
+	// repeat, its hits marked, for a fully associative chain.
+	FilterSets int
+	AllLines   bool
+	// RefineSets gives each chain's own MRU filter size, in the cache
+	// stage: 0 for a chain that needs none.
+	RefineSets []int
 	// L1Of and L2Of give, per spec, the index of the first spec whose L1
 	// (L2) cache its hierarchy uses; L2Of is -1 for a pull spec.
 	L1Of, L2Of []int
@@ -26,40 +30,38 @@ type FanoutShape struct {
 // FanoutShapeOf builds the exact engine's two stages over specs and
 // reports their structure.
 func FanoutShapeOf(set *texture.Set, specs []CacheSpec) (FanoutShape, error) {
-	sink, err := buildFanout(set, specs)
+	fan, err := buildFanout(set, specs)
 	if err != nil {
 		return FanoutShape{}, err
 	}
-	rs := newStreamFilter(sink)
-	var sh FanoutShape
-	for c, ch := range sink.chains {
+	rs := newStreamFilter(fan)
+	sh := FanoutShape{FilterSets: len(rs.filter.mru), AllLines: rs.all}
+	for _, ch := range fan.chains {
 		sizes := make([]int, 0, len(ch.groups))
 		for _, g := range ch.groups {
 			sizes = append(sizes, g.l1.SizeBytes())
 		}
 		sh.Ways = append(sh.Ways, ch.groups[0].l1.Ways())
 		sh.Sizes = append(sh.Sizes, sizes)
-		sh.FilterSets = append(sh.FilterSets, len(rs.filters[c].mru))
+		refine := 0
+		if ch.refine != nil {
+			refine = len(ch.refine.mru)
+		}
+		sh.RefineSets = append(sh.RefineSets, refine)
 	}
-	first := func(same func(a, b *specState) bool, i int) int {
-		for j := range sink.specs[:i] {
-			if same(&sink.specs[j], &sink.specs[i]) {
+	first := func(same func(a, b *cache.Hierarchy) bool, i int) int {
+		for j, h := range fan.hiers[:i] {
+			if same(h, fan.hiers[i]) {
 				return j
 			}
 		}
 		return i
 	}
-	for i, sp := range sink.specs {
-		sh.L1Of = append(sh.L1Of, first(func(a, b *specState) bool { return a.hier.L1 == b.hier.L1 }, i))
-		l2, owner := -1, -1
-		if sp.hier.L2 != nil {
-			l2 = first(func(a, b *specState) bool { return a.hier.L2 == b.hier.L2 }, i)
-		}
-		if l2 != i {
-			owner = l2
-		}
-		if sp.owner != owner {
-			return sh, fmt.Errorf("spec %d shares the L2 of spec %d but uses spec %d's L2", i, sp.owner, l2)
+	for i, h := range fan.hiers {
+		sh.L1Of = append(sh.L1Of, first(func(a, b *cache.Hierarchy) bool { return a.L1 == b.L1 }, i))
+		l2 := -1
+		if h.L2 != nil {
+			l2 = first(func(a, b *cache.Hierarchy) bool { return a.L2 == b.L2 }, i)
 		}
 		sh.L2Of = append(sh.L2Of, l2)
 	}
@@ -107,7 +109,6 @@ func (st *Stages) Render(keep bool) error {
 	for b := range full {
 		if keep {
 			c := *b
-			c.end.batched = append([]int64(nil), b.end.batched...)
 			st.blocks = append(st.blocks, &c)
 		}
 		free <- b

@@ -14,9 +14,12 @@ import (
 // L1 size and effective associativity (0 and 2 ways are one geometry),
 // and each group's hierarchies share its L1. The groups of one
 // associativity form one chain, smallest first; a direct-mapped group is
-// a chain of its own. Each chain's MRU filter has one slot per set of its
-// smallest cache. Within a group, specs with one L2 configuration share
-// one L2.
+// a chain of its own. The render stage's MRU filter has one slot per set
+// of the smallest cache with the fewest sets, other than a fully
+// associative one, and a chain whose smallest cache has more sets refines
+// it with a filter of its own. A fully associative chain makes the render
+// stage record every line that is not a repeat. Within a group, specs
+// with one L2 configuration share one L2.
 func TestFanoutSharesL1PerGeometry(t *testing.T) {
 	set := texture.NewSet()
 	set.Register(texture.MustNew("a", 64, 64, texture.RGBA8888, nil))
@@ -31,8 +34,9 @@ func TestFanoutSharesL1PerGeometry(t *testing.T) {
 		!reflect.DeepEqual(sh.Ways, []int{2}) {
 		t.Errorf("SweepSpecs chains: ways %v sizes %v, want one 2-way chain %v", sh.Ways, sh.Sizes, want)
 	}
-	if want := []int{16}; !reflect.DeepEqual(sh.FilterSets, want) {
-		t.Errorf("SweepSpecs MRU filter sets %v, want %v (the 2 KB 2-way L1)", sh.FilterSets, want)
+	if sh.FilterSets != 16 || !reflect.DeepEqual(sh.RefineSets, []int{0}) || sh.AllLines {
+		t.Errorf("SweepSpecs MRU filter of %d sets, refined %v, all lines %v; want 16 (the 2 KB 2-way L1), none, false",
+			sh.FilterSets, sh.RefineSets, sh.AllLines)
 	}
 	l2s, backed := map[int]bool{}, 0
 	for i, spec := range specs {
@@ -86,7 +90,18 @@ func TestFanoutSharesL1PerGeometry(t *testing.T) {
 	if want := []int{-1, 1, -1, -1, -1, 1}; !reflect.DeepEqual(sh.L2Of, want) {
 		t.Errorf("direct-mapped pool: L2 owners %v, want %v", sh.L2Of, want)
 	}
-	if want := []int{8, 32}; !reflect.DeepEqual(sh.FilterSets, want) {
-		t.Errorf("direct-mapped pool: MRU filter sets %v, want %v (1 KB 2-way, 2 KB direct)", sh.FilterSets, want)
+	if sh.FilterSets != 8 || !reflect.DeepEqual(sh.RefineSets, []int{0, 32}) || sh.AllLines {
+		t.Errorf("direct-mapped pool: MRU filter of %d sets, refined %v, all lines %v; want 8 (1 KB 2-way), [0 32] (2 KB direct), false",
+			sh.FilterSets, sh.RefineSets, sh.AllLines)
+	}
+
+	// A fully associative chain takes no part in the filter's size.
+	pool = append(pool, core.CacheSpec{Name: "pull-1k-full", L1Bytes: 1 << 10, L1Ways: 16})
+	if sh, err = core.FanoutShapeOf(set, pool); err != nil {
+		t.Fatal(err)
+	}
+	if sh.FilterSets != 8 || !reflect.DeepEqual(sh.RefineSets, []int{0, 32, 0}) || !sh.AllLines {
+		t.Errorf("fully associative pool: MRU filter of %d sets, refined %v, all lines %v; want 8, [0 32 0], true",
+			sh.FilterSets, sh.RefineSets, sh.AllLines)
 	}
 }

@@ -184,80 +184,89 @@ func (s *fanoutStream) run(prog []byte) {
 // TestQuadMatchesFourTexels feeds one render stage each bilinear
 // footprint through Quad and another the same footprint as four Texel
 // calls, both built for one fan-out, and requires equal records, MRU
-// filters, batched counts and last line after every call. The
+// filter, reference counts and last line after every call. The
 // footprints sit inside one line, across a u edge, a v edge or a corner,
 // across the level's wrap edge in u or in both axes, at several places
 // of every level down to 2x2 and 1x1. Each one follows a reference to its
 // first line, a reference to another line, and itself. The chains are a
-// 2-way one of two caches, a direct-mapped one and a fully associative
-// one, whose single set records the second A and B of A B A B.
+// 2-way one of two caches and a direct-mapped one, whose 8 and 32 sets
+// filter on 8, first alone and then beside a fully associative one, for
+// which the render stage records every line that is not a repeat, its
+// filter hits marked: the second A and B of A B A B are such lines.
 func TestQuadMatchesFourTexels(t *testing.T) {
 	set := texture.NewSet()
 	set.Register(texture.MustNew("a", 256, 128, texture.RGBA8888, nil))
 	set.Register(texture.MustNew("b", 64, 64, texture.RGBA8888, nil))
-	fan, err := buildFanout(set, []CacheSpec{
+	specs := []CacheSpec{
 		{Name: "pull-1k", L1Bytes: 1 << 10},
 		{Name: "pull-2k", L1Bytes: 2 << 10},
 		{Name: "pull-2k-direct", L1Bytes: 2 << 10, L1Ways: 1},
 		{Name: "pull-1k-full", L1Bytes: 1 << 10, L1Ways: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	quad, texels := newStreamFilter(fan), newStreamFilter(fan)
-	calls := 0
-	check := func(what string, tid texture.ID, u0, v0, u1, v1, m int) {
-		t.Helper()
-		calls++
-		qb, tb := quad.blk, texels.blk
-		if got, want := qb.recs[:qb.n], tb.recs[:tb.n]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("call %d, %s of tid %d (%d,%d)-(%d,%d) level %d: records\nQuad   %+v\nTexels %+v",
-				calls, what, tid, u0, v0, u1, v1, m, got, want)
+	for _, specs := range [][]CacheSpec{specs[:3], specs} {
+		fan, err := buildFanout(set, specs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if quad.lastKey != texels.lastKey || quad.repeats != texels.repeats ||
-			!reflect.DeepEqual(quad.filters, texels.filters) {
-			t.Fatalf("call %d, %s of tid %d (%d,%d)-(%d,%d) level %d: lastKey %#x, repeats %d, filters %+v; four Texels: %#x, %d, %+v",
-				calls, what, tid, u0, v0, u1, v1, m, quad.lastKey, quad.repeats, quad.filters,
-				texels.lastKey, texels.repeats, texels.filters)
+		quad, texels := newStreamFilter(fan), newStreamFilter(fan)
+		if quad.all != (len(specs) == 4) || len(quad.filter.mru) != 8 {
+			t.Fatalf("%d specs: render filter of %d sets, all lines %v; want 8 sets, all lines with the fully associative chain",
+				len(specs), len(quad.filter.mru), quad.all)
 		}
-		qb.n, tb.n = 0, 0
-	}
-	texel := func(tid texture.ID, u, v, m int) {
-		quad.Texel(tid, u, v, m)
-		texels.Texel(tid, u, v, m)
-		check("Texel", tid, u, v, u, v, m)
-	}
-	footprint := func(tid texture.ID, u0, v0, u1, v1, m int) {
-		quad.Quad(tid, u0, v0, u1, v1, m)
-		texels.Texel(tid, u0, v0, m)
-		texels.Texel(tid, u1, v0, m)
-		texels.Texel(tid, u0, v1, m)
-		texels.Texel(tid, u1, v1, m)
-		check("Quad", tid, u0, v0, u1, v1, m)
-	}
-	for _, tex := range set.All() {
-		for m, l := range tex.Levels {
-			wrap := func(u, v int) (int, int) {
-				return texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height)
+		calls := 0
+		check := func(what string, tid texture.ID, u0, v0, u1, v1, m int) {
+			t.Helper()
+			calls++
+			qb, tb := quad.blk, texels.blk
+			if got, want := qb.recs[:qb.n], tb.recs[:tb.n]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d specs, call %d, %s of tid %d (%d,%d)-(%d,%d) level %d: records\nQuad   %+v\nTexels %+v",
+					len(specs), calls, what, tid, u0, v0, u1, v1, m, got, want)
 			}
-			for _, base := range [][2]int{{0, 0}, {37, 22}, {101, 61}, {255, 127}} {
-				bu, bv := base[0], base[1]
-				for _, at := range [][2]int{
-					{bu&^3 | 1, bv&^3 | 1}, // inside one line
-					{bu | 3, bv&^3 | 1},    // across a u edge
-					{bu&^3 | 1, bv | 3},    // across a v edge
-					{bu | 3, bv | 3},       // across a corner
-					{-1, bv&^3 | 1},        // across the wrap edge in u
-					{-1, -1},               // across the wrap edge in both
-				} {
-					u0, v0 := wrap(at[0], at[1])
-					u1, v1 := wrap(u0+1, v0+1)
-					texel(tex.ID, u0, v0, m)
-					footprint(tex.ID, u0, v0, u1, v1, m)
-					ou, ov := wrap(u0+8, v0+4)
-					texel(tex.ID, ou, ov, m)
-					footprint(tex.ID, u0, v0, u1, v1, m)
-					footprint(tex.ID, u0, v0, u1, v1, m)
+			if quad.lastKey != texels.lastKey || quad.refs != texels.refs ||
+				!reflect.DeepEqual(quad.filter, texels.filter) {
+				t.Fatalf("%d specs, call %d, %s of tid %d (%d,%d)-(%d,%d) level %d: lastKey %#x, refs %d, filter %+v; four Texels: %#x, %d, %+v",
+					len(specs), calls, what, tid, u0, v0, u1, v1, m, quad.lastKey, quad.refs, quad.filter,
+					texels.lastKey, texels.refs, texels.filter)
+			}
+			qb.n, tb.n = 0, 0
+		}
+		texel := func(tid texture.ID, u, v, m int) {
+			quad.Texel(tid, u, v, m)
+			texels.Texel(tid, u, v, m)
+			check("Texel", tid, u, v, u, v, m)
+		}
+		footprint := func(tid texture.ID, u0, v0, u1, v1, m int) {
+			quad.Quad(tid, u0, v0, u1, v1, m)
+			texels.Texel(tid, u0, v0, m)
+			texels.Texel(tid, u1, v0, m)
+			texels.Texel(tid, u0, v1, m)
+			texels.Texel(tid, u1, v1, m)
+			check("Quad", tid, u0, v0, u1, v1, m)
+		}
+		for _, tex := range set.All() {
+			for m, l := range tex.Levels {
+				wrap := func(u, v int) (int, int) {
+					return texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height)
+				}
+				for _, base := range [][2]int{{0, 0}, {37, 22}, {101, 61}, {255, 127}} {
+					bu, bv := base[0], base[1]
+					for _, at := range [][2]int{
+						{bu&^3 | 1, bv&^3 | 1}, // inside one line
+						{bu | 3, bv&^3 | 1},    // across a u edge
+						{bu&^3 | 1, bv | 3},    // across a v edge
+						{bu | 3, bv | 3},       // across a corner
+						{-1, bv&^3 | 1},        // across the wrap edge in u
+						{-1, -1},               // across the wrap edge in both
+					} {
+						u0, v0 := wrap(at[0], at[1])
+						u1, v1 := wrap(u0+1, v0+1)
+						texel(tex.ID, u0, v0, m)
+						footprint(tex.ID, u0, v0, u1, v1, m)
+						ou, ov := wrap(u0+8, v0+4)
+						texel(tex.ID, ou, ov, m)
+						footprint(tex.ID, u0, v0, u1, v1, m)
+						footprint(tex.ID, u0, v0, u1, v1, m)
+					}
 				}
 			}
 		}
@@ -403,7 +412,7 @@ func FuzzFanoutMatchesPerSpec(f *testing.F) {
 				rs.endFrame()
 				take()
 				for i, o := range oracle {
-					got, want := sink.specs[i].hier.Counters(), o.h.Counters()
+					got, want := sink.hiers[i].Counters(), o.h.Counters()
 					if got != want {
 						t.Fatalf("frame %d, spec %q:\nfan-out %+v\noracle  %+v",
 							frame, specs[i].Name, got, want)

@@ -45,10 +45,7 @@ func RunPush(w *workload.Workload, render Config, pushCfg push.Config) (*PushRes
 	if render.Frames <= 0 {
 		render.Frames = w.Frames
 	}
-	if render.L1Bytes == 0 {
-		render.L1Bytes = 2 << 10
-	}
-	if err := render.Validate(); err != nil {
+	if err := render.validateRender(); err != nil {
 		return nil, err
 	}
 	mgr, err := push.NewManager(pushCfg, w.Scene.Textures)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"texcache/internal/cache"
+	"texcache/internal/texture"
 	"texcache/internal/trace"
 	"texcache/internal/workload"
 )
@@ -54,6 +55,24 @@ func TestReplayTraceHonorsFrameLimit(t *testing.T) {
 	want.L2.MaxSearch = direct.Frames[2].Counters.L2.MaxSearch
 	if replayed.Totals != want {
 		t.Errorf("truncated totals = %+v, want %+v", replayed.Totals, want)
+	}
+}
+
+// TestReplayTraceRejectsSmallL2Tile: the replay's L2 sub-block is the 4x4
+// L1 tile, so a layout that validates with its own 2x2 sub-block but has
+// 2x2 tiles is an error, not a panic.
+func TestReplayTraceRejectsSmallL2Tile(t *testing.T) {
+	cfg := testCfg()
+	cfg.Frames = 1
+	var buf bytes.Buffer
+	if _, err := RecordTrace(workload.Village(), cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	small := withL2(cfg, 2)
+	small.L2.Layout = texture.TileLayout{L2Size: 2, L1Size: 2}
+	_, err := ReplayTrace(&buf, workload.Village().Scene.Textures, small)
+	if err == nil || !strings.Contains(err.Error(), "L2 tile 2 smaller than L1 tile 4") {
+		t.Errorf("err = %v, want the layout's error", err)
 	}
 }
 

@@ -74,7 +74,11 @@ func TestTexsanVillagePullArchitecture(t *testing.T) {
 // of an L1 it does not drive. The 512 KB L2 spills, so the weak-inclusion
 // scan retires evicted fills, and l2-512k-tlb-2 shares that L2 (as tlb-1
 // shares l2-2m's), so each of its hierarchies must be told of every
-// eviction, including those the other hierarchy's access caused.
+// eviction, including those the other hierarchy's access caused. The
+// engine's two stages run through Stages, so the test can read each
+// member's hierarchy: each member's sanitizer must have seen every miss
+// of the shared L1, which a fan-out that drives an L2 or TLB past a
+// member's sanitizer would not show.
 func TestTexsanSweepFanout(t *testing.T) {
 	render := sanConfig(6)
 	base := *render.L2
@@ -91,23 +95,35 @@ func TestTexsanSweepFanout(t *testing.T) {
 		{Name: "tlb-1", L1Bytes: 2 << 10, L2: l2(2<<20, false), TLBEntries: 1},
 		{Name: "l2-512k-tlb-2", L1Bytes: 2 << 10, L2: l2(512<<10, false), TLBEntries: 2},
 	}
-	cmp, err := RunComparison(workload.Village(), render, specs)
+	w := workload.Village()
+	st := NewStages(w, render, specs)
+	if err := st.Render(true); err != nil {
+		t.Fatal(err)
+	}
+	fan, err := buildFanout(w.Scene.Textures, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := cmp.Results[0].Totals.L1
+	for _, b := range st.blocks {
+		fan.take(b)
+	}
+	l1 := fan.hiers[0].Counters().L1
 	if l1.Accesses == 0 || l1.Misses == 0 {
 		t.Fatalf("no L1 activity: %+v", l1)
 	}
-	for i, res := range cmp.Results {
-		if res.Totals.L1 != l1 {
-			t.Errorf("%s: L1 %+v, want the shared L1's %+v", specs[i].Name, res.Totals.L1, l1)
+	for i, h := range fan.hiers {
+		c := h.Counters()
+		if c.L1 != l1 {
+			t.Errorf("%s: L1 %+v, want the shared L1's %+v", specs[i].Name, c.L1, l1)
 		}
-		if specs[i].L2 != nil && res.Totals.L2.Accesses() != l1.Misses {
-			t.Errorf("%s: %d L2 accesses for %d L1 misses", specs[i].Name, res.Totals.L2.Accesses(), l1.Misses)
+		if specs[i].L2 != nil && c.L2.Accesses() != l1.Misses {
+			t.Errorf("%s: %d L2 accesses for %d L1 misses", specs[i].Name, c.L2.Accesses(), l1.Misses)
+		}
+		if got := h.SanitizedMisses(); got != l1.Misses {
+			t.Errorf("%s: the sanitizer saw %d of the shared L1's %d misses", specs[i].Name, got, l1.Misses)
 		}
 	}
-	if cmp.Results[2].Totals.L2.Evictions == 0 {
+	if fan.hiers[2].Counters().L2.Evictions == 0 {
 		t.Error("the 512 KB L2 never evicted")
 	}
 }

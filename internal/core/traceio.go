@@ -243,7 +243,9 @@ func buildHierarchy(set *texture.Set, cfg Config) (*cache.Hierarchy, *addrSink, 
 		// The L2 sub-block must be the 4x4 L1 tile so that sector bits
 		// track exactly what the L1 cache downloads.
 		l2cfg.Layout.L1Size = 4
-		set.MustPrepare(l2cfg.Layout)
+		if err := set.Prepare(l2cfg.Layout); err != nil {
+			return nil, nil, err
+		}
 		l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
 		if err != nil {
 			return nil, nil, err

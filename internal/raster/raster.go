@@ -116,6 +116,9 @@ func New(cfg Config) (*Rasterizer, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("raster: invalid size %dx%d", cfg.Width, cfg.Height)
 	}
+	if cfg.Mode < Point || cfg.Mode > Trilinear {
+		return nil, fmt.Errorf("raster: unknown sample mode %d", int(cfg.Mode))
+	}
 	r := &Rasterizer{cfg: cfg, depth: make([]float32, cfg.Width*cfg.Height)}
 	if cfg.Framebuffer {
 		r.color = make([]texture.RGBA, cfg.Width*cfg.Height)
@@ -246,14 +249,11 @@ func (r *Rasterizer) DrawTriangle(tex *texture.Texture, v0, v1, v2 Vertex, shade
 	}
 	edges := [3]edge{e01, e12, e20}
 
-	// Per-triangle invariants hoisted out of the per-pixel path: the
-	// texture, gradients, shade and config flags are loaded once here
-	// instead of on every shadePixel call.
-	t := triState{
-		tex: tex, gu: gu, gv: gv, giw: giw, gz: gz,
-		shade: shade, zfirst: r.cfg.ZBeforeTexture,
-	}
+	// Per-triangle invariants, loaded once for the row loop.
+	mode, zfirst := r.cfg.Mode, r.cfg.ZBeforeTexture
+	quad, sink, color, depth := r.quad, r.sink, r.color, r.depth
 	width := r.cfg.Width
+	pixels := r.pixels
 
 	for yi := minY; yi < maxY; yi++ {
 		py := float64(yi) + 0.5
@@ -292,69 +292,90 @@ func (r *Rasterizer) DrawTriangle(tex *texture.Texture, v0, v1, v2 Vertex, shade
 			xEnd = width
 		}
 		// Each gradient's b·y term, once per row.
-		t.zy, t.iwy, t.uy, t.vy = gz.b*py, giw.b*py, gu.b*py, gv.b*py
+		zy, iwy, uy, vy := gz.b*py, giw.b*py, gu.b*py, gv.b*py
 		rowBase := yi * width
+		// The per-pixel pipeline: depth, texture sampling, write.
+		// Without a framebuffer its only calls are footprintLOD and the
+		// sink's, since every call spills the live values around it.
 		for xi := xStart; xi < xEnd; xi++ {
 			px := float64(xi) + 0.5
-			r.shadePixel(&t, px, rowBase+xi)
+			idx := rowBase + xi
+			z := float32(gz.at(px, zy))
+			pass := z <= depth[idx]
+			if zfirst && !pass {
+				continue // occluded: no texel traffic, no pixel generated
+			}
+			pixels++
+
+			iw := giw.at(px, iwy)
+			if iw <= 0 {
+				continue // behind the eye; clipping should prevent this
+			}
+			wRecip := 1 / iw
+			u := gu.at(px, uy) * wRecip
+			v := gv.at(px, vy) * wRecip
+
+			// Texture-space footprint of the pixel via exact derivatives
+			// of the rational interpolant: d(f/g)/dx = (f'g - fg')/g^2.
+			dudx := (gu.a - u*giw.a) * wRecip
+			dvdx := (gv.a - v*giw.a) * wRecip
+			dudy := (gu.b - u*giw.b) * wRecip
+			dvdy := (gv.b - v*giw.b) * wRecip
+			var l lod
+			if color != nil {
+				l = exactLOD(lambdaOf(dudx, dvdx, dudy, dvdy))
+			} else {
+				l = footprintLOD(dudx, dvdx, dudy, dvdy)
+			}
+
+			// The levels sampled, m0 through m1: the rounded level for
+			// point and bilinear sampling, and for trilinear the two
+			// bracketing levels, or the base level when magnifying.
+			var m0, m1 int
+			switch {
+			case mode != Trilinear:
+				m0 = tex.ClampLevel(l.round)
+				m1 = m0
+			case !l.magnify:
+				m0 = tex.ClampLevel(l.floor)
+				m1 = tex.ClampLevel(m0 + 1)
+			}
+			for m := m0; m <= m1; m++ {
+				lw, lh := tex.Levels[m].Width, tex.Levels[m].Height
+				if mode == Point {
+					if sink != nil {
+						ui := int(math.Floor(u * levelInv[m]))
+						vi := int(math.Floor(v * levelInv[m]))
+						sink.Texel(tex.ID, texture.WrapTexel(ui, lw), texture.WrapTexel(vi, lh), m)
+					}
+					continue
+				}
+				// The bilinear footprint's first texel, then all four
+				// wrapped, in the order of the four Texel calls.
+				u0 := int(math.Floor(u*levelInv[m] - 0.5))
+				v0 := int(math.Floor(v*levelInv[m] - 0.5))
+				wu0, wv0 := texture.WrapTexel(u0, lw), texture.WrapTexel(v0, lh)
+				wu1, wv1 := texture.WrapTexel(u0+1, lw), texture.WrapTexel(v0+1, lh)
+				switch {
+				case quad != nil:
+					quad.Quad(tex.ID, wu0, wv0, wu1, wv1, m)
+				case sink != nil:
+					sink.Texel(tex.ID, wu0, wv0, m)
+					sink.Texel(tex.ID, wu1, wv0, m)
+					sink.Texel(tex.ID, wu0, wv1, m)
+					sink.Texel(tex.ID, wu1, wv1, m)
+				}
+			}
+
+			if pass {
+				depth[idx] = z
+				if color != nil {
+					color[idx] = applyShade(r.filterColor(tex, u, v, m0, m1, l.frac), shade)
+				}
+			}
 		}
 	}
-}
-
-// triState carries one triangle's interpolation state through the
-// scanline loop, so shadePixel reads per-triangle invariants from one
-// cache line instead of re-deriving them per pixel.
-type triState struct {
-	tex             *texture.Texture
-	gu, gv, giw, gz gradient
-	shade           float64
-	zfirst          bool
-	// zy, iwy, uy and vy are gz, giw, gu and gv's b·y terms on the row
-	// being drawn.
-	zy, iwy, uy, vy float64
-}
-
-// shadePixel runs the per-pixel pipeline: depth, texture sampling, write.
-// px is the pixel centre's x on the row t's b·y terms are for, and idx
-// its framebuffer index yi*Width+xi, accumulated per row by the caller.
-func (r *Rasterizer) shadePixel(t *triState, px float64, idx int) {
-	z := float32(t.gz.at(px, t.zy))
-	pass := z <= r.depth[idx]
-
-	if t.zfirst && !pass {
-		return // occluded: no texel traffic, no pixel generated
-	}
-	r.pixels++
-
-	iw := t.giw.at(px, t.iwy)
-	if iw <= 0 {
-		return // behind the eye; clipping should prevent this
-	}
-	wRecip := 1 / iw
-	u := t.gu.at(px, t.uy) * wRecip
-	v := t.gv.at(px, t.vy) * wRecip
-
-	// Texture-space footprint of the pixel via exact derivatives of the
-	// rational interpolant: d(f/g)/dx = (f'g - fg')/g^2.
-	dudx := (t.gu.a - u*t.giw.a) * wRecip
-	dvdx := (t.gv.a - v*t.giw.a) * wRecip
-	dudy := (t.gu.b - u*t.giw.b) * wRecip
-	dvdy := (t.gv.b - v*t.giw.b) * wRecip
-	var l lod
-	if r.color != nil {
-		l = exactLOD(lambdaOf(dudx, dvdx, dudy, dvdy))
-	} else {
-		l = footprintLOD(dudx, dvdx, dudy, dvdy)
-	}
-
-	col := r.sampleAndEmit(t.tex, u, v, l)
-
-	if pass {
-		r.depth[idx] = z
-		if r.color != nil {
-			r.color[idx] = applyShade(col, t.shade)
-		}
-	}
+	r.pixels = pixels
 }
 
 // lod is a pixel's level of detail λ = log2 ρ, where ρ is the longer of
@@ -416,42 +437,10 @@ func footprintLOD(dudx, dvdx, dudy, dvdy float64) lod {
 	return lod{floor: e >> 1, round: (e + 1) >> 1, magnify: e < 0}
 }
 
-// sampleAndEmit performs the configured filtering: it emits every texel
-// reference to the sink and returns the filtered colour (valid only when a
-// framebuffer is attached; otherwise the value is unused).
-func (r *Rasterizer) sampleAndEmit(tex *texture.Texture, u, v float64, l lod) texture.RGBA {
-	switch r.cfg.Mode {
-	case Point:
-		m := tex.ClampLevel(l.round)
-		return r.pointSample(tex, u, v, m)
-	case Bilinear:
-		m := tex.ClampLevel(l.round)
-		return r.bilinearSample(tex, u, v, m)
-	case Trilinear:
-		if l.magnify {
-			// Magnification: a single bilinear fetch at the base level.
-			return r.bilinearSample(tex, u, v, 0)
-		}
-		m0 := tex.ClampLevel(l.floor)
-		m1 := tex.ClampLevel(m0 + 1)
-		c0 := r.bilinearSample(tex, u, v, m0)
-		if m1 == m0 {
-			return c0
-		}
-		c1 := r.bilinearSample(tex, u, v, m1)
-		if r.color == nil {
-			return c1
-		}
-		return lerpColor(c0, c1, l.frac)
-	default:
-		panic(fmt.Sprintf("raster: unknown sample mode %d", int(r.cfg.Mode)))
-	}
-}
-
 // levelInv[m] holds the exact reciprocal 1/2^m. Multiplying by an exact
 // power-of-two reciprocal is the same correctly-rounded IEEE operation as
-// dividing by 2^m, so levelCoord avoids a per-texel divide without
-// changing a single bit of the result.
+// dividing by 2^m, so scaling a base-level texel coordinate to level m
+// avoids a per-texel divide without changing a single bit of the result.
 var levelInv = computeLevelInv()
 
 func computeLevelInv() [64]float64 {
@@ -463,66 +452,30 @@ func computeLevelInv() [64]float64 {
 	return t
 }
 
-// levelCoord scales base-level texel coordinates to level m. It reads
-// the levelInv table (written only at package init), so it carries no
-// purity marker — the analyzer rejects package-level reads.
-func levelCoord(c float64, m int) float64 {
-	return c * levelInv[m]
-}
-
-// emit sends the texel (u, v) of level m, wrapped, to the sink.
-func (r *Rasterizer) emit(tex *texture.Texture, u, v, m int) {
-	if r.sink == nil {
-		return
+// filterColor is the colour the configured filter samples at base-level
+// texel coordinates (u, v) from levels m0 through m1, the two trilinear
+// levels blended by frac.
+func (r *Rasterizer) filterColor(tex *texture.Texture, u, v float64, m0, m1 int, frac float64) texture.RGBA {
+	if r.cfg.Mode == Point {
+		return tex.Sample(int(math.Floor(u*levelInv[m0])), int(math.Floor(v*levelInv[m0])), m0)
 	}
-	l := tex.Levels[m]
-	r.sink.Texel(tex.ID, texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height), m)
-}
-
-// emitQuad sends the bilinear footprint whose first texel is (u, v) of
-// level m: in one Quad call to a QuadSink, else as four texels in the
-// same order.
-func (r *Rasterizer) emitQuad(tex *texture.Texture, u, v, m int) {
-	if r.quad == nil {
-		r.emit(tex, u, v, m)
-		r.emit(tex, u+1, v, m)
-		r.emit(tex, u, v+1, m)
-		r.emit(tex, u+1, v+1, m)
-		return
+	c := bilinearColor(tex, u, v, m0)
+	if m1 != m0 {
+		c = lerpColor(c, bilinearColor(tex, u, v, m1), frac)
 	}
-	l := tex.Levels[m]
-	r.quad.Quad(tex.ID,
-		texture.WrapTexel(u, l.Width), texture.WrapTexel(v, l.Height),
-		texture.WrapTexel(u+1, l.Width), texture.WrapTexel(v+1, l.Height), m)
+	return c
 }
 
-func (r *Rasterizer) pointSample(tex *texture.Texture, u, v float64, m int) texture.RGBA {
-	ui := int(math.Floor(levelCoord(u, m)))
-	vi := int(math.Floor(levelCoord(v, m)))
-	r.emit(tex, ui, vi, m)
-	if r.color == nil {
-		return texture.RGBA{}
-	}
-	return tex.Sample(ui, vi, m)
-}
-
-func (r *Rasterizer) bilinearSample(tex *texture.Texture, u, v float64, m int) texture.RGBA {
-	lu := levelCoord(u, m) - 0.5
-	lv := levelCoord(v, m) - 0.5
+// bilinearColor blends the 2x2 footprint of level m around (u, v).
+func bilinearColor(tex *texture.Texture, u, v float64, m int) texture.RGBA {
+	lu := u*levelInv[m] - 0.5
+	lv := v*levelInv[m] - 0.5
 	u0 := int(math.Floor(lu))
 	v0 := int(math.Floor(lv))
 	fu := lu - float64(u0)
 	fv := lv - float64(v0)
-	r.emitQuad(tex, u0, v0, m)
-	if r.color == nil {
-		return texture.RGBA{}
-	}
-	c00 := tex.Sample(u0, v0, m)
-	c10 := tex.Sample(u0+1, v0, m)
-	c01 := tex.Sample(u0, v0+1, m)
-	c11 := tex.Sample(u0+1, v0+1, m)
-	top := lerpColor(c00, c10, fu)
-	bot := lerpColor(c01, c11, fu)
+	top := lerpColor(tex.Sample(u0, v0, m), tex.Sample(u0+1, v0, m), fu)
+	bot := lerpColor(tex.Sample(u0, v0+1, m), tex.Sample(u0+1, v0+1, m), fu)
 	return lerpColor(top, bot, fv)
 }
 
