@@ -138,10 +138,10 @@ type Page struct {
 // one L2 serves every sharer of one configuration.
 //
 // The TLBs of one layout see one page stream. A miss to the page they
-// looked up last is therefore a hit in each of them, and a hit changes
-// nothing in a round-robin TLB: such a miss is only counted, and Settle
-// books the count as hits in each of them, as L1Cache.RecordHits books
-// batched L1 hits.
+// looked up last is therefore a hit in each of them (a listed TLB has at
+// least one entry), and a hit changes nothing in a round-robin TLB: such
+// a miss is only counted, and Settle books the count as hits in each of
+// them, as L1Cache.RecordHits books batched L1 hits.
 type MissLists struct {
 	l2s  []listedL2
 	tlbs []listedTLBs
